@@ -141,7 +141,6 @@ func benchTorusMatch(b *testing.B, n, workers int) {
 	if workers == 0 {
 		workers = runtime.NumCPU()
 	}
-	tor.SetWorkers(workers)
 	pl := pool.New(workers)
 	defer pl.Close()
 	tor.SetPool(pl)
@@ -162,11 +161,9 @@ func BenchmarkTorusMatchN1048576(b *testing.B)         { benchTorusMatch(b, 1048
 func BenchmarkTorusMatchN1048576Workers1(b *testing.B) { benchTorusMatch(b, 1048576, 1) }
 
 // BenchmarkTorusWalkClusteredN1048576 measures the matching phase when the
-// whole population crowds into one small patch — cell occupancy blows past
-// the speculative walk's density gate, so every walk must take the serial
-// fallback. This is the workload that keeps the gate honest: if the gate
-// ever mis-routes a dense population through speculation, the claim-array
-// contention and repair pass show up here first.
+// whole population crowds into one small patch — the stress case for the
+// candidate search and the exact fallback rescan, since every cell is
+// crowded and candidate lists overlap heavily.
 func BenchmarkTorusWalkClusteredN1048576(b *testing.B) {
 	const n = 1 << 20
 	tor, err := match.NewTorus(1 / math.Sqrt(float64(n)))
@@ -176,16 +173,14 @@ func BenchmarkTorusWalkClusteredN1048576(b *testing.B) {
 	pop := population.New(n)
 	tor.Bind(pop, prng.New(1))
 	// Pile everyone into a radius-0.05 patch around the center: ~100
-	// agents per grid cell, far beyond the gate's per-cell ceiling, while
-	// the bounded candidate lists keep the serial walk linear.
+	// agents per grid cell, while the bounded candidate lists keep the
+	// serial walk linear.
 	pos := tor.Positions().Slice()
 	mut := prng.New(9)
 	for i := range pos {
 		pos[i] = tor.PatchPoint(population.Point{X: 0.5, Y: 0.5}, 0.05, mut)
 	}
-	workers := runtime.NumCPU()
-	tor.SetWorkers(workers)
-	pl := pool.New(workers)
+	pl := pool.New(runtime.NumCPU())
 	defer pl.Close()
 	tor.SetPool(pl)
 	src := prng.New(2)
@@ -198,8 +193,8 @@ func BenchmarkTorusWalkClusteredN1048576(b *testing.B) {
 	}
 	b.StopTimer()
 	st := tor.PipelineStats()
-	if st.SpecWalks > 0 {
-		b.Fatalf("density gate failed: %d of %d walks speculated on a clustered population", st.SpecWalks, st.Samples)
+	if st.SerialWalks != st.Samples {
+		b.Fatalf("%d of %d samples ran the serial walk", st.SerialWalks, st.Samples)
 	}
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(n)*float64(b.N)/sec, "agentsteps/s")

@@ -42,15 +42,11 @@ type jsonBenchmark struct {
 	AllocsPerRound float64 `json:"allocs_per_round"`
 	// The per-phase breakdown of the spatial matching pipeline, averaged
 	// over the timed iterations (omitted for workloads without a spatial
-	// matcher). WalkConflictRate is the fraction of speculatively walked
-	// visits that needed serial repair — the -diff gate warns when it
-	// regresses, since a rising conflict rate erodes the speculative
-	// walk's scaling long before wall time shows it on a small machine.
+	// matcher).
 	BucketNSPerRound  float64 `json:"bucket_ns_per_round,omitempty"`
 	ScatterNSPerRound float64 `json:"scatter_ns_per_round,omitempty"`
 	CandNSPerRound    float64 `json:"cand_ns_per_round,omitempty"`
 	WalkNSPerRound    float64 `json:"walk_ns_per_round,omitempty"`
-	WalkConflictRate  float64 `json:"walk_conflict_rate,omitempty"`
 
 	// engineStats carries the engine's cumulative round-phase counters for
 	// the verbose console breakdown. Unexported on purpose: it stays out of
@@ -84,9 +80,9 @@ func runThroughputBenchmarks(verbose bool) []jsonBenchmark {
 				b.Name, b.N, b.Workers, b.Rounds, b.ElapsedMS, b.AgentStepsPerSec,
 				b.BytesPerRound, b.AllocsPerRound)
 			if b.WalkNSPerRound > 0 {
-				fmt.Printf("      %-24s phases/round: bucket %s scatter %s cand %s walk %s  conflict %.4f\n",
+				fmt.Printf("      %-24s phases/round: bucket %s scatter %s cand %s walk %s\n",
 					"", fmtNS(b.BucketNSPerRound), fmtNS(b.ScatterNSPerRound),
-					fmtNS(b.CandNSPerRound), fmtNS(b.WalkNSPerRound), b.WalkConflictRate)
+					fmtNS(b.CandNSPerRound), fmtNS(b.WalkNSPerRound))
 			}
 			if b.engineStats != nil {
 				fmt.Printf("      %s\n", strings.ReplaceAll(b.engineStats.Breakdown(), "\n", "\n      "))
@@ -140,7 +136,6 @@ func measure(b jsonBenchmark, iter func() int, phases func() (match.PipelineStat
 					b.ScatterNSPerRound = float64(d.ScatterNS) / float64(rounds)
 					b.CandNSPerRound = float64(d.CandNS) / float64(rounds)
 					b.WalkNSPerRound = float64(d.WalkNS) / float64(rounds)
-					b.WalkConflictRate = d.ConflictRate()
 				}
 			}
 			return b
@@ -178,7 +173,6 @@ func benchTorusMatch(name string, n int) (jsonBenchmark, error) {
 	}
 	pop := population.New(n)
 	tor.Bind(pop, prng.New(1))
-	tor.SetWorkers(runtime.NumCPU())
 	pl := pool.New(runtime.NumCPU())
 	defer pl.Close()
 	tor.SetPool(pl)

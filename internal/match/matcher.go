@@ -34,21 +34,12 @@ type Binder interface {
 	Bind(pop *population.Population, src *prng.Source)
 }
 
-// WorkerSetter is implemented by Matchers whose matching phase itself
-// shards across a goroutine pool (the spatial pipeline of spatial.go). The
-// engine calls SetWorkers once at construction with its resolved worker
-// count; like the engine's own Workers knob it is purely a throughput
-// setting — matcher output is bit-identical for every worker count.
-type WorkerSetter interface {
-	SetWorkers(n int)
-}
-
 // PoolSetter is implemented by Matchers that shard their matching phase on
-// the engine's persistent worker pool instead of spawning goroutines per
-// round. The engine calls SetPool once at construction; a matcher that
-// never receives a pool (standalone use) falls back to its own sharding.
-// Like SetWorkers, purely a throughput setting — output is identical with
-// and without a pool.
+// the engine's persistent worker pool (the spatial pipeline of spatial.go).
+// The engine calls SetPool once at construction; a matcher that never
+// receives a pool (standalone use) runs every phase inline. Like the
+// engine's own Workers knob it is purely a throughput setting — matcher
+// output is bit-identical with and without a pool, at every pool size.
 type PoolSetter interface {
 	SetPool(p *pool.Pool)
 }
@@ -73,27 +64,9 @@ type Space interface {
 	PatchPoint(center population.Point, r float64, src *prng.Source) population.Point
 }
 
-// Prebucketer is implemented by Matchers whose first pipeline phase — a
-// pure function of the positions — can run ahead of the sample itself. The
-// engine uses it to overlap the spatial bucketing phase with the serial
-// adversary staging turn (DESIGN.md §12): staging only reads positions, so
-// the two are independent, and a turn that does alter the population drops
-// the prebucket. Purely a throughput seam — a matcher that is never
-// prebucketed produces identical output.
-type Prebucketer interface {
-	// PreBucket runs the bucketing phase for a population of n agents. The
-	// next sample over exactly n agents reuses it; PreBucket must
-	// happen-before that sample, with no position mutation in between.
-	PreBucket(n int)
-	// DropPrebucket discards a pending PreBucket. Call after any mutation
-	// that moves, adds, or removes agents.
-	DropPrebucket()
-}
-
 // PipelineStats are cumulative counters of the spatial matching pipeline,
 // incremented once per sample (match and probe samples both count). Times
-// are summed wall-clock nanoseconds per phase; a PreBucket overlapped with
-// other work still accrues its cost to BucketNS. Observability only —
+// are summed wall-clock nanoseconds per phase. Observability only —
 // deltas between two reads divide into per-round figures (popbench's
 // per-phase breakdown); nothing reads them back into the simulation.
 type PipelineStats struct {
@@ -103,39 +76,27 @@ type PipelineStats struct {
 	// costs of phases 1–4 (bucket, counting-sort scatter, candidate
 	// selection, greedy walk).
 	BucketNS, ScatterNS, CandNS, WalkNS uint64
-	// SpecWalks and SerialWalks count how many greedy walks ran
-	// speculatively vs through the pure serial path (single shard, or the
-	// density gate tripped).
+	// SpecWalks is always 0 and SerialWalks counts one walk per sample: the
+	// greedy walk is serial (DESIGN.md §12). Both are kept for readers that
+	// still report the old speculative/serial split.
 	SpecWalks, SerialWalks uint64
-	// SpecVisits counts visits processed by speculative walks;
-	// SpecConflicts counts the subset whose speculation was rejected and
-	// repaired serially. Their ratio is the walk conflict rate.
-	SpecVisits, SpecConflicts uint64
 }
 
-// ConflictRate reports SpecConflicts/SpecVisits — the fraction of
-// speculatively walked visits that needed serial repair (0 when no
-// speculative walk ran).
-func (s PipelineStats) ConflictRate() float64 {
-	if s.SpecVisits == 0 {
-		return 0
-	}
-	return float64(s.SpecConflicts) / float64(s.SpecVisits)
-}
+// ConflictRate is always 0: no walk speculates, so none needs repair. Kept
+// for readers of the old speculative-walk statistics.
+func (s PipelineStats) ConflictRate() float64 { return 0 }
 
 // Sub returns the counter deltas since prev (an earlier read from the same
 // matcher).
 func (s PipelineStats) Sub(prev PipelineStats) PipelineStats {
 	return PipelineStats{
-		Samples:       s.Samples - prev.Samples,
-		BucketNS:      s.BucketNS - prev.BucketNS,
-		ScatterNS:     s.ScatterNS - prev.ScatterNS,
-		CandNS:        s.CandNS - prev.CandNS,
-		WalkNS:        s.WalkNS - prev.WalkNS,
-		SpecWalks:     s.SpecWalks - prev.SpecWalks,
-		SerialWalks:   s.SerialWalks - prev.SerialWalks,
-		SpecVisits:    s.SpecVisits - prev.SpecVisits,
-		SpecConflicts: s.SpecConflicts - prev.SpecConflicts,
+		Samples:     s.Samples - prev.Samples,
+		BucketNS:    s.BucketNS - prev.BucketNS,
+		ScatterNS:   s.ScatterNS - prev.ScatterNS,
+		CandNS:      s.CandNS - prev.CandNS,
+		WalkNS:      s.WalkNS - prev.WalkNS,
+		SpecWalks:   s.SpecWalks - prev.SpecWalks,
+		SerialWalks: s.SerialWalks - prev.SerialWalks,
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"popstab/internal/pool"
 	"popstab/internal/population"
 	"popstab/internal/prng"
 )
@@ -104,7 +105,9 @@ func TestRewireForceWorkerInvariant(t *testing.T) {
 		pop := population.New(n)
 		sw.Bind(pop, prng.New(61))
 		sw.SetRewireController(forceAllTargeter{center: population.Point{X: 0.7}, r: 0.03})
-		sw.SetWorkers(workers)
+		wp := pool.New(workers)
+		defer wp.Close()
+		sw.SetPool(wp)
 		var p Pairing
 		src := prng.New(62)
 		out := make([]int32, 0, 3*n)

@@ -27,10 +27,10 @@ type Ring struct {
 }
 
 var (
-	_ Matcher      = (*Ring)(nil)
-	_ Binder       = (*Ring)(nil)
-	_ WorkerSetter = (*Ring)(nil)
-	_ Space        = (*Ring)(nil)
+	_ Matcher    = (*Ring)(nil)
+	_ Binder     = (*Ring)(nil)
+	_ PoolSetter = (*Ring)(nil)
+	_ Space      = (*Ring)(nil)
 )
 
 // NewRing validates sigma and returns an unbound Ring matcher.

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"popstab/internal/pool"
 	"popstab/internal/population"
 	"popstab/internal/prng"
 )
@@ -24,7 +25,9 @@ func benchTorusSample(b *testing.B, workers int) {
 	}
 	pop := population.New(n)
 	tor.Bind(pop, prng.New(1))
-	tor.SetWorkers(workers)
+	wp := pool.New(workers)
+	defer wp.Close()
+	tor.SetPool(wp)
 	src := prng.New(2)
 	var p Pairing
 	b.ResetTimer()

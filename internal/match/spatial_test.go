@@ -3,8 +3,10 @@ package match
 import (
 	"math"
 	"runtime"
+	"strconv"
 	"testing"
 
+	"popstab/internal/pool"
 	"popstab/internal/population"
 	"popstab/internal/prng"
 )
@@ -114,9 +116,11 @@ func TestTorusGoldenAgainstSerialReference(t *testing.T) {
 			var want Pairing
 			referenceNearestSample(pos, prng.New(uint64(n)+7), &want)
 			for _, w := range workerCounts {
-				tor.SetWorkers(w)
+				wp := pool.New(w)
+				tor.SetPool(wp)
 				var got Pairing
 				tor.SampleMatch(pop, prng.New(uint64(n)+7), &got)
+				wp.Close()
 				if err := got.Validate(); err != nil {
 					t.Fatalf("n=%d %s workers=%d: %v", n, shape, w, err)
 				}
@@ -179,32 +183,216 @@ func positionsOf(t *testing.T, m Matcher) *population.Positions {
 	return nil
 }
 
+// withPool attaches a fresh pool of w workers to a spatial matcher,
+// returning the pool's Close.
+func withPool(m Matcher, w int) (closePool func()) {
+	p := pool.New(w)
+	m.(PoolSetter).SetPool(p)
+	return p.Close
+}
+
+// shapePositions rewrites a gallery matcher's positions into one of the
+// density shapes the pipeline must be worker-invariant on: "uniform" (as
+// bound), "patchy" (many clumps of ~2 dozen agents sharing a cell —
+// candidate lists overlap heavily and the exact rescan fires), "clustered"
+// (three huge piles), "onepoint" (fully degenerate: every distance ties
+// and all agents share one cell), and, on a torus, "emptyball" (agents with
+// zero candidates).
+func shapePositions(t *testing.T, m Matcher, shape string, seed uint64) {
+	t.Helper()
+	pos := positionsOf(t, m).Slice()
+	mut := prng.New(seed)
+	switch shape {
+	case "uniform":
+	case "patchy":
+		nclumps := len(pos)/24 + 1
+		centers := make([]population.Point, nclumps)
+		for i := range centers {
+			centers[i] = population.Point{X: mut.Float64(), Y: mut.Float64()}
+		}
+		for i := range pos {
+			c := centers[mut.Intn(nclumps)]
+			pos[i] = population.Point{
+				X: wrap(c.X + 1e-6*mut.Float64()),
+				Y: wrap(c.Y + 1e-6*mut.Float64()),
+			}
+		}
+	case "clustered":
+		for i := range pos {
+			pos[i] = population.Point{
+				X: wrap(float64(mut.Intn(3))/3 + 0.001*mut.Float64()),
+				Y: wrap(float64(mut.Intn(3))/3 + 0.001*mut.Float64()),
+			}
+		}
+	case "onepoint":
+		for i := range pos {
+			pos[i] = population.Point{X: 0.25, Y: 0.25}
+		}
+	case "emptyball":
+		// Nine hermits sit in cells whose neighborhoods are otherwise
+		// empty while the rest of the population crowds the lower-left
+		// quarter, so the hermits see zero candidates and must stay
+		// unmatched.
+		for i := range pos {
+			pos[i] = population.Point{X: 0.5 * mut.Float64(), Y: 0.5 * mut.Float64()}
+		}
+		side := int(math.Sqrt(float64(len(pos))))
+		for k := 0; k < 9; k++ {
+			r, c := side/2+4+4*(k/3), side/2+4+4*(k%3)
+			pos[k] = population.Point{
+				X: (float64(c) + 0.5) / float64(side),
+				Y: (float64(r) + 0.5) / float64(side),
+			}
+		}
+	default:
+		t.Fatalf("unknown shape %q", shape)
+	}
+}
+
 // TestSpatialWorkersBitIdentical pins the worker-count invariance of every
-// gallery matcher: for Workers ∈ {1, 2, NumCPU} a fresh identically-seeded
-// run produces the identical pairing.
+// gallery matcher on its default uniform positions: on pools of {1, 2, 4,
+// NumCPU} workers, a fresh identically-seeded run produces the pairing of
+// the inline run with no pool at all. The torus additionally runs a
+// population churning across rounds, which exercises buffer reuse as n
+// moves.
 func TestSpatialWorkersBitIdentical(t *testing.T) {
-	const n = 8192
 	for _, name := range galleryNames {
 		t.Run(name, func(t *testing.T) {
-			run := func(workers int) []int32 {
-				m, pop := buildSpatial(t, name, n, 11)
-				m.(WorkerSetter).SetWorkers(workers)
-				var p Pairing
-				m.SampleMatch(pop, prng.New(99), &p)
-				out := make([]int32, n)
-				copy(out, p.Nbr)
-				return out
-			}
-			want := run(1)
-			for _, w := range []int{2, runtime.NumCPU()} {
-				got := run(w)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("workers=%d diverged at agent %d: %d != %d", w, i, got[i], want[i])
-					}
-				}
+			checkWorkersBitIdentical(t, name, 8192, "uniform")
+			if name == "torus" {
+				t.Run("churn", testChurnWorkers)
 			}
 		})
+	}
+}
+
+// TestSpatialShapesBitIdentical extends the worker-count invariance to
+// density shapes from patchy to fully degenerate. The torus additionally
+// covers the empty-ball case: agents with zero candidates stay unmatched
+// under every worker count.
+func TestSpatialShapesBitIdentical(t *testing.T) {
+	for _, name := range galleryNames {
+		shapes := []string{"uniform", "patchy", "clustered", "onepoint"}
+		if name == "torus" {
+			shapes = append(shapes, "emptyball")
+		}
+		for _, shape := range shapes {
+			n := 8192
+			if shape != "uniform" && shape != "patchy" {
+				// The degenerate shapes are quadratic in cluster size;
+				// 2048 agents still split into two shards.
+				n = 2048
+			}
+			t.Run(name+"/"+shape, func(t *testing.T) {
+				checkWorkersBitIdentical(t, name, n, shape)
+			})
+		}
+	}
+}
+
+// checkWorkersBitIdentical matches n agents of the named gallery matcher,
+// laid out in the given density shape, inline and on pools of {1, 2, 4,
+// NumCPU} workers, and fails unless every pairing is the inline one.
+func checkWorkersBitIdentical(t *testing.T, name string, n int, shape string) {
+	t.Helper()
+	run := func(workers int) []int32 {
+		m, pop := buildSpatial(t, name, n, 101)
+		shapePositions(t, m, shape, uint64(n)*13)
+		if workers > 0 {
+			defer withPool(m, workers)()
+		}
+		var p Pairing
+		m.SampleMatch(pop, prng.New(777), &p)
+		if err := p.Validate(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return append([]int32(nil), p.Nbr...)
+	}
+	want := run(0)
+	for k := 0; shape == "emptyball" && k < 9; k++ {
+		if want[k] != Unmatched {
+			t.Errorf("hermit %d matched with %d, want unmatched", k, want[k])
+		}
+	}
+	for _, w := range []int{1, 2, 4, runtime.NumCPU()} {
+		comparePairings(t, "workers="+strconv.Itoa(w), run(w), want)
+	}
+}
+
+// testChurnWorkers drives a torus through repeated insert/delete/match
+// rounds on an 8-worker pool and asserts every round's pairing equals an
+// inline twin's — the pipeline buffers must stay correct as n moves.
+func testChurnWorkers(t *testing.T) {
+	const n = 2048
+	ms, pops := buildSpatial(t, "torus", n, 71)
+	mp, popp := buildSpatial(t, "torus", n, 71)
+	defer withPool(mp, 8)()
+	srcS, srcP := prng.New(5), prng.New(5)
+	mut := prng.New(6)
+	for round := 0; round < 12; round++ {
+		for k := 0; k < 64; k++ {
+			i := mut.Intn(pops.Len())
+			if mut.Intn(2) == 0 {
+				pops.Insert(pops.State(i))
+				popp.Insert(popp.State(i))
+			} else {
+				pops.DeleteSwap(i)
+				popp.DeleteSwap(i)
+			}
+		}
+		var ps, pp Pairing
+		ms.SampleMatch(pops, srcS, &ps)
+		mp.SampleMatch(popp, srcP, &pp)
+		comparePairings(t, "round "+strconv.Itoa(round), pp.Nbr, ps.Nbr)
+	}
+}
+
+// comparePairings fails at the first agent whose partner differs.
+func comparePairings(t *testing.T, label string, got, want []int32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: pairing over %d agents, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: pairing diverged at agent %d: got %d, want %d", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestPipelineStatsAccumulate pins the PhaseReporter counters: samples and
+// per-phase times accumulate, every sample runs one serial walk, and Sub
+// yields deltas.
+func TestPipelineStatsAccumulate(t *testing.T) {
+	const n = 4096
+	m, pop := buildSpatial(t, "torus", n, 77)
+	defer withPool(m, 2)()
+	rep := m.(PhaseReporter)
+	src := prng.New(3)
+	var p Pairing
+	m.SampleMatch(pop, src, &p)
+	first := rep.PipelineStats()
+	if first.Samples != 1 {
+		t.Fatalf("Samples = %d after one sample", first.Samples)
+	}
+	if first.BucketNS == 0 || first.ScatterNS == 0 || first.CandNS == 0 || first.WalkNS == 0 {
+		t.Errorf("phase times did not accumulate: %+v", first)
+	}
+	if first.SerialWalks != first.Samples || first.SpecWalks != 0 {
+		t.Errorf("walk counters inconsistent: %+v", first)
+	}
+	for i := 0; i < 3; i++ {
+		m.SampleMatch(pop, src, &p)
+	}
+	cur := rep.PipelineStats()
+	if cur.Samples != 4 || cur.SerialWalks != cur.Samples {
+		t.Fatalf("after four samples: %+v", cur)
+	}
+	if d := cur.Sub(first); d.Samples != 3 || d.SerialWalks != 3 {
+		t.Errorf("Sub delta wrong: %+v", d)
+	}
+	if r := cur.ConflictRate(); r != 0 {
+		t.Errorf("conflict rate %v, want 0", r)
 	}
 }
 

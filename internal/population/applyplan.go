@@ -21,7 +21,7 @@ import (
 // plan against the historical serial implementation byte for byte.
 //
 // The same plan is applied to the agent-state array and replayed by every
-// tracker side-array (PlanApplier), so trackers stop re-walking the actions
+// tracker side-array (Tracker.AppliedPlan), so trackers stop re-walking the actions
 // independently: the counting pass runs once per round, not once per array.
 //
 // Pass B scatters into a second buffer rather than in place: with shards
@@ -38,7 +38,7 @@ const minApplyShard = 8192
 
 // ApplyPlan is one round's compaction plan: shard boundaries over the action
 // array plus each shard's exclusive survivor and daughter slot bases. Built
-// by Population.Apply and handed to every PlanApplier tracker; valid until
+// by Population.Apply and handed to every Tracker; valid until
 // the next Apply on the same population.
 type ApplyPlan struct {
 	actions []Action

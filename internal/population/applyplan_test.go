@@ -163,15 +163,11 @@ func TestApplyPlanShardCountInvariance(t *testing.T) {
 }
 
 // TestApplyThroughPlanWithInterleavedTrackers drives Population.Apply with
-// a mix of plan-aware and legacy trackers attached — Positions (staged
-// randomness-consuming spawn), a plan-aware int side-array, and a
-// legacy Applied-only tracker — and checks all stay aligned with a
+// a mix of trackers attached — Positions (staged randomness-consuming
+// spawn), a sharded int side-array, and an int side-array that replays the
+// plan's actions through ReplayApply — and checks all stay aligned with a
 // population evolved through the serial reference.
 func TestApplyThroughPlanWithInterleavedTrackers(t *testing.T) {
-	type legacyTracker struct {
-		intTracker // reuse the test int side-array, forcing the Applied path
-	}
-
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			const n = 9000
@@ -181,14 +177,14 @@ func TestApplyThroughPlanWithInterleavedTrackers(t *testing.T) {
 			pop := New(n)
 			pop.SetPool(p)
 			planT := &planIntTracker{}
-			legacy := &legacyTracker{}
+			replay := &intTracker{}
 			posSrc := prng.New(99)
 			pos := &Positions{
 				Place: PlaceFunc(func() Point { return Point{X: posSrc.Float64(), Y: posSrc.Float64()} }),
 				Spawn: func(parent Point) Point { return Point{X: parent.X + posSrc.Float64(), Y: parent.Y} },
 			}
 			pop.Attach(planT)
-			pop.Attach(legacy)
+			pop.Attach(replay)
 			pop.Attach(pos)
 
 			refPop := New(n)
@@ -226,9 +222,9 @@ func TestApplyThroughPlanWithInterleavedTrackers(t *testing.T) {
 					t.Fatalf("round %d: %v", round, err)
 				}
 				for i := 0; i < pop.Len(); i++ {
-					if planT.vals[i] != refT.vals[i] || legacy.vals[i] != refT.vals[i] {
-						t.Fatalf("round %d slot %d: plan=%d legacy=%d ref=%d",
-							round, i, planT.vals[i], legacy.vals[i], refT.vals[i])
+					if planT.vals[i] != refT.vals[i] || replay.vals[i] != refT.vals[i] {
+						t.Fatalf("round %d slot %d: plan=%d replay=%d ref=%d",
+							round, i, planT.vals[i], replay.vals[i], refT.vals[i])
 					}
 					if pos.At(i) != refPos.At(i) {
 						t.Fatalf("round %d slot %d: pos %v, reference %v", round, i, pos.At(i), refPos.At(i))
@@ -239,9 +235,9 @@ func TestApplyThroughPlanWithInterleavedTrackers(t *testing.T) {
 	}
 }
 
-// intTracker is a minimal legacy side-array: each slot holds a unique id
-// assigned at attach/insert, daughters copy the parent. It exercises the
-// Applied(actions) fallback.
+// intTracker is a minimal side-array: each slot holds a unique id assigned
+// at attach/insert, daughters copy the parent. It replays each plan through
+// the serial ReplayApply reference.
 type intTracker struct {
 	vals []int
 	next int
@@ -263,17 +259,16 @@ func (tr *intTracker) DeletedSwap(i, last int) {
 	tr.vals[i] = tr.vals[last]
 	tr.vals = tr.vals[:last]
 }
-func (tr *intTracker) Applied(actions []Action) {
-	tr.vals = ReplayApply(tr.vals, actions, func(parent int) int { return parent })
+func (tr *intTracker) AppliedPlan(pl *ApplyPlan) {
+	tr.vals = ReplayApply(tr.vals, pl.Actions(), func(parent int) int { return parent })
 }
 
-// planIntTracker is intTracker upgraded to the plan seam.
+// planIntTracker is intTracker applying the plan through the sharded
+// ApplyPlanned scatter.
 type planIntTracker struct {
 	intTracker
 	spare []int
 }
-
-var _ PlanApplier = (*planIntTracker)(nil)
 
 func (tr *planIntTracker) AppliedPlan(pl *ApplyPlan) {
 	tr.vals, tr.spare = ApplyPlanned(pl, tr.vals, tr.spare, func(parent int) int { return parent })

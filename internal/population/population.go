@@ -60,20 +60,12 @@ type Tracker interface {
 	// DeletedSwap reports a swap-deletion: the agent at index last moved
 	// into slot i and the population shrank by one.
 	DeletedSwap(i, last int)
-	// Applied reports one Apply compaction pass; the tracker replays the
-	// identical stable compaction (and daughter appends for ActSplit) over
-	// its own array. Trackers that additionally implement PlanApplier
-	// receive the precomputed ApplyPlan instead (never both).
-	Applied(actions []Action)
-}
-
-// PlanApplier is an optional Tracker refinement: Apply hands the tracker the
-// round's precomputed ApplyPlan instead of the raw action array, so the
-// side-array replays the identical stable compaction without re-walking and
-// re-counting the actions — and, with a pool attached, shards the scatter.
-type PlanApplier interface {
-	// AppliedPlan replaces Applied for one Apply pass. The plan is valid
-	// only for the duration of the call plus the current round.
+	// AppliedPlan reports one Apply compaction pass through the round's
+	// precomputed ApplyPlan; the tracker replays the identical stable
+	// compaction (and daughter appends for ActSplit) over its own array
+	// without re-walking and re-counting the actions — and, with a pool
+	// attached, shards the scatter. The plan is valid only for the duration
+	// of the call plus the current round.
 	AppliedPlan(plan *ApplyPlan)
 }
 
@@ -207,11 +199,7 @@ func (p *Population) Apply(actions []Action) (births, deaths int) {
 	p.states, p.spare = ApplyPlanned(&p.plan, p.states, p.spare,
 		func(parent agent.State) agent.State { return parent })
 	for _, t := range p.trackers {
-		if pa, ok := t.(PlanApplier); ok {
-			pa.AppliedPlan(&p.plan)
-		} else {
-			t.Applied(actions)
-		}
+		t.AppliedPlan(&p.plan)
 	}
 	return p.plan.Births(), p.plan.Deaths()
 }
@@ -224,10 +212,10 @@ func (p *Population) Apply(actions []Action) (births, deaths int) {
 // walked. Trackers replaying the same actions over their own arrays
 // therefore stay index-aligned with the population by construction.
 //
-// The hot path (Apply, AppliedPlan) now goes through the sharded ApplyPlan,
-// which reproduces this function's layout bit for bit; ReplayApply remains
-// the semantic definition, the fallback for plan-unaware trackers, and the
-// oracle the golden/property tests pin the plan against (DESIGN.md §10).
+// Apply and every tracker go through the sharded ApplyPlan, which
+// reproduces this function's layout bit for bit; ReplayApply remains only
+// as the semantic definition and the reference the plan and Positions tests
+// compare against (DESIGN.md §10).
 func ReplayApply[T any](arr []T, actions []Action, spawn func(parent T) T) []T {
 	w := 0
 	for i, act := range actions {

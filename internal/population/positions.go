@@ -78,9 +78,8 @@ type Positions struct {
 }
 
 var (
-	_ Tracker     = (*Positions)(nil)
-	_ PlanApplier = (*Positions)(nil)
-	_ PoolUser    = (*Positions)(nil)
+	_ Tracker  = (*Positions)(nil)
+	_ PoolUser = (*Positions)(nil)
 )
 
 // SetPool implements PoolUser (wired through Population.SetPool).
@@ -235,18 +234,12 @@ func (ps *Positions) DeletedSwap(i, last int) {
 	ps.pos = ps.pos[:last]
 }
 
-// Applied implements Tracker: it replays Apply's stable compaction over the
-// position array, Spawning one daughter position per split in the same
-// order Apply appends daughter states.
-func (ps *Positions) Applied(actions []Action) {
-	ps.pos = ReplayApply(ps.pos, actions, ps.Spawn)
-}
-
-// AppliedPlan implements PlanApplier: the sharded form of Applied. Spawn
-// consumes the matcher's serial placement stream, so daughter positions are
-// drawn FIRST, serially, in exact action order — the same draw order as the
-// historical serial replay, O(births) not O(n) — and staged; the O(n)
-// compaction scatter then shards freely.
+// AppliedPlan implements Tracker: it replays Apply's stable compaction over
+// the position array, Spawning one daughter position per split in the same
+// order Apply appends daughter states. Spawn consumes the matcher's serial
+// placement stream, so daughter positions are drawn FIRST, serially, in
+// exact action order — the same draw order as ReplayApply, O(births) not
+// O(n) — and staged; the O(n) compaction scatter then shards freely.
 func (ps *Positions) AppliedPlan(plan *ApplyPlan) {
 	idx := plan.SplitIndices()
 	if cap(ps.daughters) < len(idx) {

@@ -130,10 +130,9 @@ type Overlay struct {
 }
 
 var (
-	_ sim.ExtendedStepper    = (*Overlay)(nil)
-	_ sim.RoundStarter       = (*Overlay)(nil)
-	_ population.Tracker     = (*Overlay)(nil)
-	_ population.PlanApplier = (*Overlay)(nil)
+	_ sim.ExtendedStepper = (*Overlay)(nil)
+	_ sim.RoundStarter    = (*Overlay)(nil)
+	_ population.Tracker  = (*Overlay)(nil)
 )
 
 // NewOverlay validates the extension parameters and wraps inner.
@@ -279,17 +278,12 @@ func (o *Overlay) DeletedSwap(i, last int) {
 	o.meta = o.meta[:last]
 }
 
-// Applied implements population.Tracker: it replays Apply's stable
+// AppliedPlan implements population.Tracker: it replays Apply's stable
 // compaction over the program side-array; daughters inherit their parent's
 // post-step tag and cooldown (a splitting rogue's cooldown was re-armed in
-// StepAt, so both copies wait a full period).
-func (o *Overlay) Applied(actions []population.Action) {
-	o.meta = population.ReplayApply(o.meta, actions, func(parent meta) meta { return parent })
-}
-
-// AppliedPlan implements population.PlanApplier: the sharded form of Applied.
-// Daughter metas are a pure copy of the parent (no randomness), so the plain
-// concurrent scatter applies directly.
+// StepAt, so both copies wait a full period). Daughter metas are a pure
+// copy of the parent (no randomness), so the plain concurrent scatter
+// applies directly.
 func (o *Overlay) AppliedPlan(plan *population.ApplyPlan) {
 	o.meta, o.spare = population.ApplyPlanned(plan, o.meta, o.spare, func(parent meta) meta { return parent })
 }

@@ -291,7 +291,7 @@ func TestStreamHeartbeatAndDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Pause(); err != nil {
+	if err := j.Pause(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !eventually(func() bool { return j.Info().Status == StatusPaused }) {
@@ -346,7 +346,7 @@ func TestStreamEndsOnDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Pause(); err != nil {
+	if err := j.Pause(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !eventually(func() bool { return j.Info().Status == StatusPaused }) {

@@ -214,7 +214,7 @@ func NewHandler(m *Manager) http.Handler {
 		WriteJSON(w, http.StatusOK, j.Info())
 	}))
 	mux.HandleFunc("POST /v1/sessions/{id}/pause", withJob(m, func(j *Job, w http.ResponseWriter, r *http.Request) {
-		if err := j.Pause(); err != nil {
+		if err := j.Pause(r.Context()); err != nil {
 			WriteError(w, err)
 			return
 		}

@@ -13,9 +13,14 @@
 // so at most Config.MaxConcurrent sessions consume CPU at once while any
 // number are open, paused, or parked between quanta — the inversion that
 // turns the fire-and-forget round loop into a service. Between quanta the
-// runner re-reads its control state, so pause, added step budget, and
-// shutdown all take effect with at most one quantum of latency, and a
-// snapshot can be cut at a true between-rounds boundary.
+// runner re-reads its control state, so added step budget and shutdown take
+// effect with at most one quantum of latency; Pause and Snapshot wait out
+// the in-flight quantum, so callers only ever see a between-rounds state
+// the session was really in.
+//
+// Lock order: a job's mu may be held while taking the manager's mu (the
+// dedupe-cache checks), never the reverse. The shutdown flag is atomic so
+// runners and waiters read it without any lock.
 //
 // # Failure model
 //
@@ -293,7 +298,9 @@ type Manager struct {
 	reaped      map[string]bool
 	reapedOrder []string
 	nextID      uint64
-	closed      bool
+	// closed is set under mu when draining begins, so admission checks made
+	// under mu see a consistent registry; it is read lock-free everywhere.
+	closed atomic.Bool
 
 	// shutdownCh is closed when draining begins: runners blocked on slot
 	// acquisition and SSE streams select on it.
@@ -406,6 +413,11 @@ type Job struct {
 	// and stays closed: the completion signal batch clients wait on.
 	done     chan struct{}
 	doneOnce sync.Once
+	// built is closed by the runner once the session build ends, with or
+	// without an error, and the job's first resting status is set. Readers
+	// of restored jobs wait on it: until then their status and stats are
+	// placeholders, not a state the restored session was ever in.
+	built chan struct{}
 }
 
 // touch records an access for LRU ordering.
@@ -427,7 +439,7 @@ func (j *Job) evict() {
 }
 
 // cachedLocked reports whether j currently answers for its dedupe key.
-// Caller may hold j.mu (j.mu → m.mu is the sanctioned order).
+// Caller may hold j.mu (j.mu → m.mu is the only lock order).
 func (m *Manager) cachedLocked(j *Job) bool {
 	if j.key == "" {
 		return false
@@ -461,7 +473,7 @@ func (m *Manager) Submit(ctx context.Context, spec popstab.Spec, rounds uint64) 
 
 	for attempt := 0; ; attempt++ {
 		m.mu.Lock()
-		if m.closed {
+		if m.closed.Load() {
 			m.mu.Unlock()
 			return nil, false, ErrClosed
 		}
@@ -516,7 +528,7 @@ func (m *Manager) Restore(ctx context.Context, spec popstab.Spec, snapshot []byt
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
+	if m.closed.Load() {
 		return nil, ErrClosed
 	}
 	if len(m.jobs) >= m.cfg.MaxSessions {
@@ -552,6 +564,7 @@ func (m *Manager) newJobLocked(spec popstab.Spec, rounds uint64, snapshot []byte
 		paused:   paused,
 		subs:     make(map[uint64]chan popstab.SessionStats),
 		done:     make(chan struct{}),
+		built:    make(chan struct{}),
 	}
 	j.cond = sync.NewCond(&j.mu)
 	j.touch()
@@ -666,32 +679,41 @@ func (m *Manager) Metrics() Metrics {
 // hash index, the worker keeps the bytes.
 func (m *Manager) ResultByHash(hash string) (*Job, error) {
 	prefix := hash + "/"
+	type candidate struct {
+		j      *Job
+		rounds uint64
+	}
+	// Collect under m.mu and inspect the jobs after releasing it: taking
+	// j.mu under m.mu would invert the package's lock order.
+	var cands []candidate
 	m.mu.Lock()
+	for key, j := range m.byKey {
+		if !strings.HasPrefix(key, prefix) {
+			continue
+		}
+		if rounds, err := strconv.ParseUint(key[len(prefix):], 10, 64); err == nil {
+			cands = append(cands, candidate{j, rounds})
+		}
+	}
+	m.mu.Unlock()
 	var (
 		best       *Job
 		bestRounds uint64
 		pending    bool
 	)
-	for key, j := range m.byKey {
-		if !strings.HasPrefix(key, prefix) {
-			continue
-		}
-		rounds, err := strconv.ParseUint(key[len(prefix):], 10, 64)
-		if err != nil {
-			continue
-		}
-		j.mu.Lock()
-		done := j.status == StatusDone
-		j.mu.Unlock()
+	for _, c := range cands {
+		c.j.awaitBuilt()
+		c.j.mu.Lock()
+		done := c.j.status == StatusDone
+		c.j.mu.Unlock()
 		if !done {
 			pending = true
 			continue
 		}
-		if best == nil || rounds > bestRounds {
-			best, bestRounds = j, rounds
+		if best == nil || c.rounds > bestRounds {
+			best, bestRounds = c.j, c.rounds
 		}
 	}
-	m.mu.Unlock()
 	switch {
 	case best != nil:
 		best.touch()
@@ -707,8 +729,8 @@ func (m *Manager) ResultByHash(hash string) (*Job, error) {
 func (m *Manager) Readiness() Readiness {
 	m.mu.Lock()
 	sessions := len(m.jobs)
-	closed := m.closed
 	m.mu.Unlock()
+	closed := m.closed.Load()
 	open := m.gate == nil || m.gate.Open(time.Now())
 	return Readiness{
 		Ready:         !closed && sessions < m.cfg.MaxSessions && open,
@@ -736,8 +758,7 @@ func (m *Manager) Close() { _ = m.Shutdown(context.Background()) }
 // (sessions then checkpoint at their last cadence point instead).
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
-	first := !m.closed
-	m.closed = true
+	first := !m.closed.Swap(true)
 	jobs := make([]*Job, 0, len(m.jobs))
 	for _, j := range m.jobs {
 		jobs = append(jobs, j)
@@ -772,12 +793,9 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	return nil
 }
 
-// isClosed reports manager shutdown.
-func (m *Manager) isClosed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.closed
-}
+// isClosed reports manager shutdown. It takes no lock, so it is safe under
+// any job's mu.
+func (m *Manager) isClosed() bool { return m.closed.Load() }
 
 // acquireSlot blocks for a pool slot, aborting on drain. The active gauge
 // covers the wait (ActiveRunners = holding or awaiting).
@@ -815,6 +833,7 @@ func (j *Job) run() {
 	j.mu.Lock()
 	if err != nil {
 		j.failLocked(err)
+		close(j.built)
 		j.mu.Unlock()
 		// A failed build must not keep answering for its (hash, rounds)
 		// identity: evict so a retry runs instead of deduping onto the
@@ -832,6 +851,13 @@ func (j *Job) run() {
 	j.stats = sess.Stats()
 	j.phase = sess.RoundStats()
 	j.snapshot = nil // the restore source is consumed; don't hold the bytes
+	// Settle the first resting status before built is closed, so a
+	// restored done or paused session never reads as queued.
+	if j.pending == 0 || j.paused {
+		j.settleLocked()
+	}
+	close(j.built)
+	j.cond.Broadcast()
 	j.mu.Unlock()
 
 	for {
@@ -841,15 +867,7 @@ func (j *Job) run() {
 				j.mu.Unlock()
 				return
 			}
-			if j.pending == 0 {
-				j.finishLocked()
-			} else {
-				j.status = StatusPaused
-				// Long-pollers (Job.Wait) observe transitions via the cond;
-				// without this broadcast a waiter for "paused" sleeps until
-				// an unrelated wakeup.
-				j.cond.Broadcast()
-			}
+			j.settleLocked()
 			j.cond.Wait()
 		}
 		if j.m.isClosed() || j.parted {
@@ -884,6 +902,13 @@ func (j *Job) run() {
 			return
 		}
 		j.mu.Lock()
+		if j.paused {
+			// A Pause landed while the slot was awaited; it has already
+			// returned, promising no further rounds.
+			j.mu.Unlock()
+			j.m.releaseSlot()
+			continue
+		}
 		j.stepping = true
 		j.mu.Unlock()
 
@@ -1029,7 +1054,7 @@ func (m *Manager) Recover() (int, error) {
 	n := 0
 	m.mu.Lock()
 	for _, cp := range cps {
-		if m.closed {
+		if m.closed.Load() {
 			break
 		}
 		if _, ok := m.jobs[cp.ID]; ok {
@@ -1055,7 +1080,7 @@ func (m *Manager) revive(id string) (*Job, bool) {
 		j.touch()
 		return j, true
 	}
-	if m.closed {
+	if m.closed.Load() {
 		m.mu.Unlock()
 		return nil, false
 	}
@@ -1088,6 +1113,7 @@ func (m *Manager) registerCheckpointLocked(cp Checkpoint) *Job {
 		countedDone: cp.Pending == 0,
 		subs:        make(map[uint64]chan popstab.SessionStats),
 		done:        make(chan struct{}),
+		built:       make(chan struct{}),
 	}
 	j.cond = sync.NewCond(&j.mu)
 	j.touch()
@@ -1112,6 +1138,20 @@ func (m *Manager) registerCheckpointLocked(cp Checkpoint) *Job {
 	return j
 }
 
+// settleLocked sets the resting status of a runner with no quantum to run:
+// done when no rounds are pending, else paused. Long-pollers (Job.Wait)
+// observe the transition through the broadcast.
+func (j *Job) settleLocked() {
+	if j.pending == 0 {
+		j.finishLocked()
+		return
+	}
+	if j.status != StatusPaused {
+		j.status = StatusPaused
+		j.cond.Broadcast()
+	}
+}
+
 // finishLocked marks the job done (idempotent) and signals completion.
 // Completion counts as a touch: the TTL clock starts when the run settles,
 // not when it was submitted.
@@ -1123,6 +1163,7 @@ func (j *Job) finishLocked() {
 			j.countedDone = true
 			j.m.completed.Add(1)
 		}
+		j.cond.Broadcast()
 	}
 	j.doneOnce.Do(func() { close(j.done) })
 }
@@ -1170,12 +1211,34 @@ func (j *Job) RoundStats() popstab.RoundStats {
 // Done returns a channel closed when the job first completes or fails.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
+// awaitBuilt blocks until a restored job's session is built, so its first
+// reader sees the restored state rather than the queued placeholder. Fresh
+// jobs return at once: queued at round 0 is a state they really are in.
+// Callers must hold no lock.
+func (j *Job) awaitBuilt() {
+	if j.restored {
+		<-j.built
+	}
+}
+
 // Info snapshots the job's state.
 func (j *Job) Info() JobInfo {
 	j.touch()
+	j.awaitBuilt()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.infoLocked()
+}
+
+// wakeOnDone arranges a broadcast on j.cond when ctx ends, so a cond wait
+// loop can observe the expiry (cond.Wait cannot select on ctx). The
+// returned func cancels the arrangement.
+func (j *Job) wakeOnDone(ctx context.Context) (stop func() bool) {
+	return context.AfterFunc(ctx, func() {
+		j.mu.Lock()
+		j.cond.Broadcast()
+		j.mu.Unlock()
+	})
 }
 
 // infoLocked builds the JSON view; caller holds j.mu.
@@ -1201,17 +1264,11 @@ func (j *Job) infoLocked() JobInfo {
 // reaches a terminal state, and reports whether want was reached. A ctx
 // expiry is a normal long-poll answer, not an error: the current info is
 // returned with reached=false. This is the HTTP GET
-// /v1/sessions/{id}/wait machinery, sharing the ctx-aware cond-broadcast
-// pattern Snapshot uses (context.AfterFunc wakes the wait loop so it can
-// observe the expiry).
+// /v1/sessions/{id}/wait machinery, sharing the ctx-aware cond wait
+// (wakeOnDone) of Pause and Snapshot.
 func (j *Job) Wait(ctx context.Context, want Status) (JobInfo, bool, error) {
 	j.touch()
-	stop := context.AfterFunc(ctx, func() {
-		j.mu.Lock()
-		j.cond.Broadcast()
-		j.mu.Unlock()
-	})
-	defer stop()
+	defer j.wakeOnDone(ctx)()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for {
@@ -1255,18 +1312,31 @@ func (j *Job) Step(n uint64) error {
 	return nil
 }
 
-// Pause parks the job after at most one quantum.
-func (j *Job) Pause() error {
+// Pause parks the job and waits — under ctx — for the runner to park: the
+// session built and no quantum in flight. On a nil return the job runs no
+// further rounds until Resume, so its stats are the paused state.
+func (j *Job) Pause(ctx context.Context) error {
 	j.touch()
+	defer j.wakeOnDone(ctx)()
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.parted {
-		return ErrHibernated
+	for {
+		if j.parted {
+			return ErrHibernated
+		}
+		if j.status == StatusFailed {
+			return fmt.Errorf("%w: %v", ErrSessionFailed, j.err)
+		}
+		j.paused = true
+		if j.sess != nil && !j.stepping {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		j.cond.Wait()
 	}
-	if j.status == StatusFailed {
-		return fmt.Errorf("%w: %v", ErrSessionFailed, j.err)
-	}
-	j.paused = true
+	j.settleLocked()
 	return nil
 }
 
@@ -1291,14 +1361,7 @@ func (j *Job) Resume() error {
 // with the spec needed to restore it.
 func (j *Job) Snapshot(ctx context.Context) (popstab.Spec, []byte, error) {
 	j.touch()
-	// cond.Wait cannot select on ctx; a ctx-expiry callback broadcasts so
-	// the wait loop re-checks ctx.Err.
-	stop := context.AfterFunc(ctx, func() {
-		j.mu.Lock()
-		j.cond.Broadcast()
-		j.mu.Unlock()
-	})
-	defer stop()
+	defer j.wakeOnDone(ctx)()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	// Register as a waiter: the runner yields between quanta while

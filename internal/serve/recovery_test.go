@@ -206,7 +206,7 @@ func TestGracefulShutdownCheckpointsAndResumes(t *testing.T) {
 	if !eventually(func() bool { return j.Info().Stats.Round > 0 }) {
 		t.Fatal("job made no progress")
 	}
-	if err := j.Pause(); err != nil {
+	if err := j.Pause(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !eventually(func() bool { return j.Info().Status == StatusPaused }) {

@@ -108,7 +108,7 @@ func TestManagerPauseResumeStep(t *testing.T) {
 	if !eventually(func() bool { return j.Info().Stats.Round == 48 }) {
 		t.Fatalf("manual step did not advance: %+v", j.Info())
 	}
-	if err := j.Pause(); err != nil {
+	if err := j.Pause(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Step(16); err != nil {

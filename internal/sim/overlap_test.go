@@ -12,10 +12,9 @@ import (
 	"popstab/internal/protocol"
 )
 
-// pulsedAdversary wraps a strategy so it acts only every `period` rounds —
-// the overlap test needs rounds WITH staged alterations (the prebucket must
-// be dropped) interleaved with rounds WITHOUT (the prebucket must be
-// consumed), in one trajectory.
+// pulsedAdversary wraps a strategy so it acts only every `period` rounds,
+// interleaving rounds WITH staged alterations and rounds WITHOUT in one
+// trajectory.
 type pulsedAdversary struct {
 	inner  adversary.Adversary
 	period int
@@ -31,13 +30,11 @@ func (a *pulsedAdversary) Act(v adversary.View, m adversary.Mutator, src *prng.S
 	}
 }
 
-// TestAdversaryOverlapGolden is the golden guarantee of the adversary ∥
-// bucketing overlap (DESIGN.md §12): a spatial round with both an adversary
-// turn and matching produces the identical trajectory at Workers 1 (where
-// pool.Go runs the prebucket inline — provably sequential) and Workers > 1
-// (where the prebucket overlaps the staging half on the aux goroutine),
-// across rounds that alter the population (prebucket dropped) and rounds
-// that stage nothing (prebucket consumed).
+// TestAdversaryOverlapGolden is the Workers-invariance guarantee of a
+// spatial adversary: a spatial round with both an adversary turn and
+// matching produces the identical trajectory at Workers 1 and Workers > 1
+// (where matching overlaps compose and the spatial pipeline shards), across
+// rounds that alter the population and rounds that stage nothing.
 func TestAdversaryOverlapGolden(t *testing.T) {
 	p := fastParams(t)
 	center := population.Point{X: 0.5, Y: 0.5}
@@ -82,42 +79,6 @@ func TestAdversaryOverlapGolden(t *testing.T) {
 			if gotCens[i] != wantCens[i] {
 				t.Fatalf("workers=%d: round %d census diverged:\ngot  %s\nwant %s", w, i, gotCens[i], wantCens[i])
 			}
-		}
-	}
-}
-
-// TestOverlapPrebucketConsumed pins that consuming a prebucket is
-// invisible: with a do-nothing adversary, a K > 0 engine (which prebuckets
-// every round and consumes the result, since nothing is ever altered) walks
-// the identical trajectory as a K = 0 engine (which never prebuckets at
-// all).
-func TestOverlapPrebucketConsumed(t *testing.T) {
-	p := fastParams(t)
-	run := func(k int) []RoundReport {
-		tor, err := match.NewTorus(0.015625)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := MustNew(Config{
-			Params: p, Protocol: protocol.MustNew(p), Seed: 7, Workers: 2,
-			Matcher: tor, Adversary: adversary.None{}, K: k,
-		})
-		defer e.Close()
-		reps := make([]RoundReport, 8)
-		for r := range reps {
-			reps[r] = e.RunRound()
-		}
-		st := tor.PipelineStats()
-		if st.Samples != uint64(len(reps)) {
-			t.Fatalf("K=%d: samples = %d, want %d", k, st.Samples, len(reps))
-		}
-		return reps
-	}
-	want := run(0)
-	got := run(8)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("round %d: prebucketed trajectory diverged:\ngot  %+v\nwant %+v", i, got[i], want[i])
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"popstab/internal/adversary"
 	"popstab/internal/match"
+	"popstab/internal/pool"
 	"popstab/internal/population"
 	"popstab/internal/protocol"
 )
@@ -120,8 +121,8 @@ func TestWorkersValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.workers < 1 {
-		t.Errorf("default workers %d", e.workers)
+	if w := e.pool.Workers(); w < 1 {
+		t.Errorf("default workers %d", w)
 	}
 }
 
@@ -158,19 +159,20 @@ func TestScratchGrowthSlack(t *testing.T) {
 	}
 }
 
-// workerRecorder is a Matcher that records the worker count the engine
-// hands it through the match.WorkerSetter seam.
-type workerRecorder struct {
+// poolRecorder is a Matcher that records the pool the engine hands it
+// through the match.PoolSetter seam.
+type poolRecorder struct {
 	match.Matcher
-	got int
+	got *pool.Pool
 }
 
-func (w *workerRecorder) SetWorkers(n int) { w.got = n }
+func (r *poolRecorder) SetPool(p *pool.Pool) { r.got = p }
 
-// TestEngineWiresMatcherWorkers pins the WorkerSetter plumbing: the engine
-// propagates its resolved worker count (including the NumCPU default for
-// Workers = 0) to matchers that shard their own matching phase.
-func TestEngineWiresMatcherWorkers(t *testing.T) {
+// TestEngineWiresMatcherPool pins the PoolSetter plumbing: the engine hands
+// its own pool, sized to the resolved worker count (including the NumCPU
+// default for Workers = 0), to matchers that shard their own matching
+// phase.
+func TestEngineWiresMatcherPool(t *testing.T) {
 	p := fastParams(t)
 	for _, workers := range []int{0, 1, 3} {
 		pr, err := protocol.New(p)
@@ -181,16 +183,18 @@ func TestEngineWiresMatcherWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := &workerRecorder{Matcher: match.FromScheduler(u)}
-		if _, err := New(Config{Params: p, Protocol: pr, Seed: 1, Workers: workers, Matcher: rec}); err != nil {
+		rec := &poolRecorder{Matcher: match.FromScheduler(u)}
+		e, err := New(Config{Params: p, Protocol: pr, Seed: 1, Workers: workers, Matcher: rec})
+		if err != nil {
 			t.Fatal(err)
 		}
 		want := workers
 		if want == 0 {
 			want = runtime.NumCPU()
 		}
-		if rec.got != want {
-			t.Errorf("Workers=%d: matcher got %d, want %d", workers, rec.got, want)
+		if rec.got != e.pool || rec.got.Workers() != want {
+			t.Errorf("Workers=%d: matcher did not receive the engine's %d-worker pool", workers, want)
 		}
+		e.Close()
 	}
 }

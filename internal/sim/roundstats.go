@@ -22,8 +22,8 @@ import (
 type RoundStats struct {
 	// Rounds counts completed rounds (the divisor for per-round averages).
 	Rounds uint64 `json:"rounds"`
-	// AdversaryNS is the adversary turn: staging plus apply, including the
-	// prebucket overlap's wait (the turn is on the round's critical path).
+	// AdversaryNS is the adversary turn: staging plus apply. The turn is
+	// serial and on the round's critical path.
 	AdversaryNS uint64 `json:"adversary_ns"`
 	// ComposeNS is the message-compose phase (overlapped with matching).
 	ComposeNS uint64 `json:"compose_ns"`

@@ -43,12 +43,12 @@
 // and program. The apply phase shards too, through the population's
 // prefix-sum apply plan, and the randomness-free Compose phase overlaps the
 // matching (the two touch disjoint state — DESIGN.md §10). The adversary's
-// turn stays serial — sequential by its budget semantics — but its staging
-// half overlaps the spatial matcher's bucketing phase (DESIGN.md §12), and
-// the greedy walk that finishes spatial matching runs speculatively in
-// parallel with serial validation (bit-identical, match/spatial.go). Engines
-// own their pool: Close releases its goroutines (a closed engine keeps
-// working, serially), and dropped engines are covered by a runtime cleanup.
+// turn stays serial — sequential by its budget semantics — and so does the
+// greedy walk that finishes spatial matching; the spatial pipeline's other
+// phases shard on the engine's pool (match/spatial.go, DESIGN.md §12).
+// Engines own their pool: Close releases its goroutines (a closed engine
+// keeps working, serially), and dropped engines are covered by a runtime
+// cleanup.
 // See DESIGN.md §5 for the phase structure and §10 for the parallel design.
 package sim
 
@@ -208,11 +208,6 @@ type Engine struct {
 	// so positions are adversary-visible state, per the model.
 	space match.Space
 	adv   adversary.Adversary
-	// preb is the matcher's prebucket seam (nil when the matcher has none):
-	// rounds with an adversary turn overlap the spatial bucketing phase with
-	// the serial adversary staging (DESIGN.md §12).
-	preb    match.Prebucketer
-	workers int
 	// pool is the persistent worker pool behind every sharded phase
 	// (compose/step, the apply-plan scatter, the spatial matching pipeline,
 	// snapshot encoding) and the compose/matching overlap. Owned by the
@@ -332,7 +327,6 @@ func buildEngine(cfg Config, pop *population.Population) (*Engine, error) {
 		pop:     pop,
 		matcher: matcher,
 		adv:     cfg.Adversary,
-		workers: workers,
 		proto:   cfg.Protocol,
 		xproto:  cfg.Extended,
 	}
@@ -345,13 +339,6 @@ func buildEngine(cfg Config, pop *population.Population) (*Engine, error) {
 	}
 	if e.epochLen < 1 {
 		return nil, fmt.Errorf("sim: program epoch length %d < 1", e.epochLen)
-	}
-
-	// Matchers that shard their own matching phase (the spatial pipeline)
-	// inherit the engine's worker count; like Workers itself this is purely
-	// a throughput knob — matcher output is worker-count-invariant.
-	if ws, ok := matcher.(match.WorkerSetter); ok {
-		ws.SetWorkers(workers)
 	}
 
 	// The persistent worker pool behind every sharded phase. It is threaded
@@ -382,7 +369,6 @@ func buildEngine(cfg Config, pop *population.Population) (*Engine, error) {
 	// wiring — no randomness is consumed, so position-blind configurations
 	// are bit-identical to the pre-seam engine.
 	e.space, _ = matcher.(match.Space)
-	e.preb, _ = matcher.(match.Prebucketer)
 	adversary.BindMatcherTo(e.adv, matcher)
 	e.initAllocSamples()
 	return e, nil
@@ -434,42 +420,24 @@ func (e *Engine) Census() population.Census {
 	return e.pop.TakeCensus(e.epochLen-1, e.cfg.Params.HalfLogN)
 }
 
-// adversaryTurn gives the adversary its budgeted turn and applies the staged
-// alterations: stageAdversary then applyAdversary, back to back. Everything
+// adversaryTurn gives the adversary its budgeted turn: it builds the round's
+// Budget (bound to the matcher's positions and metric on a spatial
+// topology), lets the adversary stage up to K alterations into it, and
+// applies them — deletions first, then insertions, with insertions staged at
+// an explicit position (InsertAt) routed through the Positions placement
+// queue so the agent appears exactly where the adversary chose. Everything
 // here runs serially, so adversary-chosen placement is deterministic and
-// worker-count-invariant like the rest of the turn. Rounds whose matcher
-// supports prebucketing run the two halves around the overlapped bucketing
-// phase instead (RunRound).
+// worker-count-invariant like the rest of the turn.
 func (e *Engine) adversaryTurn(rep *RoundReport) {
 	if e.cfg.K <= 0 {
 		return
 	}
-	e.applyAdversary(e.stageAdversary(), rep)
-}
-
-// stageAdversary runs the adversary's observation-and-staging half: it
-// builds the round's Budget (bound to the matcher's positions and metric on
-// a spatial topology) and lets the adversary stage up to K alterations into
-// it. Staging only READS the population and positions — alterations land in
-// the Budget, not the world — which is what lets it overlap the matcher's
-// bucketing phase (DESIGN.md §12).
-func (e *Engine) stageAdversary() *adversary.Budget {
 	budget := adversary.NewBudget(e.cfg.K, e.pop.Len(), e.epochLen)
 	if e.space != nil {
 		budget.BindSpace(e.space.Positions().Slice(), e.space.Dist2)
 	}
 	e.adv.Act(engineView{e}, budget, e.advSrc)
-	return budget
-}
-
-// applyAdversary applies a staged Budget to the population: deletions first,
-// then insertions, with insertions staged at an explicit position (InsertAt)
-// routed through the Positions placement queue so the agent appears exactly
-// where the adversary chose. Reports whether the population was altered at
-// all — the signal that invalidates an overlapped prebucket.
-func (e *Engine) applyAdversary(budget *adversary.Budget, rep *RoundReport) (altered bool) {
-	deleted := e.pop.DeleteDescending(budget.Deletions())
-	rep.AdvDeleted += deleted
+	rep.AdvDeleted += e.pop.DeleteDescending(budget.Deletions())
 	for _, ins := range budget.Inserts() {
 		if ins.Placed && e.space != nil {
 			e.space.Positions().QueuePlacement(ins.At)
@@ -477,7 +445,6 @@ func (e *Engine) applyAdversary(budget *adversary.Budget, rep *RoundReport) (alt
 		e.pop.Insert(ins.State)
 	}
 	rep.AdvInserted += len(budget.Inserts())
-	return deleted > 0 || len(budget.Inserts()) > 0
 }
 
 // RunRound executes one full round and reports it.
@@ -491,27 +458,9 @@ func (e *Engine) RunRound() RoundReport {
 	e.accumAllocs(false)
 
 	// 1. Adversary turn (default timing: before the matching is sampled).
-	// When the matcher can prebucket, its bucketing phase — a pure function
-	// of the positions — overlaps the serial staging half of the turn:
-	// staging only reads the population and positions, and bucketing writes
-	// only matcher scratch, so the two touch disjoint state. The staged
-	// alterations are applied only after the prebucket completes, and a
-	// round that did alter the population drops it (the matcher rebuckets
-	// in-sample). On a pool of one the overlap degrades to running the
-	// prebucket inline first — same reads, same writes, so output is
-	// bit-identical either way (DESIGN.md §12).
 	if !e.cfg.AdversaryAfterStep {
 		t := time.Now()
-		if e.cfg.K > 0 && e.preb != nil {
-			wait := e.pool.Go(func() { e.preb.PreBucket(e.pop.Len()) })
-			budget := e.stageAdversary()
-			wait()
-			if e.applyAdversary(budget, &rep) {
-				e.preb.DropPrebucket()
-			}
-		} else {
-			e.adversaryTurn(&rep)
-		}
+		e.adversaryTurn(&rep)
 		e.stats.AdversaryNS += sinceNS(t)
 	}
 

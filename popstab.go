@@ -529,8 +529,8 @@ func (s *Sim) Census() Census { return s.eng.Census() }
 func (s *Sim) Close() { s.eng.Close() }
 
 // MatchStats reports the spatial matcher's cumulative per-phase pipeline
-// counters (bucket/scatter/candidate/walk times, speculative-walk conflict
-// counts). ok is false for communication models without a phase pipeline
+// counters (sample count and bucket/scatter/candidate/walk times; the walk
+// is serial, so SerialWalks equals Samples). ok is false for communication models without a phase pipeline
 // (the well-mixed scheduler). Observability only — popbench's per-phase
 // throughput breakdown reads it; nothing feeds back into the simulation.
 func (s *Sim) MatchStats() (stats MatchPipelineStats, ok bool) {
