@@ -21,6 +21,10 @@ import "math/bits"
 // concurrent use; derive one Source per goroutine with Split.
 type Source struct {
 	s [4]uint64
+	// ctr holds the (key, hi, lo) of a SeedCounter call whose expansion
+	// into s is deferred to the first draw; pending marks it as such.
+	ctr     [3]uint64
+	pending bool
 }
 
 // splitMix64 advances a SplitMix64 state and returns the next output. It is
@@ -53,8 +57,12 @@ func New(seed uint64) *Source {
 	return &src
 }
 
-// Uint64 returns the next 64 uniformly random bits.
+// Uint64 returns the next 64 uniformly random bits. Every draw method
+// funnels through it, so it is where a pending SeedCounter is expanded.
 func (src *Source) Uint64() uint64 {
+	if src.pending {
+		src.expand()
+	}
 	s := &src.s
 	result := bits.RotateLeft64(s[1]*5, 7) * 9
 
@@ -78,21 +86,33 @@ func (src *Source) Split() *Source {
 	return New(splitMix64(&seed))
 }
 
-// SeedCounter reinitializes src in place as the counter-based stream
-// identified by (key, hi, lo). Unlike Split, which derives streams
-// sequentially and therefore order-dependently, SeedCounter is a pure
-// function of its arguments: the stream for (key, round, slot) is the same
-// no matter how many other streams were derived before it or on which
-// goroutine. The parallel round engine keys one stream per (global round,
-// agent slot) pair so per-agent coin flips are independent of iteration
-// order and worker count (Philox/SplitMix-style counter PRNG).
+// SeedCounter reinitializes src as the counter-based stream identified by
+// (key, hi, lo). Unlike Split, which derives streams sequentially and
+// therefore order-dependently, SeedCounter is a pure function of its
+// arguments: the stream for (key, round, slot) is the same no matter how
+// many other streams were derived before it or on which goroutine. The
+// parallel round engine keys one stream per (global round, agent slot) pair
+// so per-agent coin flips are independent of iteration order and worker
+// count (Philox/SplitMix-style counter PRNG).
 //
-// The three words are absorbed through a chain of bijective avalanche mixes
-// (multiplication by odd constants composed with the SplitMix64 finalizer),
-// then expanded to the four xoshiro256** state words with SplitMix64. The
-// call performs no allocation; a zero-value Source on the caller's stack may
-// be reseeded once per agent on the hot path.
+// The call only records the three words; the first draw (or State) expands
+// them into the generator state. The engine keys every agent's stream every
+// round, but the protocol flips coins in only two rounds of an epoch, so
+// most streams are never expanded. Because the stream is a pure function of
+// the counter, deferring the expansion cannot change any draw. The call
+// performs no allocation; a zero-value Source on the caller's stack may be
+// reseeded once per agent on the hot path.
 func (src *Source) SeedCounter(key, hi, lo uint64) {
+	src.ctr = [3]uint64{key, hi, lo}
+	src.pending = true
+}
+
+// expand installs the state of the pending counter stream. The three words
+// are absorbed through a chain of bijective avalanche mixes (multiplication
+// by odd constants composed with the SplitMix64 finalizer), then expanded to
+// the four xoshiro256** state words with SplitMix64.
+func (src *Source) expand() {
+	key, hi, lo := src.ctr[0], src.ctr[1], src.ctr[2]
 	sm := mix64(key + 0x9e3779b97f4a7c15)
 	sm = mix64(sm + hi*0xbf58476d1ce4e5b9 + 0x94d049bb133111eb)
 	sm = mix64(sm + lo*0x2545f4914f6cdd1d + 0x632be59bd9b4e019)
@@ -104,18 +124,26 @@ func (src *Source) SeedCounter(key, hi, lo uint64) {
 	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
 		src.s[0] = 0x9e3779b97f4a7c15
 	}
+	src.pending = false
 }
 
 // State returns the generator's full internal state, for deterministic
 // snapshot/resume (internal/wire): a Source restored with SetState continues
-// the exact output sequence the original would have produced.
-func (src *Source) State() [4]uint64 { return src.s }
+// the exact output sequence the original would have produced. A pending
+// SeedCounter is expanded first, so the state is always the real stream's.
+func (src *Source) State() [4]uint64 {
+	if src.pending {
+		src.expand()
+	}
+	return src.s
+}
 
 // SetState reinstates a state previously captured with State. The all-zero
 // state is invalid for xoshiro256** and is rejected with the same guard
 // constant New uses; callers round-tripping real State values never hit it.
 func (src *Source) SetState(s [4]uint64) {
 	src.s = s
+	src.pending = false
 	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
 		src.s[0] = 0x9e3779b97f4a7c15
 	}

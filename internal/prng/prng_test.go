@@ -492,3 +492,139 @@ func TestSeedCounterAdjacentSlotBalance(t *testing.T) {
 		t.Fatalf("first-output bit mean %.4f across adjacent slots, want 0.5", mean)
 	}
 }
+
+// counterGolden pins the counter-based streams: the state SeedCounter
+// produces and the first eight outputs. Every per-agent coin flip of the
+// engine is drawn from such a stream, so any change here changes every
+// trajectory.
+var counterGolden = []struct {
+	counter [3]uint64
+	state   [4]uint64
+	out     [8]uint64
+}{
+	{counter: [3]uint64{0x0, 0x0, 0x0},
+		state: [4]uint64{0x90ab2e7ad969cbfd, 0x72bbbf5d8a43738f, 0x8b32f8e3680ce0cd, 0xf1eb679096fdb507},
+		out:   [8]uint64{0x8051b8a6eda8128e, 0x864bbf32deccc9b6, 0x97b60cd02c28fbc7, 0x49b4c851075edf25, 0x639885f91eeceb5b, 0xb6329294e449a994, 0xc1f8501f6f74af41, 0xc490a1fb19afb4e8}},
+	{counter: [3]uint64{0x2a, 0x7, 0x3f1},
+		state: [4]uint64{0x23a68e9ed43cfc06, 0xf6d810033abbb4e1, 0xbebb37832ba9c2fd, 0xb07e618d44ba8425},
+		out:   [8]uint64{0xfd6848a97f65ca31, 0xdf5d345497234975, 0x1091dfe8848f15c9, 0xd6c9fc5cec43ae7a, 0x6a751010be1ed2fb, 0xd1393822d81539af, 0xaa39a320a5d71da0, 0x72a1ee29c4e001eb}},
+	{counter: [3]uint64{0x9e3779b97f4a7c15, 0x288, 0x3ffff},
+		state: [4]uint64{0xee0d19d3cef6b5a1, 0x4f9af985e029237a, 0x1a37661899b1970, 0x63941db97d93492b},
+		out:   [8]uint64{0x1eee44339d9e3b7f, 0x9f33e43386a08810, 0xe63f019554b2231c, 0xe4435a35d3343e4f, 0x967eb932559b05c3, 0xf6d01f3ea3caa0f0, 0x11688c1d2888b69, 0x25da0a97ed598064}},
+	{counter: [3]uint64{0xffffffffffffffff, 0x8000000000000000, 0xffffffffffffffff},
+		state: [4]uint64{0x5a19551f2270c60b, 0x7654ebec75e8eb15, 0x58313bde75895bec, 0x191ed4df887683f7},
+		out:   [8]uint64{0x76bc485cf8a959df, 0xf1b4777e88f4463b, 0xa2d28969e426aa14, 0xe147d7dd50666c45, 0x8c223999e64971c7, 0x84f8b2348413af29, 0x143d4238c9639ce0, 0x2a9d3611c641b5a5}},
+}
+
+func TestCounterGolden(t *testing.T) {
+	for _, g := range counterGolden {
+		k, hi, lo := g.counter[0], g.counter[1], g.counter[2]
+		at := AtCounter(k, hi, lo)
+		if got := at.State(); got != g.state {
+			t.Errorf("AtCounter%v.State() = %#x, want %#x", g.counter, got, g.state)
+		}
+		var sc Source
+		sc.SeedCounter(k, hi, lo)
+		if got := sc.State(); got != g.state {
+			t.Errorf("SeedCounter%v then State() = %#x, want %#x", g.counter, got, g.state)
+		}
+		// Draw from fresh streams too, so the first draw is what expands
+		// the counter rather than the State call above.
+		at = AtCounter(k, hi, lo)
+		sc = Source{}
+		sc.SeedCounter(k, hi, lo)
+		for i, want := range g.out {
+			if got := at.Uint64(); got != want {
+				t.Fatalf("AtCounter%v output %d = %#x, want %#x", g.counter, i, got, want)
+			}
+			if got := sc.Uint64(); got != want {
+				t.Fatalf("SeedCounter%v output %d = %#x, want %#x", g.counter, i, got, want)
+			}
+		}
+	}
+}
+
+func TestSeedCounterReusedLikeEngine(t *testing.T) {
+	// The engine keeps one Source per shard and reseeds it per agent; most
+	// agents draw nothing. A stream seeded after one that was never drawn
+	// from must still be exactly its own counter's stream.
+	const key, round = 99, 323
+	var src Source
+	src.SeedCounter(key, round, 10)
+	src.Uint64()
+	src.SeedCounter(key, round, 11)
+	src.SeedCounter(key, round, 12)
+	want := AtCounter(key, round, 12)
+	for i := 0; i < 16; i++ {
+		if got, w := src.Uint64(), want.Uint64(); got != w {
+			t.Fatalf("output %d = %#x, want %#x", i, got, w)
+		}
+	}
+}
+
+func TestSeedCounterCopyBeforeDraw(t *testing.T) {
+	var a Source
+	a.SeedCounter(3, 1, 4)
+	b := a
+	for i := 0; i < 16; i++ {
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("copy diverged at output %d: %#x != %#x", i, x, y)
+		}
+	}
+}
+
+func TestSeedCounterStateMatchesExpansion(t *testing.T) {
+	// State must report the expanded stream state even when nothing has
+	// been drawn since SeedCounter, so snapshots capture the real stream.
+	var src Source
+	src.SeedCounter(5, 9, 2)
+	st := src.State()
+	var resumed Source
+	resumed.SetState(st)
+	want := AtCounter(5, 9, 2)
+	for i := 0; i < 16; i++ {
+		if got, w := resumed.Uint64(), want.Uint64(); got != w {
+			t.Fatalf("resumed from State: output %d = %#x, want %#x", i, got, w)
+		}
+	}
+}
+
+func TestSetStateOverridesSeedCounter(t *testing.T) {
+	ref := New(77)
+	st := ref.State()
+	var src Source
+	src.SeedCounter(1, 2, 3)
+	src.SetState(st)
+	for i := 0; i < 16; i++ {
+		if got, want := src.Uint64(), ref.Uint64(); got != want {
+			t.Fatalf("output %d after SetState = %#x, want %#x", i, got, want)
+		}
+	}
+	if got, want := src.State(), ref.State(); got != want {
+		t.Fatalf("State after draws = %#x, want %#x", got, want)
+	}
+}
+
+// benchSrc is package-level so the compiler cannot drop the stores of a
+// SeedCounter that is never drawn from.
+var benchSrc Source
+
+// BenchmarkSeedCounterNoDraw is the cost of a round in which an agent flips
+// no coin: the stream is keyed but never drawn from.
+func BenchmarkSeedCounterNoDraw(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		benchSrc.SeedCounter(1, 2, uint64(i))
+	}
+}
+
+// BenchmarkSeedCounterDraw is the cost of a round in which an agent flips a
+// coin: keying the stream plus the first draw, which expands it.
+func BenchmarkSeedCounterDraw(b *testing.B) {
+	var src Source
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		src.SeedCounter(1, 2, uint64(i))
+		sink ^= src.Uint64()
+	}
+	_ = sink
+}

@@ -75,6 +75,18 @@ type Protocol struct {
 	codec        wire.Codec
 	stats        Counters
 	noRoundCheck bool
+	// rounds holds the per-round constants recruitment reads, indexed by
+	// the round within the epoch; sanitize keeps every agent's round < T.
+	rounds []roundConsts
+}
+
+// roundConsts are the recruitment constants of one round within the epoch,
+// precomputed by New so the per-agent step does no division.
+type roundConsts struct {
+	// boundary is Params.IsSubphaseBoundary.
+	boundary bool
+	// depth is Params.RecruitDepthAt clamped at 0.
+	depth int8
 }
 
 // Option customizes New.
@@ -97,7 +109,13 @@ func New(p params.Params, opts ...Option) (*Protocol, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	pr := &Protocol{p: p, codec: wire.ThreeBit{}}
+	pr := &Protocol{p: p, codec: wire.ThreeBit{}, rounds: make([]roundConsts, p.T)}
+	for r := range pr.rounds {
+		pr.rounds[r] = roundConsts{
+			boundary: p.IsSubphaseBoundary(r),
+			depth:    int8(max(p.RecruitDepthAt(r), 0)),
+		}
+	}
 	for _, opt := range opts {
 		opt(pr)
 	}
@@ -254,6 +272,7 @@ func (pr *Protocol) determineIfLeader(s *agent.State, src *prng.Source) {
 // inheriting its color and a recruitment quota derived from the current
 // round. At each subphase boundary every active agent re-arms.
 func (pr *Protocol) recruitmentStep(s *agent.State, nbr wire.Message, hasNbr bool, round int) {
+	rc := pr.rounds[round]
 	if hasNbr {
 		switch {
 		case s.Recruiting && !nbr.Active:
@@ -267,15 +286,11 @@ func (pr *Protocol) recruitmentStep(s *agent.State, nbr wire.Message, hasNbr boo
 			s.Active = true
 			s.Color = nbr.Color
 			s.Recruiting = false
-			d := pr.p.RecruitDepthAt(round)
-			if d < 0 {
-				d = 0
-			}
-			s.ToRecruit = int8(d)
+			s.ToRecruit = rc.depth
 			atomic.AddUint64(&pr.stats.Recruits, 1)
 		}
 	}
-	if pr.p.IsSubphaseBoundary(round) && s.Active {
+	if rc.boundary && s.Active {
 		if s.Recruiting {
 			// The agent failed to find an inactive agent all subphase.
 			atomic.AddUint64(&pr.stats.RecruitMisses, 1)

@@ -376,3 +376,26 @@ func TestCountersString(t *testing.T) {
 		t.Error("empty counters string")
 	}
 }
+
+func TestRoundConstsMatchParams(t *testing.T) {
+	for _, n := range []int{4096, 1 << 16, 1 << 18} {
+		for _, opts := range [][]params.Option{nil, {params.WithTinner(36)}, {params.WithUnsafeTinner(3)}} {
+			p, err := params.Derive(n, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr := MustNew(p)
+			if len(pr.rounds) != p.T {
+				t.Fatalf("N=%d Tinner=%d: %d round entries, want T = %d", n, p.Tinner, len(pr.rounds), p.T)
+			}
+			for r, rc := range pr.rounds {
+				if want := p.IsSubphaseBoundary(r); rc.boundary != want {
+					t.Errorf("N=%d Tinner=%d round %d: boundary %v, want %v", n, p.Tinner, r, rc.boundary, want)
+				}
+				if want := max(p.RecruitDepthAt(r), 0); int(rc.depth) != want {
+					t.Errorf("N=%d Tinner=%d round %d: depth %d, want %d", n, p.Tinner, r, rc.depth, want)
+				}
+			}
+		}
+	}
+}
