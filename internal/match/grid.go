@@ -141,6 +141,13 @@ func (g gridGeom) neighborhood(c int32, buf []int32) []int32 {
 
 func (gridGeom) dist2(a, b population.Point) float64 { return EuclidDist2(a, b) }
 
+func (gridGeom) dist2Bits(p population.Point, pts []population.Point, out []uint64) {
+	out = out[:len(pts)]
+	for i, q := range pts {
+		out[i] = math.Float64bits(EuclidDist2(p, q))
+	}
+}
+
 // patch draws uniformly in the disc of radius r around center and reflects
 // at the square's walls (same folding rule as daughter placement).
 func (gridGeom) patch(src *prng.Source, center population.Point, r float64) population.Point {

@@ -77,12 +77,7 @@ func (p *Pairing) SetPool(pl *pool.Pool) {
 // Reset prepares the pairing for a population of n agents, growing buffers
 // as needed and marking every agent unmatched.
 func (p *Pairing) Reset(n int) {
-	if cap(p.Nbr) < n {
-		p.Nbr = make([]int32, n)
-		p.perm = make([]int32, n)
-	}
-	p.Nbr = p.Nbr[:n]
-	p.perm = p.perm[:n]
+	p.resize(n)
 	if p.pool != nil {
 		p.pool.Run(n, minPairingShard, p.fillUnmatched)
 		return
@@ -90,6 +85,17 @@ func (p *Pairing) Reset(n int) {
 	for i := range p.Nbr {
 		p.Nbr[i] = Unmatched
 	}
+}
+
+// resize grows the buffers to n agents and leaves Nbr's contents as they
+// are: for samplers that write every entry themselves.
+func (p *Pairing) resize(n int) {
+	if cap(p.Nbr) < n {
+		p.Nbr = make([]int32, n)
+		p.perm = make([]int32, n)
+	}
+	p.Nbr = p.Nbr[:n]
+	p.perm = p.perm[:n]
 }
 
 // Matched reports the number of matched agents (twice the number of pairs).

@@ -107,6 +107,13 @@ func (g ringGeom) neighborhood(c int32, buf []int32) []int32 {
 
 func (ringGeom) dist2(a, b population.Point) float64 { return RingDist2(a, b) }
 
+func (ringGeom) dist2Bits(p population.Point, pts []population.Point, out []uint64) {
+	out = out[:len(pts)]
+	for i, q := range pts {
+		out[i] = math.Float64bits(RingDist2(p, q))
+	}
+}
+
 // patch draws uniformly on the arc of half-length r around center (the 1-D
 // ball: arc length 2r, capped at the full circle) and wraps.
 func (ringGeom) patch(src *prng.Source, center population.Point, r float64) population.Point {

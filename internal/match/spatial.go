@@ -34,39 +34,48 @@ import (
 //     shards cover ascending agent ranges, so the layout — ascending agent
 //     index within each cell — is bit-identical to the historical serial
 //     cursor scatter at every shard count;
-//  3. candidates (sharded): each agent scans its neighborhood cells and
-//     keeps its candK nearest candidates, sorted by (distance, scan order)
-//     — sharded across Workers with no shared writes (each agent owns its
-//     candidate slots);
-//  4. greedy walk (serial): visit agents in a random order drawn from the
-//     matcher's stream; each unmatched agent takes the first unmatched
-//     entry of its precomputed candidate list. Because the list is the
+//  3. candidates (sharded): for every CSR slot k (an agent's position in
+//     the cell-sorted cellAgents/posByCell layout), scan the neighborhood
+//     cells and keep the candK nearest candidates, sorted by (distance,
+//     scan order), as neighbor SLOTS in cand[k*candK:] — slots are visited
+//     in order, so the candidate rows are written sequentially, and each
+//     shard owns its slots (no shared writes);
+//  4. greedy walk (serial), in slot space: visit agents in a random order
+//     drawn from the matcher's stream; each unmatched agent takes the
+//     first unmatched entry of its precomputed candidate list, recording
+//     partners in the slot-indexed mate array. Because the list is the
 //     prefix of the full stable ordering, "first unmatched stored
 //     candidate" IS the nearest unmatched candidate — unless all stored
 //     entries are taken while further candidates exist, in which case an
 //     exact fallback rescan of the neighborhood (same metric, same
 //     tie-breaking) recovers the answer. The walk is inherently sequential
 //     and stays serial: DESIGN.md §12 records why parallelizing it did not
-//     pay.
+//     pay. A final sharded pass translates mate back to agent indices in
+//     Pairing.Nbr, writing every entry (no separate Unmatched fill).
 //
 // # Tie-breaking rule
 //
 // Candidates at exactly equal distance are ordered by scan position: cells
-// are visited in the geometry's fixed neighborhood order and agents within
-// a cell in ascending index order, and the bounded insertion sort of phase
-// 3 (like the fallback rescan's strict `<` minimum) lets the earliest
-// encounter win. This is the same rule the historical serial loop applied,
-// which is what makes the pipeline's output bit-identical to it — and,
-// since phases 1–3 are deterministic functions with shard-invariant
-// layouts and phase 4 is serial, bit-identical across every worker count.
+// are visited in the geometry's fixed neighborhood order and agents within a
+// cell in ascending index order (ascending slot order, since the CSR layout
+// is stable), and the rank selection of phase 3 (like the fallback rescan's
+// strict `<` minimum) lets the earliest encounter win. This is the same rule
+// the historical serial loop applied, which is what makes the pipeline's
+// output bit-identical to it — and, since phases 1–3 are deterministic
+// functions with shard-invariant layouts and phase 4 is serial,
+// bit-identical across every worker count.
 //
-// The pipeline itself consumes randomness only in the serial walk (the
-// visit permutation). Matchers that need per-agent coins inside the sharded
-// candidate phase (SmallWorld's rewiring) draw them from counter-based
-// streams keyed on (matcher key, sample counter, agent index) — see
-// prng.SeedCounter — so shard boundaries cannot perturb them.
+// The pipeline itself consumes randomness only in the serial walk (the visit
+// permutation). The scatter leaves order[i] = slot of agent i, and the walk
+// shuffles that buffer with the variates src.PermInt32Into would draw: the
+// swaps depend only on positions and variates, so order[t] is the slot of
+// the agent an identity-filled shuffle would visit t-th. Matchers that need
+// per-agent coins inside the sharded candidate phase (SmallWorld's rewiring)
+// draw them from counter-based streams keyed on (matcher key, sample
+// counter, agent index) — see prng.SeedCounter — so shard boundaries cannot
+// perturb them.
 
-// candK is the number of nearest candidates precomputed per agent. Larger
+// candK is the number of nearest candidates precomputed per slot. Larger
 // values make the exact fallback rescan rarer but cost memory bandwidth in
 // the sharded candidate phase. The rescan runs inside the serial greedy
 // walk: at ~1 agent per cell, the probability that an agent's 8 nearest are
@@ -83,10 +92,19 @@ const maxNbrCells = 9
 // Purely a scheduling heuristic — output is worker-count-invariant.
 const minSpatialShard = 1024
 
-// geometry is the static-dispatch seam between the shared pipeline and a
-// concrete topology: bucket layout, neighborhood scan order, and metric.
-// The type parameter trick (G's prepare returns G) keeps every call
-// monomorphized — no interface dispatch on the per-candidate hot path.
+// geometry is the seam between the shared pipeline and a concrete
+// topology: bucket layout, neighborhood scan order, and metric. G's prepare
+// returns G, so the pipeline holds geometries by value and never boxes them
+// in an interface. The calls are not monomorphized, though: Go stencils
+// generic code per GC shape, not per type, and torusGeom and gridGeom share
+// the shape struct{side int}, so the pipeline reaches their methods through
+// the instantiation dictionary — dist2 is an indirect call that is not
+// inlined (torusGeom.dist2 shows as its own frame in a CPU profile). The
+// candidate scan therefore gathers distances with dist2Bits, one call per
+// chunk of up to distChunk points, inside which the metric inlines: on
+// crowded inputs an agent scans hundreds of points. On the uniform torus it
+// scans about nine, and calling TorusDist2 directly in place of dist2
+// measured no gain there.
 type geometry[G any] interface {
 	// prepare returns the geometry instance for a population of n agents
 	// (bucket-grid resolution derived from n).
@@ -100,6 +118,10 @@ type geometry[G any] interface {
 	neighborhood(c int32, buf []int32) []int32
 	// dist2 is the squared distance between two positions in this metric.
 	dist2(a, b population.Point) float64
+	// dist2Bits writes math.Float64bits(dist2(p, pts[i])) to out[i] for
+	// every i: the candidate scan's batched form of dist2, one call per
+	// chunk of points, inside which the metric inlines.
+	dist2Bits(p population.Point, pts []population.Point, out []uint64)
 	// patch draws a position uniformly within distance r of center under
 	// this geometry (wrapping or reflecting as the topology demands),
 	// consuming src. r ≤ 0 returns center exactly.
@@ -124,10 +146,11 @@ type spatial[G geometry[G]] struct {
 
 	// rewrite, when non-nil, may replace agent i's candidate list in the
 	// sharded candidate phase (SmallWorld rewiring): it writes up to
-	// len(dst) candidate indices into dst and returns how many, or -1 to
-	// keep the geometric candidates. It runs concurrently from shards and
-	// must be a pure function of (i, n, call) — per-agent randomness comes
-	// from counter-based streams, never from a shared Source.
+	// len(dst) candidate agent indices into dst and returns how many, or -1
+	// to keep the geometric candidates; the pipeline maps the agents to
+	// their slots. It runs concurrently from shards and must be a pure
+	// function of (i, n, call) — per-agent randomness comes from
+	// counter-based streams, never from a shared Source.
 	rewrite func(i, n int, call uint64, dst []int32) int
 	// prematch, when non-nil, runs serially at the top of every sample,
 	// before the sharded phases — the hook SmallWorld uses to precompute
@@ -142,16 +165,17 @@ type spatial[G geometry[G]] struct {
 	// stats accumulates the per-phase pipeline counters (PhaseReporter).
 	stats PipelineStats
 
-	// Pipeline buffers, reused across rounds (1.5× growth slack).
+	// Pipeline buffers, reused across rounds (1.5× growth slack). A slot
+	// is an index into the CSR layout (cellAgents/posByCell).
 	cellIdx    []int32            // agent -> bucket
-	cellStart  []int32            // CSR: bucket c holds cellAgents[cellStart[c]:cellStart[c+1]]
-	cellAgents []int32            // bucketed agent indices, ascending within a cell
-	posByCell  []population.Point // positions in CSR order — sequential reads in the candidate scan
+	cellStart  []int32            // CSR: bucket c holds slots [cellStart[c], cellStart[c+1])
+	cellAgents []int32            // slot -> agent, ascending agent index within a cell
+	posByCell  []population.Point // slot -> position — sequential reads in the candidate scan
 	cnt        []int32            // scatter histograms, one row of ncells per shard
-	cand       []int32            // candK nearest candidates per agent
-	candN      []uint8            // stored candidate count per agent
-	candTotal  []int32            // total candidates encountered per agent
-	order      []int32            // visit permutation
+	cand       []int32            // candK nearest candidate slots per slot
+	candN      []uint8            // stored candidate count per slot, | candMore
+	mate       []int32            // slot -> partner slot in the walk, -1 while unmatched
+	order      []int32            // agent -> slot after the scatter; visit order of slots after the shuffle
 }
 
 // probeBit distinguishes probe-sample rewrite streams from match-sample
@@ -310,7 +334,7 @@ func (s *spatial[G]) ensure(n, ncells int) {
 		s.posByCell = make([]population.Point, c)
 		s.cand = make([]int32, candK*c)
 		s.candN = make([]uint8, c)
-		s.candTotal = make([]int32, c)
+		s.mate = make([]int32, c)
 		s.order = make([]int32, c)
 	}
 	if cap(s.cellStart) < ncells+1 {
@@ -321,17 +345,18 @@ func (s *spatial[G]) ensure(n, ncells int) {
 	s.posByCell = s.posByCell[:n]
 	s.cand = s.cand[:candK*n]
 	s.candN = s.candN[:n]
-	s.candTotal = s.candTotal[:n]
+	s.mate = s.mate[:n]
 	s.order = s.order[:n]
 	s.cellStart = s.cellStart[:ncells+1]
 }
 
 // sample runs the four-phase pipeline documented at the top of this file.
 func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
-	p.Reset(n)
 	if n < 2 {
+		p.Reset(n)
 		return
 	}
+	p.resize(n) // the output pass writes every entry
 	if s.prematch != nil {
 		s.prematch(n)
 	}
@@ -350,24 +375,26 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 	})
 	s.stats.BucketNS += uint64(time.Since(t0))
 
-	// Phase 2 (sharded): stable counting-sort scatter into the CSR index.
+	// Phase 2 (sharded): stable counting-sort scatter into the CSR index;
+	// it also leaves order[i] = slot of agent i.
 	t0 = time.Now()
 	s.scatter(pos, n, ncells)
 	s.stats.ScatterNS += uint64(time.Since(t0))
 
-	// Phase 3 (sharded): per-agent candK-nearest candidate selection,
-	// iterated in CSR order so agents of the same cell reuse each other's
-	// cached neighborhood rows, scanning the cell-sorted position copy
-	// (posByCell) in contiguous segments instead of gathering pos[] at
-	// random. The scan ORDER over candidates is unchanged — segments are
-	// maximal runs of consecutive cell ids in the geometry's neighborhood
-	// order — so tie-breaking (and the output) is bit-identical to the
-	// per-agent form.
+	// Phase 3 (sharded): per-slot candK-nearest candidate selection,
+	// iterated in CSR order so slots of the same cell reuse each other's
+	// neighborhood segments, scanning the cell-sorted position copy
+	// (posByCell) in contiguous segments and writing candidate rows
+	// sequentially. The scan ORDER over candidates is the per-agent one —
+	// segments are maximal runs of consecutive cell ids in the geometry's
+	// neighborhood order — so tie-breaking is unchanged. Each shard also
+	// marks its own slots unmatched for the walk.
 	t0 = time.Now()
 	rewrite := s.rewrite
 	s.run(n, func(lo, hi int) {
 		var nbuf [maxNbrCells]int32
 		var segs [maxNbrCells][2]int32
+		var sel selector
 		// Locate the cell containing CSR slot lo.
 		c := int32(0)
 		{
@@ -388,11 +415,14 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 				c++
 				nseg = -1
 			}
-			i := int(s.cellAgents[k])
+			s.mate[k] = -1
 			if rewrite != nil {
-				if kn := rewrite(i, n, call, s.cand[i*candK:(i+1)*candK]); kn >= 0 {
-					s.candN[i] = uint8(kn)
-					s.candTotal[i] = int32(kn)
+				row := s.cand[k*candK : (k+1)*candK]
+				if kn := rewrite(int(s.cellAgents[k]), n, call, row); kn >= 0 {
+					for x, a := range row[:kn] {
+						row[x] = s.order[a] // order maps agent -> slot until the shuffle
+					}
+					s.candN[k] = uint8(kn)
 					continue
 				}
 			}
@@ -409,31 +439,30 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 					si = sj
 				}
 			}
-			s.nearestCandidates(g, i, k, segs[:nseg])
+			s.nearestCandidates(g, &sel, k, segs[:nseg])
 		}
 	})
 	s.stats.CandNS += uint64(time.Since(t0))
 
-	// Phase 4: random-order greedy matching. The visit permutation's
-	// identity fill shards (pure per-index writes); the Fisher–Yates
-	// shuffle then consumes exactly the variates src.PermInt32Into would —
-	// PermInt32Into IS identity-fill + Shuffle — so the order, and the
-	// walk, are bit-identical to the historical form.
+	// Phase 4: random-order greedy matching in slot space. Shuffling the
+	// agent -> slot map with the variates of src.PermInt32Into turns it
+	// into the visit order of slots (see the file header), so the walk is
+	// bit-identical to the historical agent-space form; a sharded pass
+	// then writes every agent's partner into the pairing.
 	t0 = time.Now()
+	order := s.order
+	src.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	s.walk(g)
+	mate, cellAgents, nbr := s.mate, s.cellAgents, p.Nbr
 	s.run(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s.order[i] = int32(i)
+		for k := lo; k < hi; k++ {
+			j := Unmatched
+			if m := mate[k]; m >= 0 {
+				j = cellAgents[m]
+			}
+			nbr[cellAgents[k]] = j
 		}
 	})
-	src.Shuffle(n, func(i, j int) { s.order[i], s.order[j] = s.order[j], s.order[i] })
-	var nbuf [maxNbrCells]int32
-	for _, oi := range s.order {
-		i := int(oi)
-		if p.Nbr[i] != Unmatched {
-			continue
-		}
-		s.walkVisit(g, pos, p, i, nbuf[:0])
-	}
 	s.stats.SerialWalks++
 	s.stats.WalkNS += uint64(time.Since(t0))
 }
@@ -451,8 +480,8 @@ const (
 )
 
 // scatter is phase 2: it builds cellStart/cellAgents/posByCell — the stable
-// counting-sort CSR layout, ascending agent index within each cell — with
-// the ApplyPlan count→scan→scatter idiom:
+// counting-sort CSR layout, ascending agent index within each cell — and
+// order (agent -> slot) with the ApplyPlan count→scan→scatter idiom:
 //
 //	pass 1 (sharded over agent ranges): per-shard histograms cnt[k][c];
 //	pass 2 (sharded over cell ranges): down-column exclusive scan turning
@@ -529,101 +558,196 @@ func (s *spatial[G]) scatter(pos []population.Point, n, ncells int) {
 	})
 
 	// Pass 4: scatter into precomputed disjoint slots.
+	cellIdx, cellAgents, posByCell, order := s.cellIdx, s.cellAgents, s.posByCell, s.order
 	s.runN(w, func(k int) {
 		row := cnt[k*ncells:]
 		for i := ab[k]; i < ab[k+1]; i++ {
-			c := s.cellIdx[i]
+			c := cellIdx[i]
 			at := start[c] + row[c]
 			row[c]++
-			s.cellAgents[at] = int32(i)
-			s.posByCell[at] = pos[i]
+			cellAgents[at] = int32(i)
+			posByCell[at] = pos[i]
+			order[i] = at
 		}
 	})
 }
 
-// walkVisit is the serial greedy-walk body for one unmatched agent: first
-// unmatched stored candidate, exact fallback rescan when the stored prefix
-// is exhausted but the neighborhood holds more.
-func (s *spatial[G]) walkVisit(g G, pos []population.Point, p *Pairing, i int, nbuf []int32) {
-	best := int32(-1)
-	stored := int(s.candN[i])
-	for k := 0; k < stored; k++ {
-		if j := s.cand[i*candK+k]; p.Nbr[j] == Unmatched {
-			best = j
-			break
+// walk is phase 4's serial greedy loop over the shuffled slot order: each
+// unmatched slot takes the first unmatched stored candidate, or runs the
+// exact fallback rescan when the stored prefix is exhausted but the
+// neighborhood holds more.
+func (s *spatial[G]) walk(g G) {
+	var nbuf [maxNbrCells]int32
+	mate, cand, candN := s.mate, s.cand, s.candN
+	for _, k := range s.order {
+		if mate[k] >= 0 {
+			continue
 		}
-	}
-	if best < 0 && int(s.candTotal[i]) > stored {
-		// All stored candidates were taken but the neighborhood holds
-		// more: exact fallback rescan (same metric, same tie-break).
-		best = s.rescan(g, pos, p, i, nbuf)
-	}
-	if best >= 0 {
-		p.Nbr[i] = best
-		p.Nbr[best] = int32(i)
+		cn := candN[k]
+		best := int32(-1)
+		for _, j := range cand[int(k)*candK:][:cn&^candMore] {
+			if mate[j] < 0 {
+				best = j
+				break
+			}
+		}
+		if best < 0 && cn&candMore != 0 {
+			best = s.rescan(g, k, nbuf[:0])
+		}
+		if best >= 0 {
+			mate[k] = best
+			mate[best] = k
+		}
 	}
 }
 
-// nearestCandidates fills agent i's candidate slots with its candK nearest
-// neighbors in (distance, scan order) — the prefix of the full stable
-// ordering — via a bounded stable insertion sort over the neighborhood
-// segments. selfK is agent i's own CSR slot (skipped); segs are [start,
-// end) ranges of posByCell/cellAgents covering the neighborhood in exact
-// scan order.
-func (s *spatial[G]) nearestCandidates(g G, i, selfK int, segs [][2]int32) {
-	var bd [candK]float64
-	base := i * candK
-	stored, total := 0, 0
-	pi := s.posByCell[selfK]
-	for _, sg := range segs {
-		for k2 := sg[0]; k2 < sg[1]; k2++ {
-			if int(k2) == selfK {
-				continue
-			}
-			total++
-			d := g.dist2(pi, s.posByCell[k2])
-			if stored == candK && d >= bd[candK-1] {
-				continue
-			}
-			// Insertion point: after every stored candidate with distance
-			// ≤ d, so equal distances keep scan order (stability).
-			at := stored
-			for at > 0 && d < bd[at-1] {
-				at--
-			}
-			if stored < candK {
-				stored++
-			}
-			for m := stored - 1; m > at; m-- {
-				bd[m] = bd[m-1]
-				s.cand[base+m] = s.cand[base+m-1]
-			}
-			bd[at] = d
-			s.cand[base+at] = s.cellAgents[k2]
-		}
-	}
-	s.candN[i] = uint8(stored)
-	s.candTotal[i] = int32(total)
-}
-
-// rescan is the exact nearest-unmatched search over agent i's neighborhood:
-// the historical serial algorithm, used only when the precomputed candidate
-// prefix is exhausted.
-func (s *spatial[G]) rescan(g G, pos []population.Point, p *Pairing, i int, nbuf []int32) int32 {
+// rescan is the exact nearest-unmatched search over slot k's neighborhood
+// — the historical serial algorithm in slot space, used only when the
+// precomputed candidate prefix is exhausted. Slots within a cell ascend
+// with agent index, so the strict `<` minimum breaks ties as before.
+func (s *spatial[G]) rescan(g G, k int32, nbuf []int32) int32 {
 	best := int32(-1)
 	bestD := math.Inf(1)
-	for _, c := range g.neighborhood(s.cellIdx[i], nbuf) {
-		for _, j := range s.cellAgents[s.cellStart[c]:s.cellStart[c+1]] {
-			if int(j) == i || p.Nbr[j] != Unmatched {
+	pk := s.posByCell[k]
+	for _, c := range g.neighborhood(s.cellIdx[s.cellAgents[k]], nbuf) {
+		for j := s.cellStart[c]; j < s.cellStart[c+1]; j++ {
+			if j == k || s.mate[j] >= 0 {
 				continue
 			}
-			if d := g.dist2(pos[i], pos[j]); d < bestD {
+			if d := g.dist2(pk, s.posByCell[j]); d < bestD {
 				bestD = d
 				best = j
 			}
 		}
 	}
 	return best
+}
+
+// candMore is the candN bit saying the neighborhood holds more candidates
+// than the stored ones (the walk's exact-rescan trigger); the low bits hold
+// the stored count.
+const candMore = 0x80
+
+// nearestCandidates fills slot selfK's candidate row with its candK nearest
+// neighbor slots in (distance, scan order) — the prefix of the full stable
+// ordering. segs are [start, end) slot ranges covering the neighborhood in
+// exact scan order; selfK itself is skipped wherever it appears. Distances
+// are gathered a chunk at a time by one dist2Bits call, and a point at or
+// beyond the current candK-th best distance is dropped before it reaches
+// the selector's batch, which keeps crowded neighborhoods linear. sel is
+// the calling shard's scratch selector.
+func (s *spatial[G]) nearestCandidates(g G, sel *selector, selfK int, segs [][2]int32) {
+	sel.kept, sel.n, sel.bound = 0, 0, math.MaxInt64
+	pi := s.posByCell[selfK]
+	self := int32(selfK)
+	total := 0
+	for _, sg := range segs {
+		for lo := sg[0]; lo < sg[1]; lo += distChunk {
+			hi := min(lo+distChunk, sg[1])
+			ds := sel.dist[:hi-lo]
+			g.dist2Bits(pi, s.posByCell[lo:hi], ds)
+			total += int(hi - lo)
+			if lo <= self && self < hi {
+				ds[self-lo] = math.MaxInt64 // never admitted: bound ≤ MaxInt64
+				total--
+			}
+			for x, d := range ds {
+				if d >= sel.bound {
+					continue
+				}
+				at := sel.n & (selCap - 1)
+				sel.d[at], sel.slot[at] = d, lo+int32(x)
+				if sel.n++; sel.n == candK+candBatch {
+					sel.flush()
+				}
+			}
+		}
+	}
+	if sel.n > sel.kept {
+		sel.flush()
+	}
+	// Whole-row copy: entries past the stored count are never read.
+	*(*[candK]int32)(s.cand[selfK*candK:]) = *(*[candK]int32)(sel.slot[:candK])
+	cn := uint8(sel.kept)
+	if total > candK {
+		cn |= candMore
+	}
+	s.candN[selfK] = cn
+}
+
+const (
+	// distChunk is how many distances nearestCandidates gathers per
+	// dist2Bits call.
+	distChunk = 64
+	// candBatch is how many admitted points the selector ranks in at once
+	// when it already keeps candK. Small batches tighten the admission
+	// bound sooner, which is what crowded neighborhoods need; a sparse
+	// neighborhood of up to candK+candBatch points is ranked in one go.
+	candBatch = 4
+	// selCap sizes the selector's arrays (≥ candK+candBatch). A power of
+	// two, so indices mask instead of bounds-checking.
+	selCap = 2 * candK
+)
+
+// selector keeps the candK smallest of a stream of (distance, slot) points
+// in (distance, arrival) order: the first candK entries of a stable sort.
+// Distances are math.Float64bits of squared distances, which are finite
+// and ≥ +0, so their bit patterns order exactly as the floats do; and for
+// two such patterns (both < 2⁶³), the top bit of a−b is set exactly when
+// a < b — the branch-free comparison the rank kernel counts with.
+type selector struct {
+	// d and slot hold the kept points in [0, kept), sorted, followed by
+	// the pending batch in [kept, n) in arrival order.
+	d       [selCap]uint64
+	slot    [selCap]int32
+	kept, n int
+	// bound is the candK-th kept distance once candK points are kept
+	// (MaxInt64 before): a point at or beyond it cannot enter.
+	bound uint64
+	// dist receives one chunk of gathered distances; od and oslot the
+	// merged order during flush.
+	dist  [distChunk]uint64
+	od    [selCap]uint64
+	oslot [selCap]int32
+}
+
+// flush ranks the pending batch together with the kept points and keeps
+// the first candK of the merged order. A point's rank is the number of
+// points that precede it in (distance, arrival) order: every earlier point
+// at a distance ≤ its own and every later point at a strictly smaller
+// distance. The kept points are sorted and arrived before the batch, so
+// among themselves that count is their index. Ranks are a permutation of
+// [0, n), so the points scatter into place with no conflicts, and no
+// branch depends on a distance.
+func (sel *selector) flush() {
+	d := sel.d[:sel.n]
+	kept, batch := d[:sel.kept], d[sel.kept:]
+	for x, dx := range kept {
+		r := uint64(x)
+		for _, dy := range batch {
+			r += (dy - dx) >> 63 // dy < dx
+		}
+		sel.od[r&(selCap-1)], sel.oslot[r&(selCap-1)] = dx, sel.slot[x]
+	}
+	for x, dx := range batch {
+		r := uint64(0)
+		for _, dy := range kept {
+			r += (dy - dx - 1) >> 63 // dy ≤ dx
+		}
+		for y, dy := range batch {
+			// y < x: dy ≤ dx; y > x: dy < dx; y = x adds 0.
+			r += (dy - dx - uint64(y-x)>>63) >> 63
+		}
+		sel.od[r&(selCap-1)], sel.oslot[r&(selCap-1)] = dx, sel.slot[(len(kept)+x)&(selCap-1)]
+	}
+	for i := range candK {
+		sel.d[i], sel.slot[i] = sel.od[i], sel.oslot[i]
+	}
+	sel.kept = min(len(d), candK)
+	sel.n = sel.kept
+	if sel.kept == candK {
+		sel.bound = sel.d[candK-1]
+	}
 }
 
 // gaussianOffset draws a 2-D Gaussian offset of standard deviation sigma

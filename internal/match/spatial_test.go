@@ -3,6 +3,7 @@ package match
 import (
 	"math"
 	"runtime"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -699,6 +700,79 @@ func TestPermInt32IntoMatchesPerm(t *testing.T) {
 		// The sources must stay in lockstep afterwards.
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("n=%d: source state diverged", n)
+		}
+	}
+}
+
+// TestSelectionKernelMatchesStableSort is the property test of phase 3's
+// rank-selection kernel: over random neighborhoods of 0 to 4·candK points
+// (crossing the selector's batch size), split into segments scanned out of
+// slot order, with injected duplicate positions and exact distance ties,
+// the stored candidates are the first candK entries of a stable sort by
+// (squared distance, scan order), and the "more" bit says whether the
+// neighborhood held more than candK candidates.
+func TestSelectionKernelMatchesStableSort(t *testing.T) {
+	src := prng.New(99)
+	var sel selector
+	for trial := 0; trial < 4000; trial++ {
+		total := trial % (4*candK + 1)
+		m := total + 1 // the neighborhood plus the agent itself
+		pts := make([]population.Point, m)
+		for i := range pts {
+			switch {
+			case i > 0 && src.Intn(4) == 0:
+				pts[i] = pts[src.Intn(i)] // duplicate position
+			case src.Intn(5) == 0:
+				// A point on a small lattice: many exact distance ties.
+				pts[i] = population.Point{X: 0.5 + float64(src.Intn(5))/64, Y: 0.5 + float64(src.Intn(5))/64}
+			default:
+				pts[i] = population.Point{X: 0.45 + 0.1*src.Float64(), Y: 0.45 + 0.1*src.Float64()}
+			}
+		}
+		self := src.Intn(m)
+		// Split the slots into up to 4 segments and scan them in a random
+		// order, so scan order differs from slot order.
+		var cuts []int32
+		for k := 1; k < m; k++ {
+			if src.Intn(4) == 0 {
+				cuts = append(cuts, int32(k))
+			}
+		}
+		bounds := append(append([]int32{0}, cuts...), int32(m))
+		var segs [][2]int32
+		for k := 0; k+1 < len(bounds); k++ {
+			segs = append(segs, [2]int32{bounds[k], bounds[k+1]})
+		}
+		src.Shuffle(len(segs), func(i, j int) { segs[i], segs[j] = segs[j], segs[i] })
+
+		var want []int32
+		for _, sg := range segs {
+			for k := sg[0]; k < sg[1]; k++ {
+				if int(k) != self {
+					want = append(want, k)
+				}
+			}
+		}
+		dist := func(k int32) float64 { return TorusDist2(pts[self], pts[k]) }
+		sort.SliceStable(want, func(a, b int) bool { return dist(want[a]) < dist(want[b]) })
+		if len(want) > candK {
+			want = want[:candK]
+		}
+
+		s := &spatial[torusGeom]{posByCell: pts, cand: make([]int32, candK*m), candN: make([]uint8, m)}
+		s.nearestCandidates(torusGeom{}, &sel, self, segs)
+		cn := s.candN[self]
+		got := s.cand[self*candK:][:cn&^candMore]
+		if (cn&candMore != 0) != (total > candK) {
+			t.Fatalf("trial %d: more bit %v with %d candidates", trial, cn&candMore != 0, total)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: stored %d candidates, want %d", trial, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("trial %d: candidate %d is slot %d, want %d (got %v, want %v)", trial, k, got[k], want[k], got, want)
+			}
 		}
 	}
 }

@@ -150,6 +150,13 @@ func (g torusGeom) neighborhood(c int32, buf []int32) []int32 {
 
 func (torusGeom) dist2(a, b population.Point) float64 { return TorusDist2(a, b) }
 
+func (torusGeom) dist2Bits(p population.Point, pts []population.Point, out []uint64) {
+	out = out[:len(pts)]
+	for i, q := range pts {
+		out[i] = math.Float64bits(TorusDist2(p, q))
+	}
+}
+
 // patch draws uniformly in the disc of radius r around center (area-uniform:
 // ρ = r√u) and wraps onto the torus.
 func (torusGeom) patch(src *prng.Source, center population.Point, r float64) population.Point {
