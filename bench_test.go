@@ -146,7 +146,6 @@ func benchTorusMatch(b *testing.B, n, workers int) {
 	tor.SetPool(pl)
 	src := prng.New(2)
 	var p match.Pairing
-	p.SetPool(pl)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -185,7 +184,6 @@ func BenchmarkTorusWalkClusteredN1048576(b *testing.B) {
 	tor.SetPool(pl)
 	src := prng.New(2)
 	var p match.Pairing
-	p.SetPool(pl)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -178,7 +178,6 @@ func benchTorusMatch(name string, n int) (jsonBenchmark, error) {
 	tor.SetPool(pl)
 	src := prng.New(2)
 	var p match.Pairing
-	p.SetPool(pl)
 	return measure(b, func() int {
 		tor.SampleMatch(pop, src, &p)
 		return n

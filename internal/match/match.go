@@ -13,18 +13,11 @@ package match
 import (
 	"fmt"
 
-	"popstab/internal/pool"
 	"popstab/internal/prng"
 )
 
 // Unmatched marks an agent with no neighbor this round in a Pairing.
 const Unmatched int32 = -1
-
-// minPairingShard bounds how finely the pairing's O(n) fills shard on the
-// worker pool: below ~8k entries per worker the wake-up exceeds the fill.
-// Purely a scheduling heuristic — every sharded loop here writes each slot
-// from exactly one shard, so output is worker-count-invariant.
-const minPairingShard = 8192
 
 // Pairing is the outcome of one round of scheduling: Nbr[i] is the index of
 // agent i's neighbor, or Unmatched. A valid pairing is an involution:
@@ -35,53 +28,12 @@ type Pairing struct {
 	// perm is scratch space reused across rounds to avoid per-round
 	// allocation.
 	perm []int32
-	// pool, when set (SetPool), shards the O(n) fills — the Unmatched reset,
-	// the identity permutation, and the pair linking. The randomness-
-	// consuming partial shuffle itself is inherently sequential and always
-	// runs serially, so output is identical with and without a pool.
-	pool *pool.Pool
-	// fillUnmatched, fillIdentity, and linkPairs are the pooled forms of the
-	// three fill loops, bound once in SetPool so the per-round hot path
-	// allocates no closures.
-	fillUnmatched func(lo, hi int)
-	fillIdentity  func(lo, hi int)
-	linkPairs     func(lo, hi int)
-}
-
-// SetPool attaches a worker pool for the O(n) fill loops. The engine calls
-// it once at construction; without a pool every loop runs serially.
-func (p *Pairing) SetPool(pl *pool.Pool) {
-	p.pool = pl
-	p.fillUnmatched = func(lo, hi int) {
-		nbr := p.Nbr
-		for i := lo; i < hi; i++ {
-			nbr[i] = Unmatched
-		}
-	}
-	p.fillIdentity = func(lo, hi int) {
-		perm := p.perm
-		for i := lo; i < hi; i++ {
-			perm[i] = int32(i)
-		}
-	}
-	p.linkPairs = func(lo, hi int) {
-		nbr, perm := p.Nbr, p.perm
-		for k := lo; k < hi; k++ {
-			a, b := perm[2*k], perm[2*k+1]
-			nbr[a] = b
-			nbr[b] = a
-		}
-	}
 }
 
 // Reset prepares the pairing for a population of n agents, growing buffers
 // as needed and marking every agent unmatched.
 func (p *Pairing) Reset(n int) {
 	p.resize(n)
-	if p.pool != nil {
-		p.pool.Run(n, minPairingShard, p.fillUnmatched)
-		return
-	}
 	for i := range p.Nbr {
 		p.Nbr[i] = Unmatched
 	}
@@ -168,7 +120,6 @@ func (u Uniform) Name() string { return fmt.Sprintf("uniform(%.2f)", u.Gamma) }
 // and pairs consecutive entries of the prefix, which yields a uniformly
 // random matching of the requested size in O(γn) time.
 func (u Uniform) Sample(n int, src *prng.Source, p *Pairing) {
-	p.Reset(n)
 	pairs := int(u.Gamma * float64(n) / 2)
 	samplePrefixPairs(n, pairs, src, p)
 }
@@ -187,7 +138,6 @@ func (Full) Name() string { return "full" }
 
 // Sample pairs a uniformly random perfect matching.
 func (Full) Sample(n int, src *prng.Source, p *Pairing) {
-	p.Reset(n)
 	samplePrefixPairs(n, n/2, src, p)
 }
 
@@ -251,45 +201,35 @@ func (Sequential) Name() string { return "sequential" }
 
 // Sample matches a single uniformly random pair.
 func (Sequential) Sample(n int, src *prng.Source, p *Pairing) {
-	p.Reset(n)
-	if n < 2 {
-		return
-	}
 	samplePrefixPairs(n, 1, src, p)
 }
 
-// samplePrefixPairs shuffles a prefix of 2·pairs indices uniformly and links
+// samplePrefixPairs fills p with a matching of up to pairs pairs over n
+// agents: it shuffles a prefix of 2·pairs indices uniformly and links
 // consecutive entries. The prefix of a truncated Fisher-Yates shuffle is a
 // uniformly random ordered 2k-subset, so consecutive pairing yields a
-// uniformly random matching of size k.
-//
-// The identity fill and the pair linking shard on the pool (the fill writes
-// slot i from one shard only; the linking writes Nbr[a]/Nbr[b] of disjoint
-// pairs); the partial shuffle is a sequential PRNG walk and must stay
-// serial — parallelizing it would change which variates each swap consumes.
+// uniformly random matching of size k. perm is a permutation of [0, n), so
+// one pass over it — linking the prefix, marking the tail Unmatched —
+// writes every Nbr entry exactly once. The shuffle leaves every tail index
+// it did not swap in place, so those writes are sequential.
 func samplePrefixPairs(n, pairs int, src *prng.Source, p *Pairing) {
-	if pairs*2 > n {
-		pairs = n / 2
-	}
+	pairs = min(pairs, n/2)
 	if pairs <= 0 {
+		p.Reset(n)
 		return
 	}
-	perm := p.perm[:n]
-	if p.pool != nil {
-		p.pool.Run(n, minPairingShard, p.fillIdentity)
-	} else {
-		for i := range perm {
-			perm[i] = int32(i)
-		}
+	p.resize(n)
+	perm, nbr := p.perm, p.Nbr
+	for i := range perm {
+		perm[i] = int32(i)
 	}
 	src.PartialShuffleInt32(perm, 2*pairs)
-	if p.pool != nil {
-		p.pool.Run(pairs, minPairingShard, p.linkPairs)
-		return
-	}
 	for i := 0; i < 2*pairs; i += 2 {
 		a, b := perm[i], perm[i+1]
-		p.Nbr[a] = b
-		p.Nbr[b] = a
+		nbr[a] = b
+		nbr[b] = a
+	}
+	for _, a := range perm[2*pairs:] {
+		nbr[a] = Unmatched
 	}
 }

@@ -247,3 +247,15 @@ func BenchmarkUniformSample(b *testing.B) {
 		sched.Sample(n, src, &p)
 	}
 }
+
+// BenchmarkUniformSampleN262144 times the mixed-greedy workload's matching
+// on its own: a γ = 0.25 uniform sample over 2¹⁸ agents.
+func BenchmarkUniformSampleN262144(b *testing.B) {
+	src := prng.New(1)
+	sched := Uniform{Gamma: 0.25}
+	var p Pairing
+	b.ReportAllocs()
+	for b.Loop() {
+		sched.Sample(1<<18, src, &p)
+	}
+}

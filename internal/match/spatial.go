@@ -176,6 +176,16 @@ type spatial[G geometry[G]] struct {
 	candN      []uint8            // stored candidate count per slot, | candMore
 	mate       []int32            // slot -> partner slot in the walk, -1 while unmatched
 	order      []int32            // agent -> slot after the scatter; visit order of slots after the shuffle
+	candShards []candShard        // one candidate-phase scratch per shard (shardCount)
+}
+
+// candShard is one candidate shard's scratch. It lives in the matcher
+// because the selector and the neighborhood buffer reach the geometry
+// through its instantiation dictionary: as shard locals they would escape
+// to the heap on every sample.
+type candShard struct {
+	sel  selector
+	nbuf [maxNbrCells]int32
 }
 
 // probeBit distinguishes probe-sample rewrite streams from match-sample
@@ -388,13 +398,18 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 	// sequentially. The scan ORDER over candidates is the per-agent one —
 	// segments are maximal runs of consecutive cell ids in the geometry's
 	// neighborhood order — so tie-breaking is unchanged. Each shard also
-	// marks its own slots unmatched for the walk.
+	// marks its own slots unmatched for the walk. The shards are run()'s
+	// partition, each with its own reused scratch.
 	t0 = time.Now()
 	rewrite := s.rewrite
-	s.run(n, func(lo, hi int) {
-		var nbuf [maxNbrCells]int32
+	w := s.shardCount(n)
+	if len(s.candShards) < w {
+		s.candShards = make([]candShard, w)
+	}
+	s.runN(w, func(sh int) {
+		lo, hi := sh*n/w, (sh+1)*n/w
+		scr := &s.candShards[sh]
 		var segs [maxNbrCells][2]int32
-		var sel selector
 		// Locate the cell containing CSR slot lo.
 		c := int32(0)
 		{
@@ -427,7 +442,7 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 				}
 			}
 			if nseg < 0 {
-				cells := g.neighborhood(c, nbuf[:0])
+				cells := g.neighborhood(c, scr.nbuf[:0])
 				nseg = 0
 				for si := 0; si < len(cells); {
 					sj := si + 1
@@ -439,7 +454,7 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 					si = sj
 				}
 			}
-			s.nearestCandidates(g, &sel, k, segs[:nseg])
+			s.nearestCandidates(g, &scr.sel, k, segs[:nseg])
 		}
 	})
 	s.stats.CandNS += uint64(time.Since(t0))

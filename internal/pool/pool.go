@@ -4,22 +4,25 @@
 // per task instead of spawning fresh goroutines every round. At high round
 // rates the per-round spawn + WaitGroup-barrier cost of the old scheme was a
 // measurable serial tail (DESIGN.md §10); the pool replaces it with one
-// channel send per shard.
+// channel send per shard. Share overlaps one serial task on the caller with
+// chunked work the workers claim — the engine runs compose that way while
+// the caller samples the matching.
 //
 // Determinism: the pool only ever runs callbacks the caller supplies over
-// index ranges the caller derives from (n, grain, Workers()). Nothing here
-// consumes randomness or reorders outputs, so — exactly as with the old
-// per-round goroutines — simulation output is bit-identical for every worker
-// count. Workers is purely a throughput knob.
+// index ranges the caller derives from (n, grain, Workers()); which
+// goroutine runs a range never enters the result. Nothing here consumes
+// randomness or reorders outputs, so — exactly as with the old per-round
+// goroutines — simulation output is bit-identical for every worker count.
+// Workers is purely a throughput knob.
 //
 // Lifecycle: workers are spawned lazily on first use and park on a shared
 // task channel between rounds. Close releases them; a closed pool degrades
-// gracefully (every Run/RunN/Go executes inline on the caller), so an engine
-// whose pool was closed keeps producing identical results, just serially.
-// The engine closes its pool explicitly (Engine.Close) and also attaches a
-// runtime.AddCleanup so pools of engines that become garbage — e.g. sessions
-// hibernated or reaped by internal/serve, which simply drop the engine —
-// park-and-exit instead of leaking goroutines.
+// gracefully (every Run/RunN/Share executes inline on the caller), so an
+// engine whose pool was closed keeps producing identical results, just
+// serially. The engine closes its pool explicitly (Engine.Close) and also
+// attaches a runtime.AddCleanup so pools of engines that become garbage —
+// e.g. sessions hibernated or reaped by internal/serve, which simply drop
+// the engine — park-and-exit instead of leaking goroutines.
 package pool
 
 import (
@@ -34,26 +37,30 @@ type task struct {
 	done *sync.WaitGroup
 }
 
-// auxTask is one overlap task for the dedicated auxiliary goroutine.
-type auxTask struct {
-	fn   func()
-	done chan struct{}
-}
-
 // Pool is a persistent worker pool of a fixed parallelism. The zero value is
-// not usable; create with New. Run, RunN, and Go may be called concurrently
-// with each other (tasks never block inside the pool), but not concurrently
-// with Close.
+// not usable; create with New. Run and RunN may be called concurrently with
+// each other and from inside Share's serial task (tasks never block inside
+// the pool). At most one Share may be in flight, and nothing may run
+// concurrently with Close.
 type Pool struct {
 	workers int // total participants, including the submitting goroutine
 	jobs    chan task
-	aux     chan auxTask
 	stop    chan struct{}
 	closed  atomic.Bool
 
 	mu      sync.Mutex
 	started int // spawned worker goroutines (≤ workers-1)
-	auxUp   bool
+
+	// share is the in-flight Share's chunked range; claim is its worker
+	// task, bound once in New so that a Share allocates nothing.
+	share struct {
+		next     atomic.Int64 // index of the next unclaimed chunk
+		n, grain int
+		chunks   int
+		fn       func(lo, hi int)
+		done     sync.WaitGroup
+	}
+	claim func()
 }
 
 // New returns a pool of the given total parallelism (< 1 is treated as 1).
@@ -64,12 +71,13 @@ func New(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Pool{
+	p := &Pool{
 		workers: workers,
 		jobs:    make(chan task, 8*workers),
-		aux:     make(chan auxTask, 1),
 		stop:    make(chan struct{}),
 	}
+	p.claim = p.claimChunks
+	return p
 }
 
 // Workers reports the pool's total parallelism (≥ 1).
@@ -144,31 +152,52 @@ func (p *Pool) RunN(w int, fn func(k int)) {
 	done.Wait()
 }
 
-// Go runs fn on the pool's dedicated auxiliary goroutine and returns a wait
-// function that blocks until fn has finished. The engine uses it to overlap
-// two provably independent serial-ish phases (compose vs. matching) without
-// spawning a goroutine per round. At most one auxiliary task may be
-// outstanding at a time. On a pool of 1 (or a closed pool) fn runs inline
-// and the returned wait is a no-op — the serial path stays serial.
-func (p *Pool) Go(fn func()) (wait func()) {
-	if p.workers <= 1 || p.closed.Load() {
-		fn()
-		return func() {}
+// Share runs serial on the caller while the workers claim grain-sized chunks
+// of [0, n) and run fn on each; once serial returns, the caller claims
+// chunks too, and Share returns when every chunk is done. serial may call
+// Run and RunN: their shards queue behind the workers' chunk claims, which
+// never wait on anything. With one worker, a closed pool, or n ≤ grain,
+// Share runs fn(0, n) and then serial inline, which is the serial order.
+// fn must be safe to call concurrently on disjoint ranges, and serial must
+// not touch what fn touches.
+func (p *Pool) Share(serial func(), n, grain int, fn func(lo, hi int)) {
+	grain = max(grain, 1)
+	if p.workers <= 1 || p.closed.Load() || n <= grain {
+		fn(0, n)
+		serial()
+		return
 	}
-	p.mu.Lock()
-	if !p.auxUp {
-		p.auxUp = true
-		go p.auxLoop()
+	s := &p.share
+	s.n, s.grain, s.chunks, s.fn = n, grain, (n+grain-1)/grain, fn
+	s.next.Store(0)
+	helpers := min(p.workers-1, s.chunks)
+	s.done.Add(helpers)
+	for k := 0; k < helpers; k++ {
+		p.submit(task{run: p.claim, done: &s.done})
 	}
-	p.mu.Unlock()
-	done := make(chan struct{})
-	p.aux <- auxTask{fn: fn, done: done}
-	return func() { <-done }
+	serial()
+	p.claimChunks()
+	s.done.Wait()
+	s.fn = nil // a pool must not keep its owner reachable (see the cleanup)
+}
+
+// claimChunks runs the in-flight Share's fn on one chunk at a time until
+// every chunk is claimed.
+func (p *Pool) claimChunks() {
+	s := &p.share
+	for {
+		c := int(s.next.Add(1) - 1)
+		if c >= s.chunks {
+			return
+		}
+		lo := c * s.grain
+		s.fn(lo, min(lo+s.grain, s.n))
+	}
 }
 
 // Close releases every parked goroutine. Idempotent. Must not be called
-// concurrently with Run/RunN/Go; after Close they all execute inline, so a
-// closed pool's owner keeps working (serially) rather than deadlocking.
+// concurrently with Run/RunN/Share; after Close they all execute inline, so
+// a closed pool's owner keeps working (serially) rather than deadlocking.
 func (p *Pool) Close() {
 	if p.closed.Swap(true) {
 		return
@@ -210,19 +239,6 @@ func (p *Pool) worker() {
 			case <-p.stop:
 				return
 			}
-		}
-	}
-}
-
-// auxLoop is the parked overlap executor behind Go.
-func (p *Pool) auxLoop() {
-	for {
-		select {
-		case t := <-p.aux:
-			t.fn()
-			close(t.done)
-		case <-p.stop:
-			return
 		}
 	}
 }

@@ -47,6 +47,28 @@ func TestEngineCloseReleasesPoolGoroutines(t *testing.T) {
 	e.Close()
 }
 
+// TestDroppedEngineReleasesPoolGoroutines pins the runtime cleanup: an
+// engine dropped without Close, after rounds that ran the compose∥match
+// overlap on its pool, is collected and its pool's workers exit. The pool
+// must hold no reference back to the engine once a round is over, or the
+// cleanup never runs.
+func TestDroppedEngineReleasesPoolGoroutines(t *testing.T) {
+	p := fastParams(t)
+	baseline := runtime.NumGoroutine()
+	func() {
+		e := MustNew(Config{Params: p, Protocol: protocol.MustNew(p), Seed: 1, Workers: 4})
+		e.RunRounds(3)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(2 * time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > baseline {
+		t.Fatalf("dropped engine's pool goroutines still live: %d, baseline %d", g, baseline)
+	}
+}
+
 // TestEngineRunsIdenticallyAfterClose checks Close is a resource release,
 // not a shutdown: a closed engine keeps producing bit-identical output
 // (every sharded phase degrades to inline execution).

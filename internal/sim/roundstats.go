@@ -15,17 +15,20 @@ import (
 // cost per round is ~10 time stamps plus one runtime/metrics read, which
 // disappears into benchmark noise even on the smallest gated workload.
 //
-// All ns counters are wall-clock sums over completed rounds. ComposeNS is
-// measured inside the worker-pool closure, so it reports the compose
-// phase's own cost even though it overlaps the matching phase; the round's
-// critical path through the overlap is max(compose, match), not their sum.
+// All ns counters are wall-clock sums over completed rounds. Compose and
+// matching share the pool (pool.Share): MatchNS is SampleMatch on the
+// engine goroutine, and ComposeNS runs from the start of the overlap until
+// compose's last chunk is done. On a pool of one, compose runs inline before
+// the matching, so ComposeNS is compose's own time and the two phases add
+// up; with more workers they overlap, and the round's critical path through
+// them is max(compose, match), not their sum.
 type RoundStats struct {
 	// Rounds counts completed rounds (the divisor for per-round averages).
 	Rounds uint64 `json:"rounds"`
 	// AdversaryNS is the adversary turn: staging plus apply. The turn is
 	// serial and on the round's critical path.
 	AdversaryNS uint64 `json:"adversary_ns"`
-	// ComposeNS is the message-compose phase (overlapped with matching).
+	// ComposeNS is the message-compose phase, until its last chunk is done.
 	ComposeNS uint64 `json:"compose_ns"`
 	// MatchNS is the matcher's SampleMatch on the engine goroutine.
 	MatchNS uint64 `json:"match_ns"`

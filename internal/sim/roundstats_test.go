@@ -2,9 +2,13 @@ package sim
 
 import (
 	"testing"
+	"time"
 
 	"popstab/internal/adversary"
+	"popstab/internal/match"
 	"popstab/internal/params"
+	"popstab/internal/population"
+	"popstab/internal/prng"
 	"popstab/internal/protocol"
 )
 
@@ -122,5 +126,45 @@ func TestRoundStatsWorkerCountInvariantContent(t *testing.T) {
 	sa, sb := a.RoundStats(), b.RoundStats()
 	if sa.Births != sb.Births || sa.Deaths != sb.Deaths || sa.NetGrowth != sb.NetGrowth {
 		t.Fatalf("content diverges across workers: %+v vs %+v", sa, sb)
+	}
+}
+
+// slowMatcher delays every sample, so a compose timer that also spanned the
+// matching would read at least the delay.
+type slowMatcher struct {
+	match.Matcher
+	delay time.Duration
+}
+
+func (m slowMatcher) SampleMatch(pop *population.Population, src *prng.Source, p *match.Pairing) {
+	time.Sleep(m.delay)
+	m.Matcher.SampleMatch(pop, src, p)
+}
+
+// TestRoundStatsComposeExcludesMatch pins ComposeNS to compose's own time
+// on the serial path, where compose runs inline before the matching: the
+// matcher's time lands in MatchNS only.
+func TestRoundStatsComposeExcludesMatch(t *testing.T) {
+	p, err := params.Derive(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const delay, rounds = 30 * time.Millisecond, 3
+	e := MustNew(Config{
+		Params:   p,
+		Protocol: protocol.MustNew(p),
+		Matcher:  slowMatcher{match.FromScheduler(match.Uniform{Gamma: p.Gamma}), delay},
+		Seed:     7,
+		Workers:  1,
+	})
+	defer e.Close()
+	e.RunRounds(rounds)
+	s := e.RoundStats()
+	if s.MatchNS < uint64(rounds*delay) {
+		t.Fatalf("MatchNS %v < %d sleeps of %v", time.Duration(s.MatchNS), rounds, delay)
+	}
+	if s.ComposeNS == 0 || s.ComposeNS >= uint64(delay) {
+		t.Fatalf("ComposeNS %v over %d rounds: want compose's own time, not the %v matcher",
+			time.Duration(s.ComposeNS), rounds, delay)
 	}
 }

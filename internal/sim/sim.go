@@ -42,7 +42,9 @@
 // every worker count, including the serial Workers=1 path, for every matcher
 // and program. The apply phase shards too, through the population's
 // prefix-sum apply plan, and the randomness-free Compose phase overlaps the
-// matching (the two touch disjoint state — DESIGN.md §10). The adversary's
+// matching: the pool's workers claim compose chunks while the engine
+// goroutine samples the matching, then it claims chunks too (pool.Share; the
+// two touch disjoint state — DESIGN.md §10). The adversary's
 // turn stays serial — sequential by its budget semantics — and so does the
 // greedy walk that finishes spatial matching; the spatial pipeline's other
 // phases shard on the engine's pool (match/spatial.go, DESIGN.md §12).
@@ -57,6 +59,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/metrics"
+	"sync/atomic"
 	"time"
 
 	"popstab/internal/adversary"
@@ -210,10 +213,16 @@ type Engine struct {
 	adv   adversary.Adversary
 	// pool is the persistent worker pool behind every sharded phase
 	// (compose/step, the apply-plan scatter, the spatial matching pipeline,
-	// snapshot encoding) and the compose/matching overlap. Owned by the
-	// engine: Close releases it, and a runtime cleanup releases it for
-	// engines that are simply dropped (hibernated/reaped sessions).
+	// snapshot encoding) and the compose∥match overlap, where its workers
+	// claim compose chunks while the engine goroutine samples the matching
+	// (pool.Share). Owned by the engine: Close releases it, and a runtime
+	// cleanup releases it for engines that are simply dropped
+	// (hibernated/reaped sessions).
 	pool *pool.Pool
+	// composeChunk and sampleMatch are the two sides of the overlap, bound
+	// once at construction so a round allocates no closures.
+	composeChunk func(lo, hi int)
+	sampleMatch  func()
 
 	// proto and xproto are the two program seams; exactly one is non-nil.
 	proto  Stepper
@@ -244,12 +253,13 @@ type Engine struct {
 	round uint64
 
 	// stats accumulates the per-phase cost counters (roundstats.go).
-	// composeNS is the aux-goroutine scratch for the overlapped compose
-	// phase: written inside the pool.Go closure, folded into stats after
-	// wait() — the pool barrier is the happens-before edge. allocSamples
-	// and allocBase back the per-round heap-allocation deltas.
+	// composeLeft counts the agents still to compose this round; the
+	// chunk that takes it to zero stamps composeEnd, which RunRound reads
+	// after Share's barrier. allocSamples and allocBase back the per-round
+	// heap-allocation deltas.
 	stats        RoundStats
-	composeNS    uint64
+	composeLeft  atomic.Int64
+	composeEnd   time.Time
 	allocSamples [2]metrics.Sample
 	allocBase    [2]uint64
 }
@@ -343,17 +353,22 @@ func buildEngine(cfg Config, pop *population.Population) (*Engine, error) {
 
 	// The persistent worker pool behind every sharded phase. It is threaded
 	// to the population (apply-plan scatter, bulk snapshot encode), to every
-	// pool-aware tracker side-array, to the pairing buffers, and to matchers
-	// that shard their matching phase. The cleanup releases the pool's parked
+	// pool-aware tracker side-array, and to matchers that shard their
+	// matching phase. The cleanup releases the pool's parked
 	// goroutines when an engine is dropped without Close — internal/serve
 	// hibernates and reaps sessions by unreferencing them.
 	e.pool = pool.New(workers)
 	e.pop.SetPool(e.pool)
-	e.pairing.SetPool(e.pool)
 	if ps, ok := matcher.(match.PoolSetter); ok {
 		ps.SetPool(e.pool)
 	}
 	runtime.AddCleanup(e, func(p *pool.Pool) { p.Close() }, e.pool)
+	e.composeChunk = e.composeRange
+	e.sampleMatch = func() {
+		t := time.Now()
+		e.matcher.SampleMatch(e.pop, e.schedSrc, &e.pairing)
+		e.stats.MatchNS += sinceNS(t)
+	}
 
 	root := prng.New(cfg.Seed)
 	e.protoKey = root.Split().Uint64()
@@ -467,23 +482,20 @@ func (e *Engine) RunRound() RoundReport {
 	n := e.pop.Len()
 	e.ensureScratch(n)
 
-	// 2–4. Matching and compose, overlapped. The two phases are provably
-	// independent: compose reads only pre-round agent state and consumes no
-	// randomness (protocol coins are drawn in Step), while SampleMatch reads
-	// only the population size/positions and writes only the pairing and the
-	// matcher's own scratch. On a pool of one the overlap degrades to running
-	// compose inline first — same reads, same writes, same (absence of)
-	// randomness, so output is bit-identical either way (DESIGN.md §10).
-	wait := e.pool.Go(func() {
-		t := time.Now()
-		e.composePhase(n)
-		e.composeNS = sinceNS(t)
-	})
-	tm := time.Now()
-	e.matcher.SampleMatch(e.pop, e.schedSrc, &e.pairing)
-	e.stats.MatchNS += sinceNS(tm)
-	wait()
-	e.stats.ComposeNS += e.composeNS
+	// 2–4. Matching and compose, overlapped: the pool's workers claim
+	// compose chunks while this goroutine samples the matching, then it
+	// claims the rest. The two phases are provably independent: compose
+	// reads only pre-round agent state and consumes no randomness (protocol
+	// coins are drawn in Step), while SampleMatch reads only the population
+	// size/positions and writes only the pairing and the matcher's own
+	// scratch. On a pool of one compose runs inline first — same reads, same
+	// writes, same (absence of) randomness, so output is bit-identical
+	// either way (DESIGN.md §10). ComposeNS runs until the last chunk is
+	// done: compose's own time inline, its span in the overlap.
+	e.composeLeft.Store(int64(n))
+	tc := time.Now()
+	e.pool.Share(e.sampleMatch, n, minShardAgents, e.composeChunk)
+	e.stats.ComposeNS += uint64(e.composeEnd.Sub(tc).Nanoseconds())
 
 	// 5. Deliver and step — sharded across the worker pool when the
 	// population is large enough to pay for it.
@@ -563,28 +575,27 @@ func (e *Engine) ensureScratch(n int) {
 // is worker-count-invariant, so the cap is purely a scheduling heuristic.
 const minShardAgents = 1024
 
-// composePhase composes every agent's outgoing message from pre-round state
-// (and, for extended programs, clears the kill mask — each slot has exactly
-// one owner, so the clear is race-free and worker-count-invariant), sharded
-// over the worker pool. Compose consumes no randomness, so the phase is
-// trivially order- and worker-count-invariant; the agent array is walked
+// composeRange composes the outgoing messages of agents [lo, hi) from
+// pre-round state (and, for extended programs, clears their kill-mask
+// entries — each slot has exactly one owner, so the clear is race-free and
+// worker-count-invariant). Compose consumes no randomness, so the chunks
+// may run in any order on any goroutine; the agent array is walked
 // contiguously via the bulk States accessor rather than per-index Ref calls.
-func (e *Engine) composePhase(n int) {
+func (e *Engine) composeRange(lo, hi int) {
 	states := e.pop.States()
 	if e.xproto != nil {
-		e.pool.Run(n, minShardAgents, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e.kill[i] = false
-				e.msgs[i] = e.xproto.ComposeAt(i, &states[i])
-			}
-		})
-		return
-	}
-	e.pool.Run(n, minShardAgents, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e.kill[i] = false
+			e.msgs[i] = e.xproto.ComposeAt(i, &states[i])
+		}
+	} else {
 		for i := lo; i < hi; i++ {
 			e.msgs[i] = e.proto.Compose(&states[i])
 		}
-	})
+	}
+	if e.composeLeft.Add(int64(lo-hi)) == 0 {
+		e.composeEnd = time.Now()
+	}
 }
 
 // stepPhase delivers every agent's neighbor message and executes its
