@@ -194,6 +194,9 @@ func BenchmarkTorusWalkClusteredN1048576(b *testing.B) {
 	if st.SerialWalks != st.Samples {
 		b.Fatalf("%d of %d samples ran the serial walk", st.SerialWalks, st.Samples)
 	}
+	// Exact work, independent of the host: what pruning would cut.
+	b.ReportMetric(float64(st.DistEvals)/float64(st.Samples*n), "dists/agent")
+	b.ReportMetric(float64(st.Rescans)/float64(st.Samples), "rescans/op")
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(n)*float64(b.N)/sec, "agentsteps/s")
 	}

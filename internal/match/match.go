@@ -176,7 +176,7 @@ func (b Bernoulli) Sample(n int, src *prng.Source, p *Pairing) {
 			part = append(part, int32(i))
 		}
 	}
-	src.Shuffle(len(part), func(i, j int) { part[i], part[j] = part[j], part[i] })
+	src.ShuffleInt32(part)
 	for i := 0; i+1 < len(part); i += 2 {
 		a, c := part[i], part[i+1]
 		p.Nbr[a] = c

@@ -80,6 +80,12 @@ type PipelineStats struct {
 	// greedy walk is serial (DESIGN.md §12). Both are kept for readers that
 	// still report the old speculative/serial split.
 	SpecWalks, SerialWalks uint64
+	// DistEvals counts the candidate phase's distance evaluations: every
+	// point of an agent's neighborhood other than itself, for every agent
+	// whose candidates come from the geometry. Rescans counts the walk's
+	// exact fallback rescans. Both are pure functions of the seed and the
+	// inputs, identical at every worker count.
+	DistEvals, Rescans uint64
 }
 
 // ConflictRate is always 0: no walk speculates, so none needs repair. Kept
@@ -97,6 +103,8 @@ func (s PipelineStats) Sub(prev PipelineStats) PipelineStats {
 		WalkNS:      s.WalkNS - prev.WalkNS,
 		SpecWalks:   s.SpecWalks - prev.SpecWalks,
 		SerialWalks: s.SerialWalks - prev.SerialWalks,
+		DistEvals:   s.DistEvals - prev.DistEvals,
+		Rescans:     s.Rescans - prev.Rescans,
 	}
 }
 

@@ -67,13 +67,13 @@ import (
 //
 // The pipeline itself consumes randomness only in the serial walk (the visit
 // permutation). The scatter leaves order[i] = slot of agent i, and the walk
-// shuffles that buffer with the variates src.PermInt32Into would draw: the
-// swaps depend only on positions and variates, so order[t] is the slot of
-// the agent an identity-filled shuffle would visit t-th. Matchers that need
-// per-agent coins inside the sharded candidate phase (SmallWorld's rewiring)
-// draw them from counter-based streams keyed on (matcher key, sample
-// counter, agent index) — see prng.SeedCounter — so shard boundaries cannot
-// perturb them.
+// shuffles that buffer with src.ShuffleInt32, whose variates are those of
+// shuffling an identity-filled permutation of the agents: the swaps depend
+// only on positions and variates, so order[t] is the slot of the agent that
+// permutation would visit t-th. Matchers that need per-agent coins inside
+// the sharded candidate phase (SmallWorld's rewiring) draw them from
+// counter-based streams keyed on (matcher key, sample counter, agent index)
+// — see prng.SeedCounter — so shard boundaries cannot perturb them.
 
 // candK is the number of nearest candidates precomputed per slot. Larger
 // values make the exact fallback rescan rarer but cost memory bandwidth in
@@ -186,6 +186,10 @@ type spatial[G geometry[G]] struct {
 type candShard struct {
 	sel  selector
 	nbuf [maxNbrCells]int32
+	// dists is the shard's distance evaluations in the last sample. The
+	// shard counts in a local and stores once: a per-agent add here would
+	// share a cache line with the next shard's selector.
+	dists uint64
 }
 
 // probeBit distinguishes probe-sample rewrite streams from match-sample
@@ -409,6 +413,7 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 	s.runN(w, func(sh int) {
 		lo, hi := sh*n/w, (sh+1)*n/w
 		scr := &s.candShards[sh]
+		dists := 0
 		var segs [maxNbrCells][2]int32
 		// Locate the cell containing CSR slot lo.
 		c := int32(0)
@@ -454,19 +459,22 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 					si = sj
 				}
 			}
-			s.nearestCandidates(g, &scr.sel, k, segs[:nseg])
+			dists += s.nearestCandidates(g, &scr.sel, k, segs[:nseg])
 		}
+		scr.dists = uint64(dists)
 	})
+	for _, scr := range s.candShards[:w] {
+		s.stats.DistEvals += scr.dists
+	}
 	s.stats.CandNS += uint64(time.Since(t0))
 
 	// Phase 4: random-order greedy matching in slot space. Shuffling the
-	// agent -> slot map with the variates of src.PermInt32Into turns it
-	// into the visit order of slots (see the file header), so the walk is
-	// bit-identical to the historical agent-space form; a sharded pass
-	// then writes every agent's partner into the pairing.
+	// agent -> slot map with the variates of an identity-filled shuffle
+	// turns it into the visit order of slots (see the file header), so the
+	// walk is bit-identical to the historical agent-space form; a sharded
+	// pass then writes every agent's partner into the pairing.
 	t0 = time.Now()
-	order := s.order
-	src.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	src.ShuffleInt32(s.order)
 	s.walk(g)
 	mate, cellAgents, nbr := s.mate, s.cellAgents, p.Nbr
 	s.run(n, func(lo, hi int) {
@@ -608,6 +616,7 @@ func (s *spatial[G]) walk(g G) {
 		}
 		if best < 0 && cn&candMore != 0 {
 			best = s.rescan(g, k, nbuf[:0])
+			s.stats.Rescans++
 		}
 		if best >= 0 {
 			mate[k] = best
@@ -650,8 +659,9 @@ const candMore = 0x80
 // are gathered a chunk at a time by one dist2Bits call, and a point at or
 // beyond the current candK-th best distance is dropped before it reaches
 // the selector's batch, which keeps crowded neighborhoods linear. sel is
-// the calling shard's scratch selector.
-func (s *spatial[G]) nearestCandidates(g G, sel *selector, selfK int, segs [][2]int32) {
+// the calling shard's scratch selector. It returns how many distances it
+// evaluated: the neighborhood's points other than selfK.
+func (s *spatial[G]) nearestCandidates(g G, sel *selector, selfK int, segs [][2]int32) int {
 	sel.kept, sel.n, sel.bound = 0, 0, math.MaxInt64
 	pi := s.posByCell[selfK]
 	self := int32(selfK)
@@ -688,6 +698,7 @@ func (s *spatial[G]) nearestCandidates(g G, sel *selector, selfK int, segs [][2]
 		cn |= candMore
 	}
 	s.candN[selfK] = cn
+	return total
 }
 
 const (
@@ -730,30 +741,31 @@ type selector struct {
 // the first candK of the merged order. A point's rank is the number of
 // points that precede it in (distance, arrival) order: every earlier point
 // at a distance ≤ its own and every later point at a strictly smaller
-// distance. The kept points are sorted and arrived before the batch, so
-// among themselves that count is their index. Ranks are a permutation of
-// [0, n), so the points scatter into place with no conflicts, and no
-// branch depends on a distance.
+// distance. So each pair x < y is decided by one comparison, c = [d[y] <
+// d[x]]: c counts toward x's rank and 1−c toward y's. The kept points are
+// sorted and arrived before the batch, so among themselves their ranks are
+// their indices, and only pairs with y in the batch are compared. Ranks are
+// a permutation of [0, n), so the points scatter into place with no
+// conflicts, and no branch depends on a distance.
 func (sel *selector) flush() {
 	d := sel.d[:sel.n]
-	kept, batch := d[:sel.kept], d[sel.kept:]
-	for x, dx := range kept {
-		r := uint64(x)
-		for _, dy := range batch {
-			r += (dy - dx) >> 63 // dy < dx
-		}
-		sel.od[r&(selCap-1)], sel.oslot[r&(selCap-1)] = dx, sel.slot[x]
+	var rank [selCap]uint64
+	r := rank[:len(d)]
+	for x := range sel.kept {
+		r[x] = uint64(x)
 	}
-	for x, dx := range batch {
-		r := uint64(0)
-		for _, dy := range kept {
-			r += (dy - dx - 1) >> 63 // dy ≤ dx
+	for y := sel.kept; y < len(d); y++ {
+		dy, ry := d[y], uint64(y)
+		for x, dx := range d[:y] {
+			c := (dy - dx) >> 63 // dy < dx: y precedes x
+			r[x] += c
+			ry -= c
 		}
-		for y, dy := range batch {
-			// y < x: dy ≤ dx; y > x: dy < dx; y = x adds 0.
-			r += (dy - dx - uint64(y-x)>>63) >> 63
-		}
-		sel.od[r&(selCap-1)], sel.oslot[r&(selCap-1)] = dx, sel.slot[(len(kept)+x)&(selCap-1)]
+		r[y] = ry
+	}
+	for x, dx := range d {
+		at := r[x] & (selCap - 1)
+		sel.od[at], sel.oslot[at] = dx, sel.slot[x]
 	}
 	for i := range candK {
 		sel.d[i], sel.slot[i] = sel.od[i], sel.oslot[i]

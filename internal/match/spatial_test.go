@@ -293,10 +293,11 @@ func TestSpatialShapesBitIdentical(t *testing.T) {
 
 // checkWorkersBitIdentical matches n agents of the named gallery matcher,
 // laid out in the given density shape, inline and on pools of {1, 2, 4,
-// NumCPU} workers, and fails unless every pairing is the inline one.
+// NumCPU} workers, and fails unless every pairing is the inline one and
+// every run did the inline run's exact work (DistEvals, Rescans).
 func checkWorkersBitIdentical(t *testing.T, name string, n int, shape string) {
 	t.Helper()
-	run := func(workers int) []int32 {
+	run := func(workers int) ([]int32, PipelineStats) {
 		m, pop := buildSpatial(t, name, n, 101)
 		shapePositions(t, m, shape, uint64(n)*13)
 		if workers > 0 {
@@ -307,16 +308,21 @@ func checkWorkersBitIdentical(t *testing.T, name string, n int, shape string) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return append([]int32(nil), p.Nbr...)
+		return append([]int32(nil), p.Nbr...), m.(PhaseReporter).PipelineStats()
 	}
-	want := run(0)
+	want, wantStats := run(0)
 	for k := 0; shape == "emptyball" && k < 9; k++ {
 		if want[k] != Unmatched {
 			t.Errorf("hermit %d matched with %d, want unmatched", k, want[k])
 		}
 	}
 	for _, w := range []int{1, 2, 4, runtime.NumCPU()} {
-		comparePairings(t, "workers="+strconv.Itoa(w), run(w), want)
+		got, st := run(w)
+		comparePairings(t, "workers="+strconv.Itoa(w), got, want)
+		if st.DistEvals != wantStats.DistEvals || st.Rescans != wantStats.Rescans {
+			t.Fatalf("workers=%d: DistEvals %d, Rescans %d; inline %d, %d",
+				w, st.DistEvals, st.Rescans, wantStats.DistEvals, wantStats.Rescans)
+		}
 	}
 }
 
@@ -363,7 +369,8 @@ func comparePairings(t *testing.T, label string, got, want []int32) {
 
 // TestPipelineStatsAccumulate pins the PhaseReporter counters: samples and
 // per-phase times accumulate, every sample runs one serial walk, and Sub
-// yields deltas.
+// yields deltas (the positions do not move, so every sample evaluates the
+// same distances).
 func TestPipelineStatsAccumulate(t *testing.T) {
 	const n = 4096
 	m, pop := buildSpatial(t, "torus", n, 77)
@@ -389,11 +396,52 @@ func TestPipelineStatsAccumulate(t *testing.T) {
 	if cur.Samples != 4 || cur.SerialWalks != cur.Samples {
 		t.Fatalf("after four samples: %+v", cur)
 	}
-	if d := cur.Sub(first); d.Samples != 3 || d.SerialWalks != 3 {
+	if d := cur.Sub(first); d.Samples != 3 || d.SerialWalks != 3 || d.DistEvals != 3*first.DistEvals {
 		t.Errorf("Sub delta wrong: %+v", d)
 	}
 	if r := cur.ConflictRate(); r != 0 {
 		t.Errorf("conflict rate %v, want 0", r)
+	}
+}
+
+// TestPipelineWorkCounters checks the exact work counters against an
+// independent count: on the uniform torus, DistEvals is the sum over agents
+// of their neighborhood's population, self excluded, with cells and
+// neighborhoods taken from the geometry and populations counted straight
+// from the positions rather than from the pipeline's CSR index. It also
+// checks that the walk rescans more on the patchy shape, where candidate
+// lists overlap heavily, than on the uniform one.
+func TestPipelineWorkCounters(t *testing.T) {
+	const n = 8192
+	stats := func(shape string) PipelineStats {
+		m, pop := buildSpatial(t, "torus", n, 101)
+		shapePositions(t, m, shape, uint64(n)*13)
+		var p Pairing
+		m.SampleMatch(pop, prng.New(777), &p)
+		return m.(PhaseReporter).PipelineStats()
+	}
+	m, _ := buildSpatial(t, "torus", n, 101)
+	pos := positionsOf(t, m).Slice()
+	g := torusGeom{}.prepare(n)
+	pop := make([]uint64, g.numCells())
+	for _, pt := range pos {
+		pop[g.cell(pt)]++
+	}
+	want := uint64(0)
+	var nbuf [maxNbrCells]int32
+	for _, pt := range pos {
+		for _, c := range g.neighborhood(g.cell(pt), nbuf[:0]) {
+			want += pop[c]
+		}
+		want-- // the agent itself
+	}
+	uniform := stats("uniform")
+	if uniform.DistEvals != want {
+		t.Errorf("uniform/%d: DistEvals = %d, independent count %d", n, uniform.DistEvals, want)
+	}
+	if patchy := stats("patchy"); patchy.Rescans <= uniform.Rescans {
+		t.Errorf("%d rescans on patchy/%d, %d on uniform: patchy should rescan more",
+			patchy.Rescans, n, uniform.Rescans)
 	}
 }
 
@@ -679,27 +727,6 @@ func TestNewSpatialValidation(t *testing.T) {
 	} {
 		if m, err := mk(); err != nil || m == nil {
 			t.Errorf("constructor rejected valid parameters: %v", err)
-		}
-	}
-}
-
-// TestPermInt32IntoMatchesPerm pins the drop-in contract of the
-// allocation-free permutation used by the greedy walk.
-func TestPermInt32IntoMatchesPerm(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 17, 1000} {
-		a := prng.New(uint64(n) + 5)
-		b := prng.New(uint64(n) + 5)
-		want := a.Perm(n)
-		got := make([]int32, n)
-		b.PermInt32Into(got)
-		for i := range want {
-			if int32(want[i]) != got[i] {
-				t.Fatalf("n=%d: PermInt32Into diverged from Perm at %d", n, i)
-			}
-		}
-		// The sources must stay in lockstep afterwards.
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("n=%d: source state diverged", n)
 		}
 	}
 }

@@ -4,9 +4,12 @@
 // per task instead of spawning fresh goroutines every round. At high round
 // rates the per-round spawn + WaitGroup-barrier cost of the old scheme was a
 // measurable serial tail (DESIGN.md §10); the pool replaces it with one
-// channel send per shard. Share overlaps one serial task on the caller with
-// chunked work the workers claim — the engine runs compose that way while
-// the caller samples the matching.
+// channel send per helping worker. Every call — Run, RunN and Share — splits
+// its work into parts that the caller and the workers claim off one atomic
+// counter, so a caller never waits for a part that no worker has started.
+// Share overlaps one serial task on the caller with chunked work the
+// workers claim — the engine runs compose that way while the caller samples
+// the matching.
 //
 // Determinism: the pool only ever runs callbacks the caller supplies over
 // index ranges the caller derives from (n, grain, Workers()); which
@@ -30,41 +33,85 @@ import (
 	"sync/atomic"
 )
 
-// task is one unit of sharded work: run executes the shard, done signals the
-// submitting goroutine.
-type task struct {
-	run  func()
-	done *sync.WaitGroup
+// call is the claimable state of one Run, RunN or Share: its parts are
+// numbered 0..parts-1 and claimed off next by the caller and by helping
+// workers alike. A helper task is a pointer to its call, so a Run allocates
+// one call and nothing else.
+//
+// Run and RunN allocate a fresh call each time, and done counts their
+// unfinished parts: the caller waits only for parts that a helper claimed,
+// and a helper that runs after its call returned finds next exhausted and
+// touches nothing else. Share reuses the call embedded in the Pool (it
+// allocates nothing), so it waits for every helper it submitted instead:
+// no helper of a Share outlives it, and none can reach the next Share.
+type call struct {
+	next  atomic.Int64 // index of the next unclaimed part
+	parts int
+	// A part k runs fnK(k) (RunN), fn over the grain-sized chunk k
+	// (Share), or fn over the k-th of parts even shards of [0, n) (Run).
+	n, grain int
+	fn       func(lo, hi int)
+	fnK      func(k int)
+	// done counts unfinished parts (Run, RunN) or unfinished helpers
+	// (Share, perHelper set).
+	done      sync.WaitGroup
+	perHelper bool
+}
+
+// claim runs unclaimed parts until none is left and reports how many it
+// ran.
+func (c *call) claim() int {
+	ran := 0
+	for {
+		k := int(c.next.Add(1) - 1)
+		if k >= c.parts {
+			return ran
+		}
+		switch {
+		case c.fnK != nil:
+			c.fnK(k)
+		case c.grain > 0:
+			lo := k * c.grain
+			c.fn(lo, min(lo+c.grain, c.n))
+		default:
+			c.fn(k*c.n/c.parts, (k+1)*c.n/c.parts)
+		}
+		ran++
+	}
+}
+
+// help is a worker's share of a call: claim what is left, then report.
+func (c *call) help() {
+	ran := c.claim()
+	switch {
+	case c.perHelper:
+		c.done.Done()
+	case ran > 0:
+		c.done.Add(-ran)
+	}
 }
 
 // Pool is a persistent worker pool of a fixed parallelism. The zero value is
 // not usable; create with New. Run and RunN may be called concurrently with
-// each other and from inside Share's serial task (tasks never block inside
-// the pool). At most one Share may be in flight, and nothing may run
-// concurrently with Close.
+// each other, from inside Share's serial task, and from inside a part: the
+// caller claims parts itself, so no call waits on a queued task. At most one
+// Share may be in flight, and nothing may run concurrently with Close.
 type Pool struct {
 	workers int // total participants, including the submitting goroutine
-	jobs    chan task
+	jobs    chan *call
 	stop    chan struct{}
 	closed  atomic.Bool
 
 	mu      sync.Mutex
 	started int // spawned worker goroutines (≤ workers-1)
 
-	// share is the in-flight Share's chunked range; claim is its worker
-	// task, bound once in New so that a Share allocates nothing.
-	share struct {
-		next     atomic.Int64 // index of the next unclaimed chunk
-		n, grain int
-		chunks   int
-		fn       func(lo, hi int)
-		done     sync.WaitGroup
-	}
-	claim func()
+	// share is the in-flight Share's call, reused so that a Share
+	// allocates nothing.
+	share call
 }
 
 // New returns a pool of the given total parallelism (< 1 is treated as 1).
-// The submitting goroutine always executes one shard itself, so a pool of W
+// The submitting goroutine always claims parts itself, so a pool of W
 // spawns at most W-1 worker goroutines — and a pool of 1 spawns none and
 // runs everything inline: the serial path has zero scheduling overhead.
 func New(workers int) *Pool {
@@ -73,10 +120,13 @@ func New(workers int) *Pool {
 	}
 	p := &Pool{
 		workers: workers,
-		jobs:    make(chan task, 8*workers),
-		stop:    make(chan struct{}),
+		// Room for the jobs of several back-to-back calls that a busy
+		// worker has not drained yet. A full queue costs no correctness:
+		// submit drops the job, and the caller claims the parts itself.
+		jobs: make(chan *call, 8*workers),
+		stop: make(chan struct{}),
 	}
-	p.claim = p.claimChunks
+	p.share.perHelper = true
 	return p
 }
 
@@ -107,10 +157,11 @@ func (p *Pool) Shards(n, grain int) int {
 }
 
 // Run executes fn over up to Workers contiguous shards of [0, n), blocking
-// until all shards complete. The submitting goroutine runs the last shard
-// itself. grain bounds how finely the range splits (at least grain items per
-// shard); with one effective shard — small n, Workers 1, or a closed pool —
-// fn runs inline with no synchronization. fn must be safe to call
+// until all shards complete. grain bounds how finely the range splits (at
+// least grain items per shard); with one effective shard — small n,
+// Workers 1, or a closed pool — fn runs inline with no synchronization.
+// Otherwise the caller claims shards alongside the workers it wakes and
+// waits only for shards a worker has started. fn must be safe to call
 // concurrently on disjoint ranges.
 func (p *Pool) Run(n, grain int, fn func(lo, hi int)) {
 	w := p.Shards(n, grain)
@@ -118,23 +169,14 @@ func (p *Pool) Run(n, grain int, fn func(lo, hi int)) {
 		fn(0, n)
 		return
 	}
-	var done sync.WaitGroup
-	done.Add(w - 1)
-	for k := 0; k < w-1; k++ {
-		lo, hi := k*n/w, (k+1)*n/w
-		p.submit(task{run: func() { fn(lo, hi) }, done: &done})
-	}
-	fn((w-1)*n/w, n)
-	done.Wait()
+	p.runCall(&call{parts: w, n: n, fn: fn})
 }
 
 // RunN fans fn out over shard indices 0..w-1, blocking until all complete.
-// The submitting goroutine runs the last index itself. It is Run for callers
-// that partition work themselves (per-shard counters, cell ranges). w may
-// exceed Workers — the extra shards queue behind the spawned workers — and
-// on a pool of 1 (which spawns no workers at all) every index runs inline,
-// so over-fanned submissions degrade to serial instead of filling the job
-// buffer with tasks nobody drains.
+// It is Run for callers that partition work themselves (per-shard counters,
+// cell ranges). w may exceed Workers: min(w, Workers)-1 workers help, and
+// every participant claims indices until none is left. On a pool of 1 or a
+// closed pool every index runs inline, in order.
 func (p *Pool) RunN(w int, fn func(k int)) {
 	if w <= 1 || p.workers <= 1 || p.closed.Load() {
 		for k := 0; k < w; k++ {
@@ -142,24 +184,33 @@ func (p *Pool) RunN(w int, fn func(k int)) {
 		}
 		return
 	}
-	var done sync.WaitGroup
-	done.Add(w - 1)
-	for k := 0; k < w-1; k++ {
-		k := k
-		p.submit(task{run: func() { fn(k) }, done: &done})
+	p.runCall(&call{parts: w, fnK: fn})
+}
+
+// runCall offers c to up to min(parts, Workers)-1 workers, claims parts on
+// the caller, and waits for the parts the workers claimed.
+func (p *Pool) runCall(c *call) {
+	c.done.Add(c.parts)
+	for k := min(c.parts, p.workers) - 1; k > 0; k-- {
+		if !p.submit(c) {
+			break
+		}
 	}
-	fn(w - 1)
-	done.Wait()
+	if ran := c.claim(); ran > 0 {
+		c.done.Add(-ran)
+	}
+	c.done.Wait()
 }
 
 // Share runs serial on the caller while the workers claim grain-sized chunks
 // of [0, n) and run fn on each; once serial returns, the caller claims
-// chunks too, and Share returns when every chunk is done. serial may call
-// Run and RunN: their shards queue behind the workers' chunk claims, which
-// never wait on anything. With one worker, a closed pool, or n ≤ grain,
-// Share runs fn(0, n) and then serial inline, which is the serial order.
-// fn must be safe to call concurrently on disjoint ranges, and serial must
-// not touch what fn touches.
+// chunks too, and Share returns when every chunk is done and every worker it
+// woke has let go of it. serial may call Run and RunN: while the workers are
+// busy with chunks, the caller claims those calls' shards itself, so even a
+// chunk that waits for serial's calls to return cannot deadlock. With one
+// worker, a closed pool, or n ≤ grain, Share runs fn(0, n) and then serial
+// inline, which is the serial order. fn must be safe to call concurrently on
+// disjoint ranges, and serial must not touch what fn touches.
 func (p *Pool) Share(serial func(), n, grain int, fn func(lo, hi int)) {
 	grain = max(grain, 1)
 	if p.workers <= 1 || p.closed.Load() || n <= grain {
@@ -167,32 +218,20 @@ func (p *Pool) Share(serial func(), n, grain int, fn func(lo, hi int)) {
 		serial()
 		return
 	}
-	s := &p.share
-	s.n, s.grain, s.chunks, s.fn = n, grain, (n+grain-1)/grain, fn
-	s.next.Store(0)
-	helpers := min(p.workers-1, s.chunks)
-	s.done.Add(helpers)
-	for k := 0; k < helpers; k++ {
-		p.submit(task{run: p.claim, done: &s.done})
+	c := &p.share
+	c.n, c.grain, c.parts, c.fn = n, grain, (n+grain-1)/grain, fn
+	c.next.Store(0)
+	for k := min(c.parts, p.workers) - 1; k > 0; k-- {
+		c.done.Add(1)
+		if !p.submit(c) {
+			c.done.Done()
+			break
+		}
 	}
 	serial()
-	p.claimChunks()
-	s.done.Wait()
-	s.fn = nil // a pool must not keep its owner reachable (see the cleanup)
-}
-
-// claimChunks runs the in-flight Share's fn on one chunk at a time until
-// every chunk is claimed.
-func (p *Pool) claimChunks() {
-	s := &p.share
-	for {
-		c := int(s.next.Add(1) - 1)
-		if c >= s.chunks {
-			return
-		}
-		lo := c * s.grain
-		s.fn(lo, min(lo+s.grain, s.n))
-	}
+	c.claim()
+	c.done.Wait()
+	c.fn = nil // a pool must not keep its owner reachable (see the cleanup)
 }
 
 // Close releases every parked goroutine. Idempotent. Must not be called
@@ -205,12 +244,12 @@ func (p *Pool) Close() {
 	close(p.stop)
 }
 
-// submit enqueues one task, growing the worker set toward workers-1.
-func (p *Pool) submit(t task) {
+// submit offers c to one worker, growing the worker set toward workers-1,
+// and reports whether it was queued. It never blocks: on a closed pool or
+// a full queue it returns false, and the caller claims the parts itself.
+func (p *Pool) submit(c *call) bool {
 	if p.closed.Load() {
-		t.run()
-		t.done.Done()
-		return
+		return false
 	}
 	p.mu.Lock()
 	if p.started < p.workers-1 {
@@ -218,24 +257,27 @@ func (p *Pool) submit(t task) {
 		go p.worker()
 	}
 	p.mu.Unlock()
-	p.jobs <- t
+	select {
+	case p.jobs <- c:
+		return true
+	default:
+		return false
+	}
 }
 
-// worker is the parked shard executor: drain tasks, exit on stop. Queued
-// tasks win over a concurrent stop so Close never strands submitted work
-// (Close is not called concurrently with submission, but a worker observing
-// both prefers the task).
+// worker is the parked helper: take calls, exit on stop. Queued calls win
+// over a concurrent stop so Close never strands a Share's helper (Close is
+// not called concurrently with submission, but a worker observing both
+// prefers the call).
 func (p *Pool) worker() {
 	for {
 		select {
-		case t := <-p.jobs:
-			t.run()
-			t.done.Done()
+		case c := <-p.jobs:
+			c.help()
 		default:
 			select {
-			case t := <-p.jobs:
-				t.run()
-				t.done.Done()
+			case c := <-p.jobs:
+				c.help()
 			case <-p.stop:
 				return
 			}

@@ -230,3 +230,146 @@ func TestCloseParksWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestShareSerialRunsWhileChunksWait is the shape that deadlocked when
+// Run's shards queued behind Share's chunk claims: every chunk blocks until
+// serial's Run and RunN have returned, so the pool's workers are all stuck
+// in chunks while serial runs. The caller claims those calls' shards
+// itself, so they return and release the chunks.
+func TestShareSerialRunsWhileChunksWait(t *testing.T) {
+	for _, workers := range []int{2, 3, 8} {
+		p := New(workers)
+		withDeadline(t, fmt.Sprintf("workers=%d", workers), func() {
+			released := make(chan struct{})
+			var runHits, runNHits [4096]int32
+			p.Share(func() {
+				p.Run(len(runHits), 64, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&runHits[i], 1)
+					}
+				})
+				p.RunN(len(runNHits), func(k int) { atomic.AddInt32(&runNHits[k], 1) })
+				close(released)
+			}, 64*64, 64, func(lo, hi int) { <-released })
+			for _, v := range [][]int32{runHits[:], runNHits[:]} {
+				for i, h := range v {
+					if h != 1 {
+						t.Errorf("workers=%d: index %d visited %d times", workers, i, h)
+						return
+					}
+				}
+			}
+		})
+		p.Close()
+	}
+}
+
+// withDeadline runs fn on its own goroutine and fails the test if it has
+// not returned within seconds: a deadlocked pool fails fast instead of
+// hanging the suite. On failure the stuck goroutine is left behind.
+func withDeadline(t *testing.T, name string, fn func()) {
+	t.Helper()
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		fn()
+	}()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: deadlocked", name)
+	}
+}
+
+// TestClaimedShardsRunOnce checks that every shard of Run and RunN runs
+// exactly once however the caller and the workers split the claims, on
+// pools straddling the inline and claiming paths, on a closed pool, and for
+// RunN fanned out wider than the pool.
+func TestClaimedShardsRunOnce(t *testing.T) {
+	closed := New(4)
+	closed.Close()
+	pools := map[string]*Pool{"closed": closed}
+	for _, w := range []int{1, 2, 3, 8} {
+		pools[fmt.Sprintf("workers=%d", w)] = New(w)
+	}
+	for name, p := range pools {
+		for iter := 0; iter < 20; iter++ {
+			for _, n := range []int{0, 1, 64, 129, 1000, 10001} {
+				hits := make([]int32, n)
+				p.Run(n, 64, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&hits[i], 1)
+					}
+				})
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("%s: Run n=%d: index %d visited %d times", name, n, i, h)
+					}
+				}
+			}
+			for _, w := range []int{0, 1, 2, 3, 8, 9, 100} {
+				hits := make([]int32, w)
+				p.RunN(w, func(k int) { atomic.AddInt32(&hits[k], 1) })
+				for k, h := range hits {
+					if h != 1 {
+						t.Fatalf("%s: RunN w=%d: shard %d ran %d times", name, w, k, h)
+					}
+				}
+			}
+		}
+		p.Close()
+	}
+}
+
+// TestStaleHelpersNeverClaim runs many back-to-back Run and RunN calls,
+// first while the pool's worker is stuck in a Share chunk (so their helper
+// tasks pile up or are dropped) and then while it drains those stale
+// helpers. A shard must never run after its call returned, and each shard
+// must run exactly once: a stale helper finds its own call exhausted and
+// never reaches a later call's state. Run under -race, this also checks
+// that the claim handoff is properly synchronized.
+func TestStaleHelpersNeverClaim(t *testing.T) {
+	p := New(2)
+	defer p.Close()
+	check := func(n int, shards bool) {
+		var returned atomic.Bool
+		hits := make([]int32, n)
+		mark := func(lo, hi int) {
+			if returned.Load() {
+				t.Errorf("n=%d: a shard ran after its call returned", n)
+			}
+			for i := lo; i < hi; i++ {
+				atomic.AddInt32(&hits[i], 1)
+			}
+		}
+		if shards {
+			p.RunN(n, func(k int) { mark(k, k+1) })
+		} else {
+			p.Run(n, 64, mark)
+		}
+		returned.Store(true)
+		for i, h := range hits {
+			if h != 1 {
+				t.Errorf("n=%d: index %d visited %d times", n, i, h)
+				return
+			}
+		}
+	}
+	burst := func() {
+		for i := 0; i < 300; i++ {
+			check(128+i%256, false)
+			check(2+i%5, true)
+		}
+	}
+	withDeadline(t, "stale helpers", func() {
+		released := make(chan struct{})
+		p.Share(func() {
+			burst()
+			close(released)
+		}, 2*64, 64, func(lo, hi int) { <-released })
+		burst()
+		// A Share waits for its helper, which queues behind every stale
+		// one: once it returns, all of them have run.
+		p.Share(func() {}, 2*64, 64, func(lo, hi int) {})
+	})
+}

@@ -64,16 +64,8 @@ func (src *Source) Uint64() uint64 {
 		src.expand()
 	}
 	s := &src.s
-	result := bits.RotateLeft64(s[1]*5, 7) * 9
-
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
-
+	var result uint64
+	result, s[0], s[1], s[2], s[3] = next(s[0], s[1], s[2], s[3])
 	return result
 }
 
@@ -228,17 +220,50 @@ func (src *Source) Perm(n int) []int {
 	return p
 }
 
-// PermInt32Into fills p with a uniformly random permutation of [0, len(p)).
-// It draws the exact same variate sequence as Perm (identity fill followed
-// by a Fisher-Yates shuffle), so callers can swap Perm for a reusable
-// buffer without perturbing downstream randomness; hot paths (the spatial
-// matchers' per-round visit order) use it to avoid an O(n) allocation every
-// round.
-func (src *Source) PermInt32Into(p []int32) {
-	for i := range p {
-		p[i] = int32(i)
+// ShuffleInt32 shuffles p in place: the Fisher-Yates shuffle of Shuffle,
+// drawing exactly the variates Shuffle(len(p), swap) draws (one Uint64n per
+// position, rejection loop included) and leaving the source in the same
+// state, so a swap closure over an int32 slice can be replaced without
+// perturbing any later draw. The generator state lives in locals for the
+// whole loop instead of being loaded and stored per draw; hot paths (the
+// spatial walk's visit order, the Bernoulli scheduler) use it.
+func (src *Source) ShuffleInt32(p []int32) {
+	if len(p) < 2 {
+		return
 	}
-	src.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+	if src.pending {
+		src.expand()
+	}
+	s0, s1, s2, s3 := src.s[0], src.s[1], src.s[2], src.s[3]
+	var x uint64
+	for i := len(p) - 1; i > 0; i-- {
+		n := uint64(i + 1)
+		x, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		hi, lo := bits.Mul64(x, n)
+		if lo < n {
+			thresh := -n % n
+			for lo < thresh {
+				x, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+				hi, lo = bits.Mul64(x, n)
+			}
+		}
+		p[i], p[hi] = p[hi], p[i]
+	}
+	src.s = [4]uint64{s0, s1, s2, s3}
+}
+
+// next is one xoshiro256** step on a state held in registers: Uint64's
+// output and successor state.
+func next(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = bits.RotateLeft64(s3, 45)
+	return out, s0, s1, s2, s3
 }
 
 // PartialShuffleInt32 shuffles the first k positions of p uniformly, as in a

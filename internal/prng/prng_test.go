@@ -628,3 +628,55 @@ func BenchmarkSeedCounterDraw(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestShuffleInt32MatchesShuffle pins ShuffleInt32's drop-in contract: it
+// permutes a slice exactly as Shuffle with a swap closure does and draws the
+// same variates, on a seeded source and on a counter source that has not
+// been expanded yet, so both sources stay in lockstep afterwards.
+func TestShuffleInt32MatchesShuffle(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 17, 1000, 1 << 16} {
+		for _, kind := range []string{"New", "SeedCounter"} {
+			var a, b Source
+			if kind == "New" {
+				a, b = *New(uint64(n) + 5), *New(uint64(n) + 5)
+			} else {
+				a.SeedCounter(9, uint64(n), 3)
+				b.SeedCounter(9, uint64(n), 3)
+			}
+			want := make([]int32, n)
+			for i := range want {
+				want[i] = int32(i*7 + 1)
+			}
+			got := append([]int32(nil), want...)
+			a.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+			b.ShuffleInt32(got)
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("%s n=%d: ShuffleInt32 diverged from Shuffle at %d", kind, n, i)
+				}
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("%s n=%d: source state diverged", kind, n)
+			}
+		}
+	}
+}
+
+// BenchmarkShuffleN262144 is Shuffle with a swap closure over an int32
+// slice of the spatial walk's size at N = 2¹⁸: ShuffleInt32's reference.
+func BenchmarkShuffleN262144(b *testing.B) {
+	src := New(1)
+	p := make([]int32, 1<<18)
+	for i := 0; i < b.N; i++ {
+		src.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+	}
+}
+
+// BenchmarkShuffleInt32N262144 is the same shuffle through ShuffleInt32.
+func BenchmarkShuffleInt32N262144(b *testing.B) {
+	src := New(1)
+	p := make([]int32, 1<<18)
+	for i := 0; i < b.N; i++ {
+		src.ShuffleInt32(p)
+	}
+}
