@@ -74,6 +74,7 @@ func BenchmarkA5Geometric(b *testing.B)       { benchExperiment(b, "A5") }
 func BenchmarkA6ClockDrift(b *testing.B)      { benchExperiment(b, "A6") }
 func BenchmarkA7GeoAdversary(b *testing.B)    { benchExperiment(b, "A7") }
 func BenchmarkA8Topology(b *testing.B)        { benchExperiment(b, "A8") }
+func BenchmarkA9PatchAttacks(b *testing.B)    { benchExperiment(b, "A9") }
 
 // Simulator throughput: rounds and agent-steps per second across N.
 // workers = 0 means runtime.NumCPU() (the engine default); the *Workers1

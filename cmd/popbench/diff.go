@@ -5,25 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-)
-
-// perfWarnFraction is the relative agentsteps/s drop beyond which -diff
-// emits a perf warning (warn-only: wall-clock differs across machines, so
-// throughput can never be a hard gate the way verdicts are).
-const perfWarnFraction = 0.20
-
-// Allocation warnings fire when a workload's per-round heap traffic grows
-// more than allocWarnFraction above the baseline AND clears the noise
-// floors. The floors matter: the steady state is supposed to allocate
-// almost nothing per round, so tiny baselines (a handful of allocations
-// from timer/runtime noise) would otherwise make the relative test fire on
-// jitter. Unlike wall time, allocation counts are machine-independent, so
-// a genuine increase is a real code change — but it is still warn-only
-// because baselines recorded before these fields existed carry zeros.
-const (
-	allocWarnFraction = 0.20
-	allocsNoiseFloor  = 16.0    // allocs/round below this are ignored
-	bytesNoiseFloor   = 65536.0 // bytes/round below this are ignored
+	"slices"
 )
 
 // loadReport parses one -json document from disk.
@@ -43,11 +25,13 @@ func loadReport(path string) (*jsonReport, error) {
 	return &rep, nil
 }
 
-// runDiff compares two -json documents and writes a human-readable summary
-// to w. It returns an error — failing the build — when an experiment that
-// reproduced in the old document no longer reproduces in the new one (or
-// disappeared from it); agentsteps/s drops beyond perfWarnFraction are
-// reported as warnings only.
+// runDiff compares two -json documents exactly and writes a summary to w.
+// Every experiment of the old document must appear in the new one with
+// the same verdict, tables and notes; the first difference in each is
+// reported, and any difference fails the diff. Wall times and host fields
+// (elapsed_ms, total_ms, num_cpu, workers, go_version) are not compared.
+// Documents of a different scale or seed are rejected outright: every cell
+// would differ, which says nothing about the change under test.
 func runDiff(w io.Writer, oldPath, newPath string) error {
 	oldRep, err := loadReport(oldPath)
 	if err != nil {
@@ -58,8 +42,8 @@ func runDiff(w io.Writer, oldPath, newPath string) error {
 		return err
 	}
 	if oldRep.Scale != newRep.Scale || oldRep.Seed != newRep.Seed {
-		fmt.Fprintf(w, "note: comparing scale=%s seed=%d against scale=%s seed=%d\n",
-			oldRep.Scale, oldRep.Seed, newRep.Scale, newRep.Seed)
+		return fmt.Errorf("cannot compare scale=%s seed=%d (%s) against scale=%s seed=%d (%s)",
+			oldRep.Scale, oldRep.Seed, oldPath, newRep.Scale, newRep.Seed, newPath)
 	}
 
 	newByID := map[string]jsonExperiment{}
@@ -71,29 +55,23 @@ func runDiff(w io.Writer, oldPath, newPath string) error {
 		oldByID[e.ID] = e
 	}
 
+	var drifts []string
+	for _, oldE := range oldRep.Experiments {
+		newE, ok := newByID[oldE.ID]
+		if !ok {
+			drifts = append(drifts, fmt.Sprintf("%s (%s): missing from the new run", oldE.ID, oldE.Title))
+			continue
+		}
+		if d := firstDrift(oldE, newE); d != "" {
+			drifts = append(drifts, d)
+		}
+	}
 	// Experiments present only in the new document are reported as "added"
 	// — informational, never a failure: a PR that introduces an experiment
 	// should not need a baseline refresh to merge, and an added DEVIATION
 	// is the new experiment's own problem (popbench -json already exits
-	// non-zero on it), not a regression of the baseline.
-	var regressions, fixed, added []string
-	for _, oldE := range oldRep.Experiments {
-		newE, ok := newByID[oldE.ID]
-		if !ok {
-			if oldE.Reproduced {
-				regressions = append(regressions,
-					fmt.Sprintf("%s (%s): reproduced before, missing from the new run", oldE.ID, oldE.Title))
-			}
-			continue
-		}
-		switch {
-		case oldE.Reproduced && !newE.Reproduced:
-			regressions = append(regressions,
-				fmt.Sprintf("%s (%s): REPRODUCED -> %s", newE.ID, newE.Title, newE.Verdict))
-		case !oldE.Reproduced && newE.Reproduced:
-			fixed = append(fixed, newE.ID)
-		}
-	}
+	// non-zero on it), not a drift from the baseline.
+	var added []string
 	for _, newE := range newRep.Experiments {
 		if _, ok := oldByID[newE.ID]; !ok {
 			status := "DEVIATION"
@@ -104,89 +82,67 @@ func runDiff(w io.Writer, oldPath, newPath string) error {
 		}
 	}
 
-	fmt.Fprintf(w, "verdicts: %d compared, %d regressed, %d fixed, %d added\n",
-		len(oldRep.Experiments), len(regressions), len(fixed), len(added))
-	for _, id := range fixed {
-		fmt.Fprintf(w, "  fixed: %s now reproduces\n", id)
-	}
+	fmt.Fprintf(w, "experiments: %d compared, %d drifted, %d added\n",
+		len(oldRep.Experiments), len(drifts), len(added))
 	for _, a := range added {
 		fmt.Fprintf(w, "  added: %s (informational; refresh the baseline to start gating it)\n", a)
 	}
-
-	warnings := diffBenchmarks(w, oldRep.Benchmarks, newRep.Benchmarks)
-	for _, warn := range warnings {
-		fmt.Fprintf(w, "WARNING: %s\n", warn)
-	}
-
-	if len(regressions) > 0 {
-		for _, r := range regressions {
-			fmt.Fprintf(w, "REGRESSION: %s\n", r)
+	if len(drifts) > 0 {
+		for _, d := range drifts {
+			fmt.Fprintf(w, "DRIFT: %s\n", d)
 		}
-		return fmt.Errorf("%d experiment verdict regression(s)", len(regressions))
+		return fmt.Errorf("%d experiment(s) drifted from %s; first: %s", len(drifts), oldPath, drifts[0])
 	}
-	fmt.Fprintln(w, "no verdict regressions")
+	fmt.Fprintln(w, "no drift: every verdict, table cell and note matches")
 	return nil
 }
 
-// diffBenchmarks compares agentsteps/s by benchmark name and returns the
-// warning lines for drops beyond perfWarnFraction.
-func diffBenchmarks(w io.Writer, oldB, newB []jsonBenchmark) []string {
-	if len(oldB) == 0 {
-		return nil
+// firstDrift names the first difference between two records of the same
+// experiment — its verdict, then each table's title, columns, rows and
+// cells, then each note — or returns "" when they are equal.
+func firstDrift(o, n jsonExperiment) string {
+	id := o.ID
+	if o.Verdict != n.Verdict {
+		return fmt.Sprintf("%s: verdict %q -> %q", id, o.Verdict, n.Verdict)
 	}
-	if len(newB) == 0 {
-		// The baseline tracks throughput but the new run carries none
-		// (e.g. the -bench flag was dropped from CI): say so, or the perf
-		// gate dies silently.
-		return []string{"baseline has benchmarks but the new run has none (was -bench dropped?)"}
+	if len(o.Tables) != len(n.Tables) {
+		return fmt.Sprintf("%s: %d tables -> %d", id, len(o.Tables), len(n.Tables))
 	}
-	newByName := map[string]jsonBenchmark{}
-	for _, b := range newB {
-		newByName[b.Name] = b
-	}
-	var warnings []string
-	for _, ob := range oldB {
-		nb, ok := newByName[ob.Name]
-		if !ok {
-			warnings = append(warnings,
-				fmt.Sprintf("benchmark %s missing from the new run", ob.Name))
-			continue
+	for i, ot := range o.Tables {
+		nt := n.Tables[i]
+		if ot.Title != nt.Title {
+			return fmt.Sprintf("%s table %d: title %q -> %q", id, i+1, ot.Title, nt.Title)
 		}
-		if ob.AgentStepsPerSec <= 0 {
-			continue
+		where := fmt.Sprintf("%s table %q", id, ot.Title)
+		if !slices.Equal(ot.Cols, nt.Cols) {
+			return fmt.Sprintf("%s: columns %q -> %q", where, ot.Cols, nt.Cols)
 		}
-		ratio := nb.AgentStepsPerSec / ob.AgentStepsPerSec
-		fmt.Fprintf(w, "bench %-24s %14.0f -> %14.0f agentsteps/s (%+.1f%%)\n",
-			ob.Name, ob.AgentStepsPerSec, nb.AgentStepsPerSec, (ratio-1)*100)
-		if nb.WalkNSPerRound > 0 {
-			fmt.Fprintf(w, "      %-24s phases/round: bucket %s scatter %s cand %s walk %s\n",
-				"", fmtNS(nb.BucketNSPerRound), fmtNS(nb.ScatterNSPerRound),
-				fmtNS(nb.CandNSPerRound), fmtNS(nb.WalkNSPerRound))
+		if len(ot.Rows) != len(nt.Rows) {
+			return fmt.Sprintf("%s: %d rows -> %d", where, len(ot.Rows), len(nt.Rows))
 		}
-		if ratio < 1-perfWarnFraction {
-			warnings = append(warnings, fmt.Sprintf(
-				"benchmark %s agentsteps/s dropped %.1f%% (%.0f -> %.0f); investigate before merging",
-				ob.Name, (1-ratio)*100, ob.AgentStepsPerSec, nb.AgentStepsPerSec))
+		for r, orow := range ot.Rows {
+			nrow := nt.Rows[r]
+			if len(orow) != len(nrow) {
+				return fmt.Sprintf("%s row %d: %d cells -> %d", where, r+1, len(orow), len(nrow))
+			}
+			for c, cell := range orow {
+				if cell != nrow[c] {
+					col := fmt.Sprint(c + 1)
+					if c < len(ot.Cols) {
+						col = fmt.Sprintf("%q", ot.Cols[c])
+					}
+					return fmt.Sprintf("%s row %d column %s: %q -> %q", where, r+1, col, cell, nrow[c])
+				}
+			}
 		}
-		warnings = append(warnings,
-			allocWarning(ob.Name, "allocs/round", ob.AllocsPerRound, nb.AllocsPerRound, allocsNoiseFloor)...)
-		warnings = append(warnings,
-			allocWarning(ob.Name, "bytes/round", ob.BytesPerRound, nb.BytesPerRound, bytesNoiseFloor)...)
 	}
-	return warnings
-}
-
-// allocWarning reports a per-round allocation regression for one metric,
-// or nothing when the change is under allocWarnFraction, under the noise
-// floor, or the baseline predates the metric (old == 0).
-func allocWarning(name, metric string, old, cur, floor float64) []string {
-	if old <= 0 || cur <= floor {
-		return nil
+	if len(o.Notes) != len(n.Notes) {
+		return fmt.Sprintf("%s: %d notes -> %d", id, len(o.Notes), len(n.Notes))
 	}
-	if cur/old <= 1+allocWarnFraction {
-		return nil
+	for i, note := range o.Notes {
+		if note != n.Notes[i] {
+			return fmt.Sprintf("%s note %d: %q -> %q", id, i+1, note, n.Notes[i])
+		}
 	}
-	return []string{fmt.Sprintf(
-		"benchmark %s %s grew %.0f%% (%.0f -> %.0f); per-round garbage crept back in — investigate before merging",
-		name, metric, (cur/old-1)*100, old, cur)}
+	return ""
 }

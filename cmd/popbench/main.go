@@ -1,4 +1,4 @@
-// Command popbench runs the reproduction experiment suite (E1–E17, A1–A8)
+// Command popbench runs the reproduction experiment suite (E1–E17, A1–A9)
 // and prints the regenerated tables — the rows recorded in EXPERIMENTS.md.
 //
 // Examples:
@@ -7,25 +7,22 @@
 //	popbench -scale quick
 //	popbench -scale full -run E1,E7,E12
 //	popbench -scale full -markdown > results.md
-//	popbench -scale quick -json -bench > results.json
+//	popbench -scale quick -json > results.json
 //	popbench -diff BENCH_baseline.json results.json
 //	popbench -refresh-baseline
-//	popbench -bench -run E1 -cpuprofile cpu.out -memprofile mem.out
 //
-// The -json form emits one machine-readable document (schema below) so CI
-// can track the verdict and per-experiment wall time across commits; with
-// -bench it also times a fixed set of simulator throughput workloads
-// (agentsteps/s and per-round allocations). The -diff form compares two
-// such documents: it FAILS on any experiment verdict regression (reproduced
-// in the old document, not in the new) and WARNS when a benchmark's
-// agentsteps/s drops — or its per-round allocations rise — more than 20%,
-// the CI regression gate (BENCH_baseline.json is the committed baseline).
-// The -refresh-baseline form regenerates that committed baseline in one
-// command after a PR intentionally changes verdict rows or throughput.
+// The -json form emits one machine-readable document (schema below): every
+// experiment's verdict, tables and notes, plus its wall time. The -diff
+// form compares two such documents exactly, the CI reproduction gate
+// (BENCH_baseline.json is the committed baseline): it FAILS on any
+// difference in a baseline experiment's verdict, table cell or note, and
+// names the first one in each experiment. Documents of another scale or
+// seed are rejected; wall times and host fields are never compared. The
+// -refresh-baseline form regenerates that committed baseline in one
+// command after a PR intentionally changes a verdict, table or note.
 //
-// The -cpuprofile and -memprofile flags write pprof profiles covering the
-// whole run (experiments plus -bench workloads); see README for the
-// profiling workflow.
+// Simulator performance is measured by perfbench (perfbench/run.sh) and
+// the go test benchmarks in bench_test.go, not here.
 package main
 
 import (
@@ -36,7 +33,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -44,7 +40,7 @@ import (
 )
 
 // jsonReport is the machine-readable output of a -json run. Fields are
-// stable: add, don't rename, so downstream perf tracking keeps parsing.
+// stable: add, don't rename, so committed baselines keep parsing.
 type jsonReport struct {
 	SchemaVersion int              `json:"schema_version"`
 	Scale         string           `json:"scale"`
@@ -55,8 +51,6 @@ type jsonReport struct {
 	TotalMS       int64            `json:"total_ms"`
 	Failures      int              `json:"failures"`
 	Experiments   []jsonExperiment `json:"experiments"`
-	// Benchmarks is present when the run was invoked with -bench.
-	Benchmarks []jsonBenchmark `json:"benchmarks,omitempty"`
 }
 
 // jsonExperiment is one experiment's outcome and cost.
@@ -88,49 +82,17 @@ func run(args []string) error {
 		list      = fs.Bool("list", false, "list experiments and exit")
 		markdown  = fs.Bool("markdown", false, "emit results as markdown")
 		asJSON    = fs.Bool("json", false, "emit one machine-readable JSON document")
-		bench     = fs.Bool("bench", false, "also time the simulator throughput workloads (agentsteps/s)")
 		diff      = fs.Bool("diff", false, "compare two -json documents: popbench -diff old.json new.json")
-		refresh   = fs.Bool("refresh-baseline", false, "regenerate the committed CI baseline in one command (forces -scale quick -json -bench, writes to -baseline)")
+		refresh   = fs.Bool("refresh-baseline", false, "regenerate the committed CI baseline in one command (forces -scale quick -json, writes to -baseline)")
 		baseline  = fs.String("baseline", "BENCH_baseline.json", "output path for -refresh-baseline")
-		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-		memProf   = fs.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	// Profiling brackets everything below — experiment suite and -bench
-	// workloads alike — so a hot path can be attributed wherever it is
-	// exercised. The heap profile is taken at exit, after a forced GC, so
-	// it shows live steady-state memory rather than transient garbage.
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "popbench: heap profile: %v\n", err)
-			}
-			f.Close()
-		}()
-	}
-
 	// One-command baseline refresh: the exact invocation CI diffs against,
 	// written where CI reads it. Use after a PR intentionally changes
-	// verdict rows or throughput (see ROADMAP). The document is staged in
+	// a verdict, table or note (see ROADMAP). The document is staged in
 	// memory and renamed into place only after the whole suite succeeded,
 	// so a mid-suite failure (or a deviating experiment) can never
 	// truncate or corrupt the committed baseline.
@@ -142,7 +104,6 @@ func run(args []string) error {
 		}
 		*scaleName = "quick"
 		*asJSON = true
-		*bench = true
 		*markdown = false
 		jsonOut = &refreshBuf
 	}
@@ -230,12 +191,6 @@ func run(args []string) error {
 			status = "DEVIATION"
 		}
 		summary = append(summary, summaryRow{res.ID, res.Title, status, elapsed})
-	}
-	if *bench {
-		// Inline bench lines are plain text: suppress them in the two
-		// document modes (JSON carries them structurally; markdown would
-		// be corrupted by them).
-		report.Benchmarks = runThroughputBenchmarks(!*asJSON && !*markdown)
 	}
 	if *asJSON {
 		report.TotalMS = time.Since(suiteStart).Milliseconds()

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"popstab"
 )
 
 func TestRunList(t *testing.T) {
@@ -52,8 +54,15 @@ func TestRefreshBaseline(t *testing.T) {
 	if err := json.Unmarshal(blob, &rep); err != nil {
 		t.Fatalf("baseline is not valid JSON: %v", err)
 	}
-	if rep.Scale != "quick" || len(rep.Experiments) != 1 || len(rep.Benchmarks) == 0 {
-		t.Fatalf("baseline document %+v lacks forced quick/json/bench shape", rep)
+	if rep.Scale != "quick" || len(rep.Experiments) != 1 {
+		t.Fatalf("baseline document %+v lacks forced quick/json shape", rep)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys["benchmarks"]; ok {
+		t.Error("baseline carries a benchmarks key; popbench measures no throughput")
 	}
 	// The refreshed document must diff cleanly against itself.
 	if err := run([]string{"-diff", path, path}); err != nil {
@@ -70,9 +79,9 @@ func TestRefreshBaselineFlagConflicts(t *testing.T) {
 	}
 }
 
-func TestRunJSON(t *testing.T) {
-	// Capture stdout and validate the machine-readable document parses and
-	// carries the fields perf tracking depends on.
+// runStdout runs popbench with args and returns what it wrote to stdout.
+func runStdout(t *testing.T, args ...string) []byte {
+	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -86,13 +95,20 @@ func TestRunJSON(t *testing.T) {
 		b, _ := io.ReadAll(r)
 		outCh <- b
 	}()
-	runErr := run([]string{"-scale", "quick", "-run", "E13", "-json"})
+	runErr := run(args)
 	w.Close()
 	os.Stdout = old
 	out := <-outCh
 	if runErr != nil {
 		t.Fatalf("run: %v (output %q)", runErr, out)
 	}
+	return out
+}
+
+func TestRunJSON(t *testing.T) {
+	// Validate the machine-readable document parses and carries the
+	// fields the -diff gate depends on.
+	out := runStdout(t, "-scale", "quick", "-run", "E13", "-json")
 	var rep jsonReport
 	if err := json.Unmarshal(out, &rep); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, out)
@@ -106,6 +122,42 @@ func TestRunJSON(t *testing.T) {
 	e := rep.Experiments[0]
 	if e.ID != "E13" || !e.Reproduced || e.Verdict == "" || e.ElapsedMS < 0 {
 		t.Errorf("unexpected experiment record: %+v", e)
+	}
+}
+
+// TestQuickExperimentsMatchBaseline regenerates three cheap experiments
+// and requires their verdicts, tables and notes to equal the committed
+// BENCH_baseline.json entries, so table drift is caught by go test and
+// not only by the CI diff of the whole suite.
+func TestQuickExperimentsMatchBaseline(t *testing.T) {
+	base, err := loadReport(filepath.Join("..", "..", "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Scale != "quick" || base.Seed != 7 {
+		t.Fatalf("committed baseline is scale=%s seed=%d, want quick/7", base.Scale, base.Seed)
+	}
+	want := map[string]jsonExperiment{}
+	for _, e := range base.Experiments {
+		want[e.ID] = e
+	}
+	out := runStdout(t, "-scale", "quick", "-seed", "7", "-run", "E3,E13,E17", "-json")
+	var rep jsonReport
+	if err := json.Unmarshal(out, &rep); err != nil {
+		t.Fatalf("output is not valid JSON: %v\n%s", err, out)
+	}
+	if len(rep.Experiments) != 3 {
+		t.Fatalf("got %d experiments, want 3", len(rep.Experiments))
+	}
+	for _, got := range rep.Experiments {
+		w, ok := want[got.ID]
+		if !ok {
+			t.Errorf("%s: missing from the committed baseline", got.ID)
+			continue
+		}
+		if d := firstDrift(w, got); d != "" {
+			t.Errorf("drift from the committed baseline: %s", d)
+		}
 	}
 }
 
@@ -123,28 +175,44 @@ func writeReport(t *testing.T, rep jsonReport) string {
 	return f
 }
 
-// baseReport builds a healthy two-experiment, one-benchmark document.
+// baseReport builds a healthy two-experiment document.
 func baseReport() jsonReport {
 	return jsonReport{
 		SchemaVersion: 1,
 		Scale:         "quick",
 		Seed:          7,
+		Workers:       1,
+		NumCPU:        1,
+		GoVersion:     "go1.24.0",
+		TotalMS:       1000,
 		Experiments: []jsonExperiment{
-			{ID: "E1", Title: "main theorem", Verdict: "REPRODUCED: ok", Reproduced: true},
-			{ID: "A8", Title: "topology gallery", Verdict: "REPRODUCED: ok", Reproduced: true},
-		},
-		Benchmarks: []jsonBenchmark{
-			{Name: "TorusMatchN1048576", N: 1 << 20, Rounds: 5, AgentStepsPerSec: 1e7},
+			{ID: "E1", Title: "main theorem", Verdict: "REPRODUCED: ok", Reproduced: true, ElapsedMS: 600,
+				Tables: []popstab.ResultTable{{
+					Title: "max deviation",
+					Cols:  []string{"N", "maxDev"},
+					Rows:  [][]string{{"4096", "0.005"}, {"16384", "0.002"}},
+				}},
+				Notes: []string{"all epochs inside the interval"}},
+			{ID: "A8", Title: "topology gallery", Verdict: "REPRODUCED: ok", Reproduced: true, ElapsedMS: 400},
 		},
 	}
 }
 
-// TestDiffNoRegression: identical documents pass.
+// TestDiffNoRegression: identical documents pass, and so do documents
+// that differ only in wall times and host fields, which -diff ignores.
 func TestDiffNoRegression(t *testing.T) {
 	old := writeReport(t, baseReport())
 	neu := writeReport(t, baseReport())
 	if err := run([]string{"-diff", old, neu}); err != nil {
 		t.Fatalf("identical documents diffed dirty: %v", err)
+	}
+	host := baseReport()
+	host.Workers, host.NumCPU, host.GoVersion, host.TotalMS = 8, 8, "go1.99.0", 1
+	for i := range host.Experiments {
+		host.Experiments[i].ElapsedMS *= 3
+	}
+	if err := run([]string{"-diff", old, writeReport(t, host)}); err != nil {
+		t.Fatalf("timing and host fields failed the diff: %v", err)
 	}
 }
 
@@ -161,8 +229,8 @@ func TestDiffVerdictRegressionFails(t *testing.T) {
 	if err == nil {
 		t.Fatal("verdict regression did not fail the diff")
 	}
-	if !strings.Contains(err.Error(), "regression") {
-		t.Errorf("unexpected error: %v", err)
+	if !strings.Contains(err.Error(), `A8: verdict "REPRODUCED: ok" -> "DEVIATION`) {
+		t.Errorf("error does not name the verdict drift: %v", err)
 	}
 }
 
@@ -178,79 +246,39 @@ func TestDiffMissingExperimentFails(t *testing.T) {
 	}
 }
 
-// TestDiffPerfDropWarnsOnly: a >20% agentsteps/s drop warns but does not
-// fail (wall-clock is machine-dependent), and new experiments are
-// reported, not failed.
-func TestDiffPerfDropWarnsOnly(t *testing.T) {
+// TestDiffDriftNamesLocation: any change to a baseline experiment's
+// tables or notes fails the diff, and the failure names where it is.
+func TestDiffDriftNamesLocation(t *testing.T) {
 	old := writeReport(t, baseReport())
-	slow := baseReport()
-	slow.Benchmarks[0].AgentStepsPerSec = 0.5e7 // -50%
-	slow.Experiments = append(slow.Experiments,
-		jsonExperiment{ID: "A9", Title: "future", Verdict: "REPRODUCED: ok", Reproduced: true})
-	neu := writeReport(t, slow)
-	if err := run([]string{"-diff", old, neu}); err != nil {
-		t.Fatalf("perf drop must warn, not fail: %v", err)
-	}
-	// A small drop stays silent; exercised via diffBenchmarks directly.
-	var sb strings.Builder
-	warns := diffBenchmarks(&sb,
-		[]jsonBenchmark{{Name: "x", AgentStepsPerSec: 100}},
-		[]jsonBenchmark{{Name: "x", AgentStepsPerSec: 90}})
-	if len(warns) != 0 {
-		t.Errorf("10%% drop warned: %v", warns)
-	}
-	warns = diffBenchmarks(&sb,
-		[]jsonBenchmark{{Name: "x", AgentStepsPerSec: 100}},
-		[]jsonBenchmark{{Name: "x", AgentStepsPerSec: 79}})
-	if len(warns) != 1 {
-		t.Errorf("21%% drop produced %d warnings", len(warns))
-	}
-}
-
-// TestDiffAllocRegressionWarnsOnly: per-round allocation growth beyond 20%
-// warns (both allocs/round and bytes/round) but never fails the diff, and
-// the gate stays silent for pre-metric baselines (old == 0), sub-noise
-// absolute values, and growth inside the tolerance.
-func TestDiffAllocRegressionWarnsOnly(t *testing.T) {
-	var sb strings.Builder
-	warns := diffBenchmarks(&sb,
-		[]jsonBenchmark{{Name: "x", AgentStepsPerSec: 100, AllocsPerRound: 100, BytesPerRound: 1e6}},
-		[]jsonBenchmark{{Name: "x", AgentStepsPerSec: 100, AllocsPerRound: 200, BytesPerRound: 3e6}})
-	if len(warns) != 2 {
-		t.Fatalf("alloc regression produced %d warnings, want 2: %v", len(warns), warns)
-	}
-	for _, w := range warns {
-		if !strings.Contains(w, "grew") {
-			t.Errorf("warning %q does not describe growth", w)
-		}
-	}
-
-	// Warn-only: a whole-document diff with the same regression passes.
-	oldRep := baseReport()
-	oldRep.Benchmarks[0].AllocsPerRound = 100
-	oldRep.Benchmarks[0].BytesPerRound = 1e6
-	newRep := baseReport()
-	newRep.Benchmarks[0].AllocsPerRound = 500
-	newRep.Benchmarks[0].BytesPerRound = 5e6
-	if err := run([]string{"-diff", writeReport(t, oldRep), writeReport(t, newRep)}); err != nil {
-		t.Fatalf("alloc regression must warn, not fail: %v", err)
-	}
-
-	// Silent cases.
 	for _, tc := range []struct {
-		name     string
-		old, cur jsonBenchmark
+		name string
+		edit func(e *jsonExperiment)
+		want string
 	}{
-		{"pre-metric baseline", jsonBenchmark{Name: "x", AgentStepsPerSec: 1},
-			jsonBenchmark{Name: "x", AgentStepsPerSec: 1, AllocsPerRound: 1000, BytesPerRound: 1e7}},
-		{"below noise floor", jsonBenchmark{Name: "x", AgentStepsPerSec: 1, AllocsPerRound: 2, BytesPerRound: 100},
-			jsonBenchmark{Name: "x", AgentStepsPerSec: 1, AllocsPerRound: 10, BytesPerRound: 1000}},
-		{"growth inside tolerance", jsonBenchmark{Name: "x", AgentStepsPerSec: 1, AllocsPerRound: 100, BytesPerRound: 1e6},
-			jsonBenchmark{Name: "x", AgentStepsPerSec: 1, AllocsPerRound: 110, BytesPerRound: 1.1e6}},
+		{"cell", func(e *jsonExperiment) { e.Tables[0].Rows[1][1] = "0.003" },
+			`E1 table "max deviation" row 2 column "maxDev": "0.002" -> "0.003"`},
+		{"note", func(e *jsonExperiment) { e.Notes[0] = "one epoch escaped" },
+			`E1 note 1: "all epochs inside the interval" -> "one epoch escaped"`},
+		{"row added", func(e *jsonExperiment) {
+			e.Tables[0].Rows = append(e.Tables[0].Rows, []string{"65536", "0.001"})
+		}, `E1 table "max deviation": 2 rows -> 3`},
+		{"column renamed", func(e *jsonExperiment) { e.Tables[0].Cols = []string{"N", "dev"} },
+			`E1 table "max deviation": columns ["N" "maxDev"] -> ["N" "dev"]`},
+		{"table title", func(e *jsonExperiment) { e.Tables[0].Title = "deviation" },
+			`E1 table 1: title "max deviation" -> "deviation"`},
 	} {
-		if warns := diffBenchmarks(&sb, []jsonBenchmark{tc.old}, []jsonBenchmark{tc.cur}); len(warns) != 0 {
-			t.Errorf("%s warned: %v", tc.name, warns)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			rep := baseReport()
+			tc.edit(&rep.Experiments[0])
+			var sb strings.Builder
+			err := runDiff(&sb, old, writeReport(t, rep))
+			if err == nil {
+				t.Fatal("drift did not fail the diff")
+			}
+			if !strings.Contains(err.Error(), tc.want) || !strings.Contains(sb.String(), "DRIFT: "+tc.want) {
+				t.Errorf("drift not named as %s:\nerror: %v\noutput:\n%s", tc.want, err, sb.String())
+			}
+		})
 	}
 }
 
@@ -270,19 +298,18 @@ func TestDiffRejectsBadInput(t *testing.T) {
 	if err := run([]string{"-diff", good, junk}); err == nil {
 		t.Error("accepted non-popbench document")
 	}
-}
-
-// TestDiffWarnsWhenAllBenchmarksGone: dropping -bench from the new run
-// must surface a warning, not silently retire the perf gate.
-func TestDiffWarnsWhenAllBenchmarksGone(t *testing.T) {
-	var sb strings.Builder
-	warns := diffBenchmarks(&sb,
-		[]jsonBenchmark{{Name: "x", AgentStepsPerSec: 100}}, nil)
-	if len(warns) != 1 {
-		t.Errorf("empty new benchmark set produced %d warnings, want 1", len(warns))
-	}
-	if warns := diffBenchmarks(&sb, nil, nil); len(warns) != 0 {
-		t.Errorf("no-benchmarks-anywhere warned: %v", warns)
+	// Documents of another scale or seed differ in every cell; the diff
+	// refuses to compare them instead of reporting a wall of drift.
+	for _, edit := range []func(*jsonReport){
+		func(r *jsonReport) { r.Scale = "full" },
+		func(r *jsonReport) { r.Seed = 8 },
+	} {
+		rep := baseReport()
+		edit(&rep)
+		if err := run([]string{"-diff", good, writeReport(t, rep)}); err == nil ||
+			!strings.Contains(err.Error(), "cannot compare") {
+			t.Errorf("accepted scale=%s seed=%d against quick/7: %v", rep.Scale, rep.Seed, err)
+		}
 	}
 }
 
