@@ -3,196 +3,112 @@ package popstab
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"popstab/internal/adversary"
 )
 
-// Adversary strategy constructors, re-exported from the internal library.
-// Every strategy observes the full memory of every agent (the model's
-// full-information adversary) and is budget-limited by Config.K and
-// Config.PerEpochBudget.
-
-// NoAdversary returns the absent adversary.
-func NoAdversary() Adversary { return adversary.None{} }
-
-// NewRandomDeleter deletes arbitrary agents.
-func NewRandomDeleter() Adversary { return adversary.NewRandomDeleter() }
-
-// NewLeaderKiller deletes activated agents — early in an epoch these are the
-// cluster roots, so each deletion prunes up to √N prospective recruits.
-func NewLeaderKiller() Adversary { return adversary.NewLeaderKiller() }
-
-// NewColorDeleter deletes active agents of one color, skewing the color
-// distribution (the attack from the paper's footnote 9).
-func NewColorDeleter(color uint8) Adversary { return adversary.NewColorDeleter(color) }
-
-// NewBenignInserter inserts inactive agents with the correct round counter.
-func NewBenignInserter() Adversary { return adversary.NewBenignInserter() }
-
-// NewWrongRoundInserter inserts agents whose round counter is offset from
-// the majority's — the desynchronization attack addressed by Lemma 3.
-func NewWrongRoundInserter(offset int) Adversary { return adversary.NewWrongRoundInserter(offset) }
-
-// NewEvalFlooder inserts agents that believe they are in the evaluation
-// round; each dies at first contact and takes one correct agent along
-// (a deletion amplifier).
-func NewEvalFlooder() Adversary { return adversary.NewEvalFlooder() }
-
-// NewFakeLeaderInserter inserts recruiting cluster roots of a fixed color.
-func NewFakeLeaderInserter(color uint8) Adversary { return adversary.NewFakeLeaderInserter(color) }
-
-// NewSingletonInserter inserts colored singleton "clusters" that dilute the
-// color correlation, biasing the variance signal toward "population too
-// large".
-func NewSingletonInserter() Adversary { return adversary.NewSingletonInserter() }
-
-// NewColorSkewer combines deletion and insertion to push the color
-// distribution in one direction (up = inflate the population).
-func NewColorSkewer(up bool) Adversary { return adversary.NewColorSkewer(up) }
-
-// NewGreedy adaptively pushes the population away from the target with the
-// strongest sub-strategy for the current state.
-func NewGreedy() Adversary { return adversary.NewGreedy() }
-
-// NewTrauma deletes at full budget during [startRound, startRound+rounds):
-// the acute-injury scenario from the paper's biological motivation.
-func NewTrauma(startRound, rounds uint64) Adversary { return adversary.NewTrauma(startRound, rounds) }
-
-// NewPatchDeleter concentrates every deletion inside one ball of the
-// topology (spec.Center, spec.Radius), nearest agents first — the deletion
-// form of the patch attack. On a non-spatial topology it degrades to
-// uniform random deletion.
-func NewPatchDeleter(spec PatchSpec) Adversary {
-	return adversary.NewPatchDeleter(spec.Center, spec.Radius)
+// adversaries is the registry of position-blind strategies Spec.Adversary
+// names (p is available for strategies that need protocol geometry).
+// "none" is listed so the names a CLI accepts and lists agree; the spec
+// resolves it to no adversary at all.
+var adversaries = map[string]func(p Params) adversary.Adversary{
+	"none":          func(Params) adversary.Adversary { return adversary.None{} },
+	"delete-random": func(Params) adversary.Adversary { return adversary.NewRandomDeleter() },
+	// Deletes activated agents — early in an epoch these are the cluster
+	// roots, so each deletion prunes up to √N prospective recruits.
+	"delete-active": func(Params) adversary.Adversary { return adversary.NewLeaderKiller() },
+	// Deletes active agents of one color, skewing the color distribution
+	// (the attack from the paper's footnote 9).
+	"delete-color0": func(Params) adversary.Adversary { return adversary.NewColorDeleter(0) },
+	"delete-color1": func(Params) adversary.Adversary { return adversary.NewColorDeleter(1) },
+	// Inserts inactive agents with the correct round counter.
+	"insert-benign": func(Params) adversary.Adversary { return adversary.NewBenignInserter() },
+	// Inserts recruiting cluster roots of a fixed color.
+	"insert-leader0": func(Params) adversary.Adversary { return adversary.NewFakeLeaderInserter(0) },
+	"insert-leader1": func(Params) adversary.Adversary { return adversary.NewFakeLeaderInserter(1) },
+	// Inserts colored singleton "clusters" that dilute the color
+	// correlation, biasing the variance signal toward "population too
+	// large".
+	"insert-singleton": func(Params) adversary.Adversary { return adversary.NewSingletonInserter() },
+	// Inserts agents that believe they are in the evaluation round; each
+	// dies at first contact and takes one correct agent along (a deletion
+	// amplifier).
+	"insert-eval": func(Params) adversary.Adversary { return adversary.NewEvalFlooder() },
+	// Inserts agents whose round counter is offset from the majority's —
+	// the desynchronization attack addressed by Lemma 3.
+	"insert-offset": func(p Params) adversary.Adversary { return adversary.NewWrongRoundInserter(p.T / 2) },
+	// Combine deletion and insertion to push the color distribution in one
+	// direction (up = inflate the population).
+	"skew-up":   func(Params) adversary.Adversary { return adversary.NewColorSkewer(true) },
+	"skew-down": func(Params) adversary.Adversary { return adversary.NewColorSkewer(false) },
+	// Adaptively pushes the population away from the target with the
+	// strongest sub-strategy for the current state.
+	"greedy": func(Params) adversary.Adversary { return adversary.NewGreedy() },
 }
 
-// NewClusterInserter seeds a patch of fake recruiting leaders of the given
-// color at adversary-chosen points inside the ball — the footnote-9 attack,
-// spatially concentrated. On a non-spatial topology the positions are
-// ignored.
-func NewClusterInserter(spec PatchSpec, color uint8) Adversary {
-	in := adversary.NewClusterInserter(spec.Center, spec.Radius, adversary.FakeLeaderGen(color))
-	in.Label = fmt.Sprintf("insert-cluster-leader%d(r=%.3g)", color, spec.Radius)
+// spatialAdversaries is the registry of the patch-attack family, each
+// parameterized by the patch ball (Spec.Patch). The strategies are safe to
+// select on any topology: delete-patch degrades to uniform deletion,
+// cluster-leader* to unplaced insertion, and the rewire strategies are inert
+// off smallworld.
+var spatialAdversaries = map[string]func(b BallSpec) adversary.Adversary{
+	// Concentrates every deletion inside the ball, nearest agents first —
+	// the deletion form of the patch attack.
+	"delete-patch": func(b BallSpec) adversary.Adversary {
+		return adversary.NewPatchDeleter(b.center(), b.R)
+	},
+	// Seed a patch of fake recruiting leaders of one color at
+	// adversary-chosen points inside the ball — the footnote-9 attack,
+	// spatially concentrated.
+	"cluster-leader0": func(b BallSpec) adversary.Adversary { return clusterInserter(b, 0) },
+	"cluster-leader1": func(b BallSpec) adversary.Adversary { return clusterInserter(b, 1) },
+	// Owns the smallworld long-range link assignment: agents inside the
+	// ball are pinned to their ring neighborhood, re-shielding a patch from
+	// the long-range contacts that would otherwise reach its interior.
+	// Costs no alteration budget and works at K = 0.
+	"rewire-deny": func(b BallSpec) adversary.Adversary {
+		return adversary.NewRewireDenier(b.center(), b.R)
+	},
+	// rewire-deny with every agent pinned.
+	"rewire-deny-all": func(b BallSpec) adversary.Adversary {
+		return adversary.NewRewireDenier(b.center(), -1)
+	},
+	// Drags honest agents' long-range links INTO the patch, so the whole
+	// population proposes to the patch residents instead of only its
+	// boundary — the offensive complement of rewire-deny. Costs no
+	// alteration budget and works at K = 0.
+	"rewire-force": func(b BallSpec) adversary.Adversary {
+		return adversary.NewRewireForcer(b.center(), b.R)
+	},
+	// The combined patch attack: dig the hole and refill it with fake
+	// leaders, both in the same ball, budget split between the halves
+	// (alternating favor, so it works under K=1 pacing too).
+	"patch-combo": func(b BallSpec) adversary.Adversary {
+		return adversary.NewPatchCombo(b.center(), b.R, nil)
+	},
+}
+
+// clusterInserter seeds fake recruiting leaders of the given color inside
+// the ball.
+func clusterInserter(b BallSpec, color uint8) adversary.Adversary {
+	in := adversary.NewClusterInserter(b.center(), b.R, adversary.FakeLeaderGen(color))
+	in.Label = fmt.Sprintf("insert-cluster-leader%d(r=%.3g)", color, b.R)
 	return in
 }
 
-// NewRewireDenier owns the SmallWorld long-range link assignment: agents
-// inside the ball are pinned to their ring neighborhood (spec.Radius < 0:
-// every agent), re-shielding a patch from the long-range contacts that
-// would otherwise reach its interior. Costs no alteration budget and works
-// at K = 0; inert on non-SmallWorld topologies.
-func NewRewireDenier(spec PatchSpec) Adversary {
-	return adversary.NewRewireDenier(spec.Center, spec.Radius)
-}
+// AdversaryNames lists the position-blind strategy names Spec.Adversary
+// accepts, sorted.
+func AdversaryNames() []string { return sortedKeys(adversaries) }
 
-// NewRewireForcer drags honest agents' long-range links INTO the patch:
-// every agent's candidate set is rewired each round and drawn from the
-// agents inside the ball, so the whole population proposes to the patch
-// residents instead of only its boundary — the offensive complement of
-// NewRewireDenier's shielding. Costs no alteration budget and works at
-// K = 0; inert on non-SmallWorld topologies.
-func NewRewireForcer(spec PatchSpec) Adversary {
-	return adversary.NewRewireForcer(spec.Center, spec.Radius)
-}
+// SpatialAdversaryNames lists the patch-family strategy names Spec.Adversary
+// accepts, sorted.
+func SpatialAdversaryNames() []string { return sortedKeys(spatialAdversaries) }
 
-// NewComposite runs several strategies in order against a shared budget.
-func NewComposite(label string, parts ...Adversary) Adversary {
-	return adversary.NewComposite(label, parts...)
-}
-
-// NewAlternator switches between two strategies every period rounds (0 = one
-// epoch).
-func NewAlternator(period int, a, b Adversary) Adversary {
-	return &adversary.Alternator{Period: period, A: a, B: b}
-}
-
-// adversaryFactories maps CLI names to constructors (p is available for
-// strategies that need protocol geometry).
-func adversaryFactories() map[string]func(p Params) Adversary {
-	return map[string]func(p Params) Adversary{
-		"none":             func(Params) Adversary { return NoAdversary() },
-		"delete-random":    func(Params) Adversary { return NewRandomDeleter() },
-		"delete-active":    func(Params) Adversary { return NewLeaderKiller() },
-		"delete-color0":    func(Params) Adversary { return NewColorDeleter(0) },
-		"delete-color1":    func(Params) Adversary { return NewColorDeleter(1) },
-		"insert-benign":    func(Params) Adversary { return NewBenignInserter() },
-		"insert-leader0":   func(Params) Adversary { return NewFakeLeaderInserter(0) },
-		"insert-leader1":   func(Params) Adversary { return NewFakeLeaderInserter(1) },
-		"insert-singleton": func(Params) Adversary { return NewSingletonInserter() },
-		"insert-eval":      func(Params) Adversary { return NewEvalFlooder() },
-		"insert-offset":    func(p Params) Adversary { return NewWrongRoundInserter(p.T / 2) },
-		"skew-up":          func(Params) Adversary { return NewColorSkewer(true) },
-		"skew-down":        func(Params) Adversary { return NewColorSkewer(false) },
-		"greedy":           func(Params) Adversary { return NewGreedy() },
-	}
-}
-
-// spatialAdversaryFactories maps CLI names to constructors of the
-// patch-attack family, parameterized by the patch ball. These strategies
-// need a spatial topology to act as designed (NewSpatialAdversaryByName
-// documents their non-spatial degradation).
-func spatialAdversaryFactories() map[string]func(p Params, spec PatchSpec) Adversary {
-	return map[string]func(p Params, spec PatchSpec) Adversary{
-		"delete-patch":    func(_ Params, spec PatchSpec) Adversary { return NewPatchDeleter(spec) },
-		"cluster-leader0": func(_ Params, spec PatchSpec) Adversary { return NewClusterInserter(spec, 0) },
-		"cluster-leader1": func(_ Params, spec PatchSpec) Adversary { return NewClusterInserter(spec, 1) },
-		"rewire-deny":     func(_ Params, spec PatchSpec) Adversary { return NewRewireDenier(spec) },
-		"rewire-force":    func(_ Params, spec PatchSpec) Adversary { return NewRewireForcer(spec) },
-		"rewire-deny-all": func(_ Params, spec PatchSpec) Adversary {
-			spec.Radius = -1
-			return NewRewireDenier(spec)
-		},
-		// The combined patch attack: dig the hole and refill it with fake
-		// leaders, both in the same ball, budget split between the halves
-		// (alternating favor, so it works under K=1 pacing too).
-		"patch-combo": func(_ Params, spec PatchSpec) Adversary {
-			return adversary.NewPatchCombo(spec.Center, spec.Radius, nil)
-		},
-	}
-}
-
-// AdversaryNames lists the position-blind strategy names accepted by
-// NewAdversaryByName, sorted.
-func AdversaryNames() []string {
-	m := adversaryFactories()
+func sortedKeys[F any](m map[string]F) []string {
 	names := make([]string, 0, len(m))
 	for n := range m {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
-}
-
-// SpatialAdversaryNames lists the patch-family strategy names accepted by
-// NewSpatialAdversaryByName, sorted.
-func SpatialAdversaryNames() []string {
-	m := spatialAdversaryFactories()
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// NewAdversaryByName constructs a position-blind strategy from its CLI name.
-func NewAdversaryByName(name string, p Params) (Adversary, error) {
-	if f, ok := adversaryFactories()[name]; ok {
-		return f(p), nil
-	}
-	return nil, fmt.Errorf("popstab: unknown adversary %q (available: %s)",
-		name, strings.Join(AdversaryNames(), ", "))
-}
-
-// NewSpatialAdversaryByName constructs a patch-family strategy from its CLI
-// name and patch ball. The strategies are safe to select on any topology:
-// delete-patch degrades to uniform deletion, cluster-leader* to unplaced
-// insertion, and the rewire strategies are inert off SmallWorld.
-func NewSpatialAdversaryByName(name string, p Params, spec PatchSpec) (Adversary, error) {
-	if f, ok := spatialAdversaryFactories()[name]; ok {
-		return f(p, spec), nil
-	}
-	return nil, fmt.Errorf("popstab: unknown spatial adversary %q (available: %s)",
-		name, strings.Join(SpatialAdversaryNames(), ", "))
 }

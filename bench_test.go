@@ -81,10 +81,10 @@ func BenchmarkA9PatchAttacks(b *testing.B)    { benchExperiment(b, "A9") }
 // variants pin the serial path so the parallel speedup is
 // agentsteps/s(default) / agentsteps/s(Workers1) on a multi-core machine.
 
-func benchRounds(b *testing.B, n, workers int, topo popstab.Topology) {
+func benchRounds(b *testing.B, n, workers int, topology string) {
 	b.Helper()
-	s, err := popstab.New(popstab.Config{
-		N: n, Tinner: 2 * logOf(n), Seed: 1, Workers: workers, Topology: topo,
+	s, err := popstab.New(popstab.Spec{
+		N: n, Tinner: 2 * logOf(n), Seed: 1, Workers: workers, Topology: topology,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -104,12 +104,12 @@ func benchRounds(b *testing.B, n, workers int, topo popstab.Topology) {
 	}
 }
 
-func BenchmarkRoundN4096(b *testing.B)   { benchRounds(b, 4096, 0, popstab.Mixed) }
-func BenchmarkRoundN16384(b *testing.B)  { benchRounds(b, 16384, 0, popstab.Mixed) }
-func BenchmarkRoundN65536(b *testing.B)  { benchRounds(b, 65536, 0, popstab.Mixed) }
-func BenchmarkRoundN262144(b *testing.B) { benchRounds(b, 262144, 0, popstab.Mixed) }
+func BenchmarkRoundN4096(b *testing.B)   { benchRounds(b, 4096, 0, "mixed") }
+func BenchmarkRoundN16384(b *testing.B)  { benchRounds(b, 16384, 0, "mixed") }
+func BenchmarkRoundN65536(b *testing.B)  { benchRounds(b, 65536, 0, "mixed") }
+func BenchmarkRoundN262144(b *testing.B) { benchRounds(b, 262144, 0, "mixed") }
 
-func BenchmarkRoundN1048576(b *testing.B) { benchRounds(b, 1048576, 0, popstab.Mixed) }
+func BenchmarkRoundN1048576(b *testing.B) { benchRounds(b, 1048576, 0, "mixed") }
 
 // N = 2²⁴: the target scale of the sharded apply/compaction work. The
 // protocol needs N a power of four (even log N, DESIGN §2), so the first
@@ -117,14 +117,14 @@ func BenchmarkRoundN1048576(b *testing.B) { benchRounds(b, 1048576, 0, popstab.M
 // touches hundreds of MB of agent (and, on the torus, position) state, so
 // this is a memory-bandwidth benchmark as much as a CPU one; keep b.N low
 // (-benchtime 3x) outside dedicated perf runs.
-func BenchmarkRoundN16777216(b *testing.B) { benchRounds(b, 16777216, 0, popstab.Mixed) }
+func BenchmarkRoundN16777216(b *testing.B) { benchRounds(b, 16777216, 0, "mixed") }
 
-func BenchmarkTorusRoundN1048576(b *testing.B)  { benchRounds(b, 1048576, 0, popstab.Torus) }
-func BenchmarkTorusRoundN16777216(b *testing.B) { benchRounds(b, 16777216, 0, popstab.Torus) }
+func BenchmarkTorusRoundN1048576(b *testing.B)  { benchRounds(b, 1048576, 0, "torus") }
+func BenchmarkTorusRoundN16777216(b *testing.B) { benchRounds(b, 16777216, 0, "torus") }
 
-func BenchmarkRoundN65536Workers1(b *testing.B)   { benchRounds(b, 65536, 1, popstab.Mixed) }
-func BenchmarkRoundN262144Workers1(b *testing.B)  { benchRounds(b, 262144, 1, popstab.Mixed) }
-func BenchmarkRoundN1048576Workers1(b *testing.B) { benchRounds(b, 1048576, 1, popstab.Mixed) }
+func BenchmarkRoundN65536Workers1(b *testing.B)   { benchRounds(b, 65536, 1, "mixed") }
+func BenchmarkRoundN262144Workers1(b *testing.B)  { benchRounds(b, 262144, 1, "mixed") }
+func BenchmarkRoundN1048576Workers1(b *testing.B) { benchRounds(b, 1048576, 1, "mixed") }
 
 // benchTorusMatch measures the sharded spatial matching phase alone —
 // grid bucketing + candidate search + greedy walk over a static uniform
@@ -259,7 +259,7 @@ func BenchmarkChurnRoundN16777216(b *testing.B)        { benchChurnRounds(b, 167
 
 // BenchmarkEpochN4096 measures one full protocol epoch.
 func BenchmarkEpochN4096(b *testing.B) {
-	sim, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Seed: 1})
+	sim, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -272,10 +272,7 @@ func BenchmarkEpochN4096(b *testing.B) {
 // BenchmarkAdversarialRoundN4096 measures a round including the adversary
 // turn (view construction + budget accounting).
 func BenchmarkAdversarialRoundN4096(b *testing.B) {
-	sim, err := popstab.New(popstab.Config{
-		N: 4096, Tinner: 24, Seed: 1,
-		Adversary: popstab.NewGreedy(), K: 8,
-	})
+	sim, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Seed: 1, Adversary: "greedy", K: 8})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -49,22 +49,21 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	topology, err := popstab.TopologyFromString(*topo)
+	base := popstab.Spec{N: *n, Tinner: *tinner, Seed: *seed, Topology: *topo,
+		Patch: &popstab.BallSpec{X: *patchX, Y: *patchY, R: *patchR}}
+	norm, err := base.Normalize()
 	if err != nil {
 		return err
 	}
-	spec := popstab.PatchSpec{Center: popstab.Point{X: *patchX, Y: *patchY}, Radius: *patchR}
-
-	probe, err := popstab.New(popstab.Config{N: *n, Tinner: *tinner, Seed: *seed})
+	params, err := base.Params()
 	if err != nil {
 		return err
 	}
-	params := probe.Params()
-	base := params.MaxTolerableK()
+	k := params.MaxTolerableK()
 
 	var budgets []int
 	if *budgetList == "" {
-		budgets = []int{0, base, 4 * base, 16 * base}
+		budgets = []int{0, k, 4 * k, 16 * k}
 	} else {
 		for _, tok := range strings.Split(*budgetList, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(tok))
@@ -75,7 +74,7 @@ func run(args []string) error {
 		}
 	}
 
-	fmt.Printf("# %s  topology=%s  (N^(1/4) = %d)\n", params, topology, base)
+	fmt.Printf("# %s  topology=%s  (N^(1/4) = %d)\n", params, norm.Topology, k)
 	fmt.Printf("# cells: worst |m−N|/N over %d epochs; '!' marks an interval violation\n\n", *epochs)
 	fmt.Printf("%-18s", "strategy\\budget")
 	for _, b := range budgets {
@@ -86,7 +85,7 @@ func run(args []string) error {
 	names := popstab.AdversaryNames()
 	// The patch family needs positions to act as designed, so it joins the
 	// grid only on spatial topologies.
-	if topology != popstab.Mixed {
+	if norm.Topology != "mixed" {
 		names = append(names, popstab.SpatialAdversaryNames()...)
 	}
 	var grid popstab.RoundStats
@@ -96,7 +95,7 @@ func run(args []string) error {
 		}
 		fmt.Printf("%-18s", name)
 		for _, b := range budgets {
-			dev, violated, cellStats, err := runCell(*n, *tinner, *seed, *epochs, name, b, topology, spec)
+			dev, violated, cellStats, err := runCell(base, *epochs, name, b)
 			if err != nil {
 				return err
 			}
@@ -115,44 +114,21 @@ func run(args []string) error {
 	return nil
 }
 
-// newAdversary resolves a strategy name against the position-blind registry
-// first, then the patch family; an unknown name lists BOTH registries (a
-// typo of a main strategy must not be answered with only the spatial names).
-func newAdversary(name string, p popstab.Params, spec popstab.PatchSpec) (popstab.Adversary, error) {
-	if adv, err := popstab.NewAdversaryByName(name, p); err == nil {
-		return adv, nil
-	}
-	if adv, err := popstab.NewSpatialAdversaryByName(name, p, spec); err == nil {
-		return adv, nil
-	}
-	all := append(popstab.AdversaryNames(), popstab.SpatialAdversaryNames()...)
-	return nil, fmt.Errorf("unknown adversary %q (available: %s)", name, strings.Join(all, ", "))
-}
-
-// runCell measures the worst relative displacement for one strategy/budget,
-// returning the cell's engine phase counters for the grid-wide -stats sum.
-func runCell(n, tinner int, seed uint64, epochs int, name string, budget int, topology popstab.Topology, spec popstab.PatchSpec) (float64, bool, popstab.RoundStats, error) {
-	cfg := popstab.Config{N: n, Tinner: tinner, Seed: seed, Topology: topology}
-	probe, err := popstab.New(cfg)
-	if err != nil {
-		return 0, false, popstab.RoundStats{}, err
-	}
-	params := probe.Params()
+// runCell measures the worst relative displacement for one strategy/budget
+// on base (budget 0 runs without an adversary), returning the cell's engine
+// phase counters for the grid-wide -stats sum.
+func runCell(base popstab.Spec, epochs int, name string, budget int) (float64, bool, popstab.RoundStats, error) {
+	sp := base
 	if budget > 0 {
-		adv, err := newAdversary(name, params, spec)
-		if err != nil {
-			return 0, false, popstab.RoundStats{}, err
-		}
-		cfg.Adversary = adv
-		cfg.K = 1
-		cfg.PerEpochBudget = budget
+		sp.Adversary, sp.K, sp.PerEpochBudget = name, 1, budget
 	}
-	s, err := popstab.New(cfg)
+	s, err := popstab.New(sp)
 	if err != nil {
 		return 0, false, popstab.RoundStats{}, err
 	}
-	lo := int(float64(params.N) * (1 - params.Alpha))
-	hi := int(float64(params.N) * (1 + params.Alpha))
+	defer s.Close()
+	params := s.Params()
+	lo, hi := params.Bounds()
 	worst := 0.0
 	violated := false
 	for i := 0; i < epochs; i++ {

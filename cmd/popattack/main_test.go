@@ -6,13 +6,15 @@ import (
 	"popstab"
 )
 
-// testSpec is the patch ball used by the spatial cells.
-func testSpec() popstab.PatchSpec {
-	return popstab.PatchSpec{Center: popstab.Point{X: 0.5, Y: 0.5}, Radius: 0.05}
+// cellSpec is a quick grid base on topology, with the patch ball the
+// spatial cells act on.
+func cellSpec(topology string) popstab.Spec {
+	return popstab.Spec{N: 4096, Tinner: 24, Seed: 1, Topology: topology,
+		Patch: &popstab.BallSpec{X: 0.5, Y: 0.5, R: 0.05}}
 }
 
 func TestRunCell(t *testing.T) {
-	dev, violated, stats, err := runCell(4096, 24, 1, 2, "delete-random", 8, popstab.Mixed, popstab.PatchSpec{})
+	dev, violated, stats, err := runCell(cellSpec("mixed"), 2, "delete-random", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,19 +30,19 @@ func TestRunCell(t *testing.T) {
 }
 
 func TestRunCellZeroBudget(t *testing.T) {
-	if _, _, _, err := runCell(4096, 24, 1, 1, "greedy", 0, popstab.Mixed, popstab.PatchSpec{}); err != nil {
+	if _, _, _, err := runCell(cellSpec("mixed"), 1, "greedy", 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunCellTorus(t *testing.T) {
-	if _, _, _, err := runCell(4096, 24, 1, 1, "greedy", 8, popstab.Torus, testSpec()); err != nil {
+	if _, _, _, err := runCell(cellSpec("torus"), 1, "greedy", 8); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunCellBadStrategy(t *testing.T) {
-	if _, _, _, err := runCell(4096, 24, 1, 1, "bogus", 8, popstab.Mixed, popstab.PatchSpec{}); err == nil {
+	if _, _, _, err := runCell(cellSpec("mixed"), 1, "bogus", 8); err == nil {
 		t.Error("accepted unknown strategy")
 	}
 }
@@ -63,8 +65,8 @@ func TestRunRejectsBadBudgets(t *testing.T) {
 // TestRunCellGallery smoke-tests one adversarial cell on each of the new
 // gallery topologies.
 func TestRunCellGallery(t *testing.T) {
-	for _, topo := range []popstab.Topology{popstab.Grid, popstab.Ring, popstab.SmallWorld} {
-		if _, _, _, err := runCell(4096, 24, 1, 1, "greedy", 8, topo, testSpec()); err != nil {
+	for _, topo := range []string{"grid", "ring", "smallworld"} {
+		if _, _, _, err := runCell(cellSpec(topo), 1, "greedy", 8); err != nil {
 			t.Fatalf("%v: %v", topo, err)
 		}
 	}
@@ -74,11 +76,11 @@ func TestRunCellGallery(t *testing.T) {
 // topology (rewire strategies on SmallWorld, where they bind).
 func TestRunCellPatchFamily(t *testing.T) {
 	for _, name := range popstab.SpatialAdversaryNames() {
-		topo := popstab.Ring
+		topo := "ring"
 		if name == "rewire-deny" || name == "rewire-deny-all" {
-			topo = popstab.SmallWorld
+			topo = "smallworld"
 		}
-		if _, _, _, err := runCell(4096, 24, 1, 1, name, 8, topo, testSpec()); err != nil {
+		if _, _, _, err := runCell(cellSpec(topo), 1, name, 8); err != nil {
 			t.Fatalf("%s on %v: %v", name, topo, err)
 		}
 	}

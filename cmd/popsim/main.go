@@ -59,73 +59,59 @@ func run(args []string) error {
 		return err
 	}
 	if *listAdv {
-		for _, name := range popstab.AdversaryNames() {
+		for _, name := range append(popstab.AdversaryNames(), popstab.SpatialAdversaryNames()...) {
 			fmt.Println(name)
 		}
 		return nil
 	}
 
-	kind, err := popstab.ProtocolKindFromString(*proto)
-	if err != nil {
-		return err
-	}
-	topology, err := popstab.TopologyFromString(*topo)
-	if err != nil {
-		return err
-	}
-	cfg := popstab.Config{
+	sp := popstab.Spec{
 		N:              *n,
 		Tinner:         *tinner,
 		Gamma:          *gamma,
 		Alpha:          *alpha,
-		Protocol:       kind,
+		Protocol:       *proto,
 		MessageBits:    *bits,
-		Topology:       topology,
+		Topology:       *topo,
 		DaughterSpread: *spread,
+		RewireProb:     *rewire,
 		Seed:           *seed,
 	}
-	if topology == popstab.SmallWorld {
-		cfg.RewireProb = *rewire
-	} else if *rewire != 0 {
-		return fmt.Errorf("-rewire requires -topology smallworld")
-	}
 	if *rogues != 0 || *roguePE != 0 {
-		cfg.Rogue = &popstab.RogueConfig{
+		sp.Rogue = &popstab.RogueSpec{
 			ReplicateEvery: *rogueEv,
 			DetectProb:     *rogueDet,
 			InitialRogues:  *rogues,
 			RoguesPerEpoch: *roguePE,
 		}
 	}
-	// Derive params first so adversaries can use the geometry.
-	probe, err := popstab.New(cfg)
+	params, err := sp.Params()
 	if err != nil {
 		return err
 	}
-	params := probe.Params()
 	if *advName != "none" {
-		adv, err := popstab.NewAdversaryByName(*advName, params)
-		if err != nil {
-			return err
-		}
-		cfg.Adversary = adv
-		cfg.K = *k
-		cfg.PerEpochBudget = *budget
-		if cfg.PerEpochBudget == 0 {
-			cfg.PerEpochBudget = params.MaxTolerableK()
+		sp.Adversary = *advName
+		sp.K = *k
+		sp.PerEpochBudget = *budget
+		if sp.PerEpochBudget == 0 {
+			sp.PerEpochBudget = params.MaxTolerableK()
 		}
 	}
-	s, err := popstab.New(cfg)
+	norm, err := sp.Normalize()
+	if err != nil {
+		return err
+	}
+	s, err := popstab.New(sp)
 	if err != nil {
 		return err
 	}
 
 	fmt.Printf("# %s protocol=%s topology=%s adversary=%s budget=%s seed=%d\n",
-		params, kind, topology, *advName, budgetString(cfg.PerEpochBudget), *seed)
-	if cfg.Rogue != nil {
+		params, norm.Protocol, norm.Topology, *advName, budgetString(sp.PerEpochBudget), *seed)
+	if sp.Rogue != nil {
 		fmt.Printf("# rogue extension: initial=%d per-epoch=%d R=%d detect=%.2f\n",
-			cfg.Rogue.InitialRogues, cfg.Rogue.RoguesPerEpoch,
-			cfg.Rogue.ReplicateEvery, cfg.Rogue.DetectProb)
+			sp.Rogue.InitialRogues, sp.Rogue.RoguesPerEpoch,
+			sp.Rogue.ReplicateEvery, sp.Rogue.DetectProb)
 	}
 
 	rec := trace.NewRecorder()
@@ -149,15 +135,12 @@ func run(args []string) error {
 	if !s.InInterval() {
 		in = "OUTSIDE"
 	}
-	fmt.Printf("# final population %d — %s [(1−α)N, (1+α)N] = [%d, %d]\n",
-		s.Size(),
-		in,
-		int(float64(params.N)*(1-params.Alpha)),
-		int(float64(params.N)*(1+params.Alpha)))
+	lo, hi := params.Bounds()
+	fmt.Printf("# final population %d — %s [(1−α)N, (1+α)N] = [%d, %d]\n", s.Size(), in, lo, hi)
 	if c := s.Counters(); c != nil {
 		fmt.Printf("# protocol counters: %s\n", c)
 	}
-	if cfg.Rogue != nil {
+	if sp.Rogue != nil {
 		honest, rg := s.RogueCounts()
 		st := s.RogueStats()
 		fmt.Printf("# rogue extension: honest=%d rogues=%d kills=%d rogueSplits=%d missedDetections=%d\n",

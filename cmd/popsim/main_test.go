@@ -1,8 +1,11 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -36,9 +39,32 @@ func TestRunBaselineProtocol(t *testing.T) {
 	}
 }
 
+// TestRunListAdversaries pins that -list-adv prints exactly the names -adv
+// accepts: every listed name runs, and the list spans both registries.
 func TestRunListAdversaries(t *testing.T) {
-	if err := run([]string{"-list-adv"}); err != nil {
+	r, w, err := os.Pipe()
+	if err != nil {
 		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	err = run([]string{"-list-adv"})
+	os.Stdout = stdout
+	w.Close()
+	out, _ := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := strings.Fields(string(out))
+	for _, want := range []string{"none", "greedy", "delete-patch", "patch-combo"} {
+		if !slices.Contains(names, want) {
+			t.Errorf("-list-adv omits %s: %v", want, names)
+		}
+	}
+	for _, name := range names {
+		if err := run([]string{"-n", "4096", "-tinner", "24", "-epochs", "0", "-q", "-adv", name}); err != nil {
+			t.Errorf("-adv %s (listed) rejected: %v", name, err)
+		}
 	}
 }
 

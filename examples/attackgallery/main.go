@@ -27,27 +27,20 @@ func main() {
 }
 
 func gallery() error {
-	probe, err := popstab.New(popstab.Config{N: n, Tinner: tinner, Seed: 1})
+	params, err := popstab.Spec{N: n, Tinner: tinner}.Params()
 	if err != nil {
 		return err
 	}
-	params := probe.Params()
 	budget := params.MaxTolerableK()
 
 	fmt.Printf("=== main protocol vs the strategy library (budget %d alterations/epoch) ===\n\n", budget)
 	fmt.Printf("%-18s %10s %10s %9s\n", "strategy", "end size", "worst dev", "interval")
 	for _, name := range popstab.AdversaryNames() {
-		adv, err := popstab.NewAdversaryByName(name, params)
-		if err != nil {
-			return err
-		}
-		cfg := popstab.Config{N: n, Tinner: tinner, Seed: 1}
+		sp := popstab.Spec{N: n, Tinner: tinner, Seed: 1}
 		if name != "none" {
-			cfg.Adversary = adv
-			cfg.K = 1
-			cfg.PerEpochBudget = budget
+			sp.Adversary, sp.K, sp.PerEpochBudget = name, 1, budget
 		}
-		sim, err := popstab.New(cfg)
+		sim, err := popstab.New(sp)
 		if err != nil {
 			return err
 		}
@@ -68,8 +61,8 @@ func gallery() error {
 	}
 
 	fmt.Printf("\n=== Attempt 1 (leader election baseline) vs its two killer attacks ===\n\n")
-	if err := attempt1Arm("no adversary", popstab.Config{
-		N: n, Tinner: tinner, Seed: 2, Protocol: popstab.Attempt1,
+	if err := attempt1Arm("no adversary", popstab.Spec{
+		N: n, Tinner: tinner, Seed: 2, Protocol: "attempt1",
 	}); err != nil {
 		return err
 	}
@@ -77,15 +70,15 @@ func gallery() error {
 	// Attempt 1 attacks live in the experiment suite (E9). Here we show the
 	// generic equivalents: inserting "heard a leader" state equals the
 	// suppressor, deleting active agents equals the igniter.
-	if err := attempt1Arm("insert heard-bit (suppressor analogue)", popstab.Config{
-		N: n, Tinner: tinner, Seed: 2, Protocol: popstab.Attempt1,
-		Adversary: popstab.NewFakeLeaderInserter(1), K: 1, PerEpochBudget: 8,
+	if err := attempt1Arm("insert heard-bit (suppressor analogue)", popstab.Spec{
+		N: n, Tinner: tinner, Seed: 2, Protocol: "attempt1",
+		Adversary: "insert-leader1", K: 1, PerEpochBudget: 8,
 	}); err != nil {
 		return err
 	}
-	if err := attempt1Arm("delete carriers (igniter analogue)", popstab.Config{
-		N: n, Tinner: tinner, Seed: 2, Protocol: popstab.Attempt1,
-		Adversary: popstab.NewLeaderKiller(), K: budget, PerEpochBudget: budget * 64,
+	if err := attempt1Arm("delete carriers (igniter analogue)", popstab.Spec{
+		N: n, Tinner: tinner, Seed: 2, Protocol: "attempt1",
+		Adversary: "delete-active", K: budget, PerEpochBudget: budget * 64,
 	}); err != nil {
 		return err
 	}
@@ -94,8 +87,8 @@ func gallery() error {
 	return nil
 }
 
-func attempt1Arm(label string, cfg popstab.Config) error {
-	sim, err := popstab.New(cfg)
+func attempt1Arm(label string, sp popstab.Spec) error {
+	sim, err := popstab.New(sp)
 	if err != nil {
 		return err
 	}

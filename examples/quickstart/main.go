@@ -12,7 +12,7 @@ import (
 )
 
 func main() {
-	sim, err := popstab.New(popstab.Config{
+	sim, err := popstab.New(popstab.Spec{
 		N:      4096,
 		Tinner: 24, // shorter subphases (still ω(log N)) keep the demo fast
 		Seed:   42,
@@ -24,8 +24,8 @@ func main() {
 	p := sim.Params()
 	fmt.Printf("population stability: N=%d, epoch=%d rounds, clusters of √N=%d agents\n",
 		p.N, p.T, p.ClusterSize)
-	fmt.Printf("admissible interval: [%d, %d]\n\n",
-		int(float64(p.N)*(1-p.Alpha)), int(float64(p.N)*(1+p.Alpha)))
+	lo, hi := p.Bounds()
+	fmt.Printf("admissible interval: [%d, %d]\n\n", lo, hi)
 
 	for i := 0; i < 15; i++ {
 		rep := sim.RunEpoch()

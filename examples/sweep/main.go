@@ -39,27 +39,22 @@ func sweep() error {
 
 	for _, gamma := range gammas {
 		for _, bx := range budgetsX {
-			probe, err := popstab.New(popstab.Config{N: n, Tinner: tinner, Gamma: gamma, Seed: seed})
+			sp := popstab.Spec{N: n, Tinner: tinner, Gamma: gamma, Seed: seed}
+			params, err := sp.Params()
 			if err != nil {
 				return err
 			}
-			params := probe.Params()
 			budget := bx * params.MaxTolerableK()
-
-			cfg := popstab.Config{N: n, Tinner: tinner, Gamma: gamma, Seed: seed}
 			if budget > 0 {
-				cfg.Adversary = popstab.NewGreedy()
-				cfg.K = 1
-				cfg.PerEpochBudget = budget
+				sp.Adversary, sp.K, sp.PerEpochBudget = "greedy", 1, budget
 			}
-			sim, err := popstab.New(cfg)
+			sim, err := popstab.New(sp)
 			if err != nil {
 				return err
 			}
 			worst := 0.0
 			violated := false
-			lo := int(float64(n) * (1 - params.Alpha))
-			hi := int(float64(n) * (1 + params.Alpha))
+			lo, hi := params.Bounds()
 			for i := 0; i < epochs; i++ {
 				rep := sim.RunEpoch()
 				for _, v := range []int{rep.MinSize, rep.MaxSize} {

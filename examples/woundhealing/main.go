@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	sim, err := popstab.New(popstab.Config{
+	sim, err := popstab.New(popstab.Spec{
 		N:      4096,
 		Tinner: 24,
 		Gamma:  1.0,

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -428,6 +429,9 @@ func TestPerEpoch(t *testing.T) {
 		{144, 0, 1, 145}, // zero budget: never within the epoch
 		{144, 288, 1, 1}, // more than one per round: act every round
 		{2048, 16, 2, 256},
+		// Extreme budgets must not overflow into a zero action count.
+		{144, math.MaxInt, math.MaxInt, 144},
+		{144, math.MaxInt, 2, 1},
 	}
 	for _, tc := range cases {
 		if got := PerEpoch(tc.epochLen, tc.perEpoch, tc.k); got != tc.want {

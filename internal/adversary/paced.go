@@ -59,7 +59,12 @@ func PerEpoch(epochLen, perEpoch, k int) uint64 {
 	if perEpoch <= 0 || k <= 0 {
 		return uint64(epochLen) + 1 // effectively never within one epoch
 	}
-	actions := (perEpoch + k - 1) / k // number of K-sized actions needed
+	// Number of K-sized actions needed: ⌈perEpoch/k⌉, without the
+	// overflow of perEpoch+k−1 near the top of the int range.
+	actions := perEpoch / k
+	if perEpoch%k != 0 {
+		actions++
+	}
 	period := epochLen / actions
 	if period < 1 {
 		period = 1

@@ -190,7 +190,7 @@ func runA3(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		lo, hi := int(float64(p.N)*(1-p.Alpha)), int(float64(p.N)*(1+p.Alpha))
+		lo, hi := p.Bounds()
 		maxDev, violated := 0.0, "no"
 		for ep := 0; ep < epochs; ep++ {
 			rep := eng.RunEpoch()
@@ -272,7 +272,7 @@ func runA4(cfg Config) (*Result, error) {
 		coloredFrac := colored / float64(epochs)
 		misses := float64(pr.Counters().RecruitMisses) / float64(epochs)
 		stable := "yes"
-		if eng.Size() < int(float64(p.N)*(1-p.Alpha)) || eng.Size() > int(float64(p.N)*(1+p.Alpha)) {
+		if lo, hi := p.Bounds(); eng.Size() < lo || eng.Size() > hi {
 			stable = "no"
 		}
 		healthy := coloredFrac > 0.06 // at least half the design point

@@ -141,8 +141,7 @@ func runE8(cfg Config) (*Result, error) {
 	ok := true
 	// Displace to the interval edges (1−α)N and (1+α)N, the setting of
 	// Lemma 9.
-	lo := int(float64(p.N) * (1 - p.Alpha))
-	hi := int(float64(p.N) * (1 + p.Alpha))
+	lo, hi := p.Bounds()
 	for _, start := range []int{lo, hi} {
 		pr, err := protocol.New(p)
 		if err != nil {

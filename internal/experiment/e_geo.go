@@ -50,8 +50,7 @@ func runA7(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	lo := int(math.Ceil(float64(p.N) * (1 - p.Alpha)))
-	hi := int(float64(p.N) * (1 + p.Alpha))
+	lo, hi := p.Bounds()
 	spacing := 1 / math.Sqrt(float64(p.N))
 
 	// Table 1: greedy adversary at a per-epoch budget grid, well-mixed vs
@@ -141,10 +140,7 @@ func runA7(cfg Config) (*Result, error) {
 	rogueOutcome := map[bool]map[int]bool{false: {}, true: {}} // contained?
 	for _, r := range []int{1, 2, 3, 6} {
 		for _, torus := range []bool{false, true} {
-			rcfg := rogue.Config{
-				Params: p, ReplicateEvery: r, DetectProb: 1,
-				InitialRogues: 64, Seed: cfg.Seed, Workers: 1,
-			}
+			sc := sim.Config{Params: p, Seed: cfg.Seed, Workers: 1}
 			name := "mixed"
 			if torus {
 				name = "torus"
@@ -152,9 +148,9 @@ func runA7(cfg Config) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				rcfg.Matcher = tor
+				sc.Matcher = tor
 			}
-			eng, err := rogue.New(rcfg)
+			eng, err := rogue.New(sc, rogue.Config{ReplicateEvery: r, DetectProb: 1, InitialRogues: 64})
 			if err != nil {
 				return nil, err
 			}

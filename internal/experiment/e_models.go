@@ -2,9 +2,10 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 
 	"popstab/internal/baseline"
-	"popstab/internal/geo"
+	"popstab/internal/match"
 	"popstab/internal/params"
 	"popstab/internal/protocol"
 	"popstab/internal/sim"
@@ -65,21 +66,35 @@ func runA5(cfg Config) (*Result, error) {
 		fmtF(float64(uc.EvalDeaths)/float64(epochs)),
 		fmtI(eng.Size()))
 
-	// Spatial arm (Workers: 1 like every suite engine; output is identical
-	// for any worker count).
-	geng, err := geo.New(geo.Config{Params: p, Seed: cfg.Seed, Workers: 1})
+	// Spatial arm: the same protocol over the torus matcher, daughters
+	// spread by the mean inter-agent spacing 1/√N (Workers: 1 like every
+	// suite engine; output is identical for any worker count).
+	gpr, err := protocol.New(p)
 	if err != nil {
 		return nil, err
 	}
-	var geoFrac stats.Summary
+	torus, err := match.NewTorus(1 / math.Sqrt(float64(p.N)))
+	if err != nil {
+		return nil, err
+	}
+	geng, err := sim.New(sim.Config{Params: p, Protocol: gpr, Matcher: torus, Seed: cfg.Seed, Workers: 1})
+	if err != nil {
+		return nil, err
+	}
+	var (
+		geoFrac stats.Summary
+		probe   match.Pairing
+	)
 	for ep := 0; ep < epochs; ep++ {
-		for r := 0; r < p.T-1; r++ {
-			geng.RunRound()
+		geng.RunRounds(p.T - 1)
+		frac := 0.5
+		if same, diff := sampleColorAgreement(geng, torus, &probe); same+diff > 0 {
+			frac = float64(same) / float64(same+diff)
 		}
-		geoFrac.Add(geoSameColorFraction(geng))
+		geoFrac.Add(frac)
 		geng.RunRound()
 	}
-	gc := geng.Protocol().Counters()
+	gc := gpr.Counters()
 	table.AddRow("nearest-neighbor", fmtF(geoFrac.Mean()),
 		fmtF(float64(gc.EvalSplits)/float64(epochs)),
 		fmtF(float64(gc.EvalDeaths)/float64(epochs)),
@@ -115,14 +130,30 @@ func sameColorPairFraction(eng *sim.Engine) float64 {
 	return base + excess
 }
 
-// geoSameColorFraction measures the same-color fraction of actually matched
-// colored pairs in the spatial engine.
-func geoSameColorFraction(e *geo.Engine) float64 {
-	same, diff := e.SampleColorAgreement()
-	if same+diff == 0 {
-		return 0.5
+// sampleColorAgreement draws a fresh local matching over the engine's
+// current population — from the torus's own placement stream, so the
+// simulation's matching randomness is untouched — and reports how many
+// matched active pairs agree or disagree in color. It does not advance the
+// simulation; probe is reusable scratch.
+func sampleColorAgreement(eng *sim.Engine, torus *match.Torus, probe *match.Pairing) (same, diff int) {
+	pop := eng.Population()
+	torus.SampleProbe(pop, probe)
+	for i := 0; i < pop.Len(); i++ {
+		j := probe.Nbr[i]
+		if j == match.Unmatched || int(j) < i {
+			continue
+		}
+		a, b := pop.State(i), pop.State(int(j))
+		if !a.Active || !b.Active {
+			continue
+		}
+		if a.Color == b.Color {
+			same++
+		} else {
+			diff++
+		}
 	}
-	return float64(same) / float64(same+diff)
+	return same, diff
 }
 
 // A6 — partial synchrony: bounded clock drift.

@@ -81,8 +81,7 @@ func runA9(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	lo := int(math.Ceil(float64(p.N) * (1 - p.Alpha)))
-	hi := int(float64(p.N) * (1 + p.Alpha))
+	lo, hi := p.Bounds()
 	base := p.MaxTolerableK()
 	epochs := 12
 	horizon := 2 * p.T
@@ -193,14 +192,11 @@ func runA9(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			rcfg := rogue.Config{
-				Params: p, ReplicateEvery: 3, DetectProb: 1,
-				InitialRogues: 64, Seed: cfg.Seed, Workers: 1, Matcher: m,
-			}
+			rc := rogue.Config{ReplicateEvery: 3, DetectProb: 1, InitialRogues: 64}
 			if rad >= 0 {
-				rcfg.Cluster = &rogue.ClusterSpec{Center: a9Center, Radius: rad}
+				rc.Cluster = &rogue.ClusterSpec{Center: a9Center, Radius: rad}
 			}
-			eng, err := rogue.New(rcfg)
+			eng, err := rogue.New(sim.Config{Params: p, Seed: cfg.Seed, Workers: 1, Matcher: m}, rc)
 			if err != nil {
 				return nil, err
 			}
@@ -249,18 +245,17 @@ func runA9(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			rcfg := rogue.Config{
-				Params: p, ReplicateEvery: r, DetectProb: 1,
-				InitialRogues: 64, Seed: cfg.Seed, Workers: 1, Matcher: m,
-				Cluster: &rogue.ClusterSpec{Center: a9Center, Radius: 0.02},
-			}
+			sc := sim.Config{Params: p, Seed: cfg.Seed, Workers: 1, Matcher: m}
 			switch arm {
 			case "deny-patch(0.1)":
-				rcfg.Adversary, rcfg.K = adversary.NewRewireDenier(a9Center, 0.1), 1
+				sc.Adversary, sc.K = adversary.NewRewireDenier(a9Center, 0.1), 1
 			case "deny-all":
-				rcfg.Adversary, rcfg.K = adversary.NewRewireDenier(a9Center, -1), 1
+				sc.Adversary, sc.K = adversary.NewRewireDenier(a9Center, -1), 1
 			}
-			eng, err := rogue.New(rcfg)
+			eng, err := rogue.New(sc, rogue.Config{
+				ReplicateEvery: r, DetectProb: 1, InitialRogues: 64,
+				Cluster: &rogue.ClusterSpec{Center: a9Center, Radius: 0.02},
+			})
 			if err != nil {
 				return nil, err
 			}

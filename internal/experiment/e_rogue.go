@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"popstab/internal/rogue"
+	"popstab/internal/sim"
 )
 
 // E17 — the §1.2 malicious-program extension: with agent-removal, program
@@ -48,10 +49,8 @@ func runE17(cfg Config) (*Result, error) {
 	}
 	thresholdOK := true
 	for _, r := range []int{2, 3, 6, 12, 24} {
-		eng, err := rogue.New(rogue.Config{
-			Params: p, ReplicateEvery: r, DetectProb: 1,
-			InitialRogues: 64, Seed: cfg.Seed,
-		})
+		eng, err := rogue.New(sim.Config{Params: p, Seed: cfg.Seed},
+			rogue.Config{ReplicateEvery: r, DetectProb: 1, InitialRogues: 64})
 		if err != nil {
 			return nil, err
 		}
@@ -89,10 +88,8 @@ func runE17(cfg Config) (*Result, error) {
 	}
 	ablationOK := true
 	for idx, a := range arms {
-		eng, err := rogue.New(rogue.Config{
-			Params: p, ReplicateEvery: a.r, DetectProb: a.detect,
-			InitialRogues: 64, Seed: cfg.Seed + uint64(idx),
-		})
+		eng, err := rogue.New(sim.Config{Params: p, Seed: cfg.Seed + uint64(idx)},
+			rogue.Config{ReplicateEvery: a.r, DetectProb: a.detect, InitialRogues: 64})
 		if err != nil {
 			return nil, err
 		}

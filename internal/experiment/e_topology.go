@@ -78,8 +78,7 @@ func runA8(cfg Config) (*Result, error) {
 	}
 	res := &Result{}
 	gallery := a8Gallery(p.N)
-	lo := int(math.Ceil(float64(p.N) * (1 - p.Alpha)))
-	hi := int(float64(p.N) * (1 + p.Alpha))
+	lo, hi := p.Bounds()
 	base := p.MaxTolerableK()
 	budgets := []int{0, base, 16 * base}
 
@@ -176,18 +175,15 @@ func runA8(cfg Config) (*Result, error) {
 	}
 	for _, r := range []int{1, 2, 3, 6} {
 		for _, topo := range gallery {
-			rcfg := rogue.Config{
-				Params: p, ReplicateEvery: r, DetectProb: 1,
-				InitialRogues: 64, Seed: cfg.Seed, Workers: 1,
-			}
+			sc := sim.Config{Params: p, Seed: cfg.Seed, Workers: 1}
 			if topo.mk != nil {
 				m, err := topo.mk()
 				if err != nil {
 					return nil, err
 				}
-				rcfg.Matcher = m
+				sc.Matcher = m
 			}
-			eng, err := rogue.New(rcfg)
+			eng, err := rogue.New(sc, rogue.Config{ReplicateEvery: r, DetectProb: 1, InitialRogues: 64})
 			if err != nil {
 				return nil, err
 			}

@@ -84,8 +84,7 @@ func runStability(p params.Params, arm stabilityArm, epochs int, seed uint64, sc
 	if err != nil {
 		return stabilityOutcome{}, err
 	}
-	lo := int(float64(p.N) * (1 - p.Alpha))
-	hi := int(float64(p.N) * (1 + p.Alpha))
+	lo, hi := p.Bounds()
 	out := stabilityOutcome{minSize: p.N, maxSize: p.N, violatedAt: -1}
 	for ep := 0; ep < epochs; ep++ {
 		rep := eng.RunEpoch()

@@ -20,6 +20,7 @@ package params
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -219,6 +220,15 @@ func (p Params) MaxTolerableK() int {
 		k = int(float64(k) * 1.41421356)
 	}
 	return k
+}
+
+// Bounds reports the admissible interval [(1−α)N, (1+α)N] as the integers
+// inside the closed real interval: the lower bound rounds up and the upper
+// bound rounds down, so a population of exactly (1−α)N or (1+α)N is
+// admissible and nothing outside the real interval is.
+func (p Params) Bounds() (lo, hi int) {
+	n := float64(p.N)
+	return int(math.Ceil(n * (1 - p.Alpha))), int(math.Floor(n * (1 + p.Alpha)))
 }
 
 // PredictedEquilibrium reports the finite-N fixed point of the evaluation

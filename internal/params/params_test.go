@@ -213,6 +213,28 @@ func TestMaxTolerableK(t *testing.T) {
 	}
 }
 
+func TestBounds(t *testing.T) {
+	cases := []struct {
+		n      int
+		alpha  float64
+		lo, hi int
+	}{
+		{4096, 0.5, 2048, 6144},
+		// Non-integral bounds: 2867.2 rounds up, 5324.8 rounds down.
+		{4096, 0.3, 2868, 5324},
+		{65536, 0.1, 58983, 72089},
+	}
+	for _, tc := range cases {
+		p, err := Derive(tc.n, WithAlpha(tc.alpha))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lo, hi := p.Bounds(); lo != tc.lo || hi != tc.hi {
+			t.Errorf("N=%d α=%v: Bounds = [%d, %d], want [%d, %d]", tc.n, tc.alpha, lo, hi, tc.lo, tc.hi)
+		}
+	}
+}
+
 func TestPredictedEquilibrium(t *testing.T) {
 	cases := map[int]int{
 		4096:    3072,  // 4096 − 16·64

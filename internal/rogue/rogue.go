@@ -33,7 +33,7 @@
 // hook. Engine is a thin constructor over the unified sim.Engine, so the
 // extension inherits Workers sharding, counter-based per-agent randomness,
 // RoundReport/EpochReport, adversary support, and arbitrary communication
-// models (rogues on a spatial torus: Config.Matcher) for free.
+// models (rogues on a spatial torus: sim.Config.Matcher) for free.
 //
 // The containment condition is a branching-process balance: a rogue doubles
 // every R rounds and survives each round with probability 1 − γ·h·DetectProb
@@ -48,10 +48,8 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"popstab/internal/adversary"
 	"popstab/internal/agent"
 	"popstab/internal/match"
-	"popstab/internal/params"
 	"popstab/internal/population"
 	"popstab/internal/prng"
 	"popstab/internal/protocol"
@@ -102,7 +100,7 @@ type Stats struct {
 // program side-array follows splits, kills, adversarial alterations, and
 // forced resizes) and sim.RoundStarter (continuous infiltration at epoch
 // boundaries). Attach it to the engine's population before the first round;
-// NewEngine does all of this wiring.
+// New does all of this wiring.
 type Overlay struct {
 	inner          sim.Stepper
 	epochLen       int
@@ -117,7 +115,7 @@ type Overlay struct {
 	stats Stats
 
 	// positions and clusterPlace implement clustered infiltration (set by
-	// NewEngine when Config.Cluster is given): every InsertRogue queues a
+	// New when Config.Cluster is given): every InsertRogue queues a
 	// clusterPlace position on the matcher's side-array instead of taking
 	// the oblivious uniform placement. Both are used only from serial
 	// phases (construction and StartRound). clusterSrc is the private
@@ -134,29 +132,6 @@ var (
 	_ sim.RoundStarter    = (*Overlay)(nil)
 	_ population.Tracker  = (*Overlay)(nil)
 )
-
-// NewOverlay validates the extension parameters and wraps inner.
-func NewOverlay(inner sim.Stepper, replicateEvery int, detectProb float64, roguesPerEpoch int) (*Overlay, error) {
-	if inner == nil {
-		return nil, errors.New("rogue: nil inner program")
-	}
-	if replicateEvery < 1 {
-		return nil, errors.New("rogue: ReplicateEvery must be >= 1")
-	}
-	if detectProb < 0 || detectProb > 1 {
-		return nil, fmt.Errorf("rogue: DetectProb %v outside [0, 1]", detectProb)
-	}
-	if roguesPerEpoch < 0 {
-		return nil, errors.New("rogue: negative RoguesPerEpoch")
-	}
-	return &Overlay{
-		inner:          inner,
-		epochLen:       inner.EpochLen(),
-		replicateEvery: uint32(replicateEvery),
-		detectProb:     detectProb,
-		roguesPerEpoch: roguesPerEpoch,
-	}, nil
-}
 
 // Stats returns the accumulated extension counters.
 func (o *Overlay) Stats() Stats { return o.stats }
@@ -381,10 +356,10 @@ type ClusterSpec struct {
 	Radius float64
 }
 
-// Config assembles the extended simulation.
+// Config holds the extension's own parameters. Everything else — params,
+// communication model, state adversary, seed, initial size, workers — is
+// the sim.Config that New takes alongside it.
 type Config struct {
-	// Params parameterizes the honest protocol.
-	Params params.Params
 	// ReplicateEvery is the rogue replication period R ≥ 1 (the model's
 	// rate bound: at most one replication per R rounds per rogue).
 	ReplicateEvery int
@@ -397,35 +372,29 @@ type Config struct {
 	// RoguesPerEpoch inserts this many additional rogues at every honest
 	// epoch boundary (continuous infiltration).
 	RoguesPerEpoch int
-	// Scheduler defaults to the uniform γ-matching from Params. At most one
-	// of Scheduler and Matcher may be set.
-	Scheduler match.Scheduler
-	// Matcher overrides Scheduler with a population-state-aware
-	// communication model — rogues on the spatial torus compose via
-	// match.NewTorus.
-	Matcher match.Matcher
 	// Cluster, when non-nil, places every rogue insertion — the initial
 	// cohort and the per-epoch infiltration — within Cluster.Radius of
 	// Cluster.Center under the spatial matcher's geometry, through the
 	// population.Positions placement seam: the adversary chooses where its
-	// agents appear. Requires a spatial Matcher (match.Space); the
-	// patch-attack seeding of experiment A9.
+	// agents appear. Requires a spatial sim.Config.Matcher (match.Space);
+	// the patch-attack seeding of experiment A9.
 	Cluster *ClusterSpec
-	// Adversary additionally attacks the protocol state every round within
-	// budget K (nil = none): the state-adversary of the base model composed
-	// with the program-adversary of this extension.
-	Adversary adversary.Adversary
-	// K is the adversary's per-round alteration budget.
-	K int
-	// Seed derives all randomness.
-	Seed uint64
-	// InitialSize overrides the starting honest population (default
-	// Params.N); InitialRogues are added on top.
-	InitialSize int
-	// Workers sets the number of goroutines sharding the compose and step
-	// phases: 0 means runtime.NumCPU(), 1 forces the serial path. As in
-	// internal/sim, output is bit-identical across all worker counts.
-	Workers int
+}
+
+// Validate checks the extension parameters on their own; New additionally
+// requires a spatial matcher when Cluster is set.
+func (c Config) Validate() error {
+	switch {
+	case c.ReplicateEvery < 1:
+		return errors.New("rogue: ReplicateEvery must be >= 1")
+	case !(c.DetectProb >= 0 && c.DetectProb <= 1):
+		return fmt.Errorf("rogue: DetectProb %v outside [0, 1]", c.DetectProb)
+	case c.InitialRogues < 0 || c.RoguesPerEpoch < 0:
+		return errors.New("rogue: negative rogue counts")
+	case c.Cluster != nil && !(c.Cluster.Radius >= 0):
+		return fmt.Errorf("rogue: negative cluster radius %v", c.Cluster.Radius)
+	}
+	return nil
 }
 
 // Engine drives the extended system: a thin wrapper over the unified
@@ -437,57 +406,51 @@ type Engine struct {
 	overlay *Overlay
 }
 
-// New validates cfg and builds the engine with Params.N honest agents plus
-// InitialRogues rogues, running the paper protocol as the honest program.
-func New(cfg Config) (*Engine, error) {
-	if err := cfg.Params.Validate(); err != nil {
-		return nil, fmt.Errorf("rogue: %w", err)
-	}
-	pr, err := protocol.New(cfg.Params)
-	if err != nil {
-		return nil, fmt.Errorf("rogue: %w", err)
-	}
-	return NewEngine(cfg, pr)
-}
-
-// NewEngine builds the extended engine over an arbitrary honest program
-// (New specializes it to the paper protocol; the popstab facade passes
-// baselines through here too).
-func NewEngine(cfg Config, inner sim.Stepper) (*Engine, error) {
-	overlay, err := NewOverlay(inner, cfg.ReplicateEvery, cfg.DetectProb, cfg.RoguesPerEpoch)
-	if err != nil {
+// New builds the extended engine: sc.InitialSize honest agents (default
+// sc.Params.N) running sc.Protocol — the paper protocol when nil; the
+// popstab facade passes baselines through here too — plus rc.InitialRogues
+// rogues. sc.Extended must be unset: the overlay takes that slot.
+func New(sc sim.Config, rc Config) (*Engine, error) {
+	if err := rc.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.InitialRogues < 0 {
-		return nil, errors.New("rogue: negative rogue counts")
+	if sc.Extended != nil {
+		return nil, errors.New("rogue: sim.Config.Extended is the overlay's slot")
 	}
-	size := cfg.InitialSize
+	inner := sc.Protocol
+	if inner == nil {
+		pr, err := protocol.New(sc.Params)
+		if err != nil {
+			return nil, fmt.Errorf("rogue: %w", err)
+		}
+		inner = pr
+	}
+	overlay := &Overlay{
+		inner:          inner,
+		epochLen:       inner.EpochLen(),
+		replicateEvery: uint32(rc.ReplicateEvery),
+		detectProb:     rc.DetectProb,
+		roguesPerEpoch: rc.RoguesPerEpoch,
+	}
+	size := sc.InitialSize
 	if size == 0 {
-		size = cfg.Params.N
+		size = sc.Params.N
 	}
 	if size < 0 {
 		return nil, fmt.Errorf("rogue: negative initial size %d", size)
 	}
 	pop := population.New(size)
 	pop.Attach(overlay)
-	for i := 0; i < cfg.InitialRogues; i++ {
+	for i := 0; i < rc.InitialRogues; i++ {
 		overlay.InsertRogue(pop)
 	}
-	eng, err := sim.NewFromPopulation(sim.Config{
-		Params:    cfg.Params,
-		Extended:  overlay,
-		Scheduler: cfg.Scheduler,
-		Matcher:   cfg.Matcher,
-		Adversary: cfg.Adversary,
-		K:         cfg.K,
-		Seed:      cfg.Seed,
-		Workers:   cfg.Workers,
-	}, pop)
+	sc.Protocol, sc.Extended = nil, overlay
+	eng, err := sim.NewFromPopulation(sc, pop)
 	if err != nil {
 		return nil, fmt.Errorf("rogue: %w", err)
 	}
-	if cfg.Cluster != nil {
-		if err := installCluster(cfg, overlay); err != nil {
+	if rc.Cluster != nil {
+		if err := installCluster(sc, *rc.Cluster, overlay); err != nil {
 			return nil, err
 		}
 	}
@@ -500,17 +463,13 @@ func NewEngine(cfg Config, inner sim.Stepper) (*Engine, error) {
 // inserted before the matcher bound its position side-array and therefore
 // drew oblivious uniform positions — and the patch placer for all future
 // InsertRogue calls.
-func installCluster(cfg Config, overlay *Overlay) error {
-	sp, ok := cfg.Matcher.(match.Space)
+func installCluster(sc sim.Config, spec ClusterSpec, overlay *Overlay) error {
+	sp, ok := sc.Matcher.(match.Space)
 	if !ok {
 		return errors.New("rogue: Cluster requires a spatial Matcher")
 	}
-	if cfg.Cluster.Radius < 0 {
-		return fmt.Errorf("rogue: negative cluster radius %v", cfg.Cluster.Radius)
-	}
-	src := prng.New(cfg.Seed ^ clusterSeedSalt)
+	src := prng.New(sc.Seed ^ clusterSeedSalt)
 	ps := sp.Positions()
-	spec := *cfg.Cluster
 	overlay.positions = ps
 	overlay.clusterSrc = src
 	overlay.clusterSpec = &spec
@@ -526,7 +485,7 @@ func installCluster(cfg Config, overlay *Overlay) error {
 }
 
 // clusterSeedSalt domain-separates the cluster placement stream from the
-// engine root stream derived from the same Config.Seed.
+// engine root stream derived from the same sim.Config.Seed.
 const clusterSeedSalt = 0x9d5c_7a13_c0ff_ee01
 
 // Overlay exposes the extension program (tags, cooldowns, stats).

@@ -8,6 +8,7 @@ import (
 	"popstab/internal/match"
 	"popstab/internal/params"
 	"popstab/internal/population"
+	"popstab/internal/sim"
 )
 
 func fastParams(t testing.TB) params.Params {
@@ -21,23 +22,30 @@ func fastParams(t testing.TB) params.Params {
 
 func TestNewValidation(t *testing.T) {
 	p := fastParams(t)
-	cases := []Config{
-		{Params: params.Params{}, ReplicateEvery: 4},
-		{Params: p, ReplicateEvery: 0},
-		{Params: p, ReplicateEvery: 4, DetectProb: 1.5},
-		{Params: p, ReplicateEvery: 4, DetectProb: -0.1},
-		{Params: p, ReplicateEvery: 4, InitialRogues: -1},
+	cases := []struct {
+		sim   sim.Config
+		rogue Config
+	}{
+		{sim.Config{Params: params.Params{}}, Config{ReplicateEvery: 4}},
+		{sim.Config{Params: p}, Config{ReplicateEvery: 0}},
+		{sim.Config{Params: p}, Config{ReplicateEvery: 4, DetectProb: 1.5}},
+		{sim.Config{Params: p}, Config{ReplicateEvery: 4, DetectProb: -0.1}},
+		{sim.Config{Params: p}, Config{ReplicateEvery: 4, InitialRogues: -1}},
+		{sim.Config{Params: p}, Config{ReplicateEvery: 4, RoguesPerEpoch: -1}},
+		{sim.Config{Params: p, InitialSize: -1}, Config{ReplicateEvery: 4}},
+		{sim.Config{Params: p, K: -1}, Config{ReplicateEvery: 4}},
 	}
-	for i, cfg := range cases {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("case %d accepted: %+v", i, cfg)
+	for i, tc := range cases {
+		if _, err := New(tc.sim, tc.rogue); err == nil {
+			t.Errorf("case %d accepted: %+v %+v", i, tc.sim, tc.rogue)
 		}
 	}
 }
 
 func TestInitialComposition(t *testing.T) {
 	p := fastParams(t)
-	e, err := New(Config{Params: p, ReplicateEvery: 4, DetectProb: 1, InitialRogues: 32, Seed: 1})
+	e, err := New(sim.Config{Params: p, Seed: 1},
+		Config{ReplicateEvery: 4, DetectProb: 1, InitialRogues: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +63,8 @@ func TestInitialComposition(t *testing.T) {
 // would quickly replicate themselves out of control".
 func TestUnboundedRogueTakesOver(t *testing.T) {
 	p := fastParams(t)
-	e, err := New(Config{Params: p, ReplicateEvery: 1, DetectProb: 0, InitialRogues: 4, Seed: 2})
+	e, err := New(sim.Config{Params: p, Seed: 2},
+		Config{ReplicateEvery: 1, DetectProb: 0, InitialRogues: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +84,8 @@ func TestContainmentWithDetection(t *testing.T) {
 	p := fastParams(t)
 	// γ = 0.25, h ≈ 1 ⇒ cull rate ≈ 0.25/round; R = 16 replicates at
 	// 0.0625/round — well under the cull rate.
-	e, err := New(Config{Params: p, ReplicateEvery: 16, DetectProb: 1, InitialRogues: 64, Seed: 3})
+	e, err := New(sim.Config{Params: p, Seed: 3},
+		Config{ReplicateEvery: 16, DetectProb: 1, InitialRogues: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +109,8 @@ func TestContainmentWithDetection(t *testing.T) {
 func TestFastRogueWinsDespiteDetection(t *testing.T) {
 	p := fastParams(t)
 	// R = 2 ⇒ growth 0.5/round vs cull ≈ γ = 0.25/round.
-	e, err := New(Config{Params: p, ReplicateEvery: 2, DetectProb: 1, InitialRogues: 64, Seed: 4})
+	e, err := New(sim.Config{Params: p, Seed: 4},
+		Config{ReplicateEvery: 2, DetectProb: 1, InitialRogues: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +129,8 @@ func TestFastRogueWinsDespiteDetection(t *testing.T) {
 // balance rather than accumulating.
 func TestContinuousInfiltrationSteadyState(t *testing.T) {
 	p := fastParams(t)
-	e, err := New(Config{Params: p, ReplicateEvery: 16, DetectProb: 1,
-		RoguesPerEpoch: 8, Seed: 5})
+	e, err := New(sim.Config{Params: p, Seed: 5},
+		Config{ReplicateEvery: 16, DetectProb: 1, RoguesPerEpoch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +158,8 @@ func TestImperfectDetectionShiftsThreshold(t *testing.T) {
 	p := fastParams(t)
 	const r = 8 // growth 0.125/round; cull at DetectProb=1 is ≈0.25, at 0.1 is ≈0.025
 	contained := func(detect float64) bool {
-		e, err := New(Config{Params: p, ReplicateEvery: r, DetectProb: detect,
-			InitialRogues: 64, Seed: 6})
+		e, err := New(sim.Config{Params: p, Seed: 6},
+			Config{ReplicateEvery: r, DetectProb: detect, InitialRogues: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +181,7 @@ func TestImperfectDetectionShiftsThreshold(t *testing.T) {
 // leave the honest dynamics stable (sanity: the guard path is inert).
 func TestHonestProtocolUnperturbed(t *testing.T) {
 	p := fastParams(t)
-	e, err := New(Config{Params: p, ReplicateEvery: 8, DetectProb: 1, Seed: 7})
+	e, err := New(sim.Config{Params: p, Seed: 7}, Config{ReplicateEvery: 8, DetectProb: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +205,8 @@ func BenchmarkRoundWithRogues(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := New(Config{Params: p, ReplicateEvery: 16, DetectProb: 1, InitialRogues: 64, Seed: 1})
+	e, err := New(sim.Config{Params: p, Seed: 1},
+		Config{ReplicateEvery: 16, DetectProb: 1, InitialRogues: 64})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -206,7 +218,7 @@ func BenchmarkRoundWithRogues(b *testing.B) {
 
 func TestGlobalRoundAdvances(t *testing.T) {
 	p := fastParams(t)
-	e, err := New(Config{Params: p, ReplicateEvery: 8, DetectProb: 1, Seed: 8})
+	e, err := New(sim.Config{Params: p, Seed: 8}, Config{ReplicateEvery: 8, DetectProb: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,15 +235,8 @@ func TestGlobalRoundAdvances(t *testing.T) {
 // path is a Stepper wrapper over the unified engine.
 func TestParallelDeterminism(t *testing.T) {
 	run := func(workers int) ([]int, Stats) {
-		e, err := New(Config{
-			Params:         fastParams(t),
-			ReplicateEvery: 4,
-			DetectProb:     0.8,
-			InitialRogues:  16,
-			RoguesPerEpoch: 2,
-			Seed:           77,
-			Workers:        workers,
-		})
+		e, err := New(sim.Config{Params: fastParams(t), Seed: 77, Workers: workers},
+			Config{ReplicateEvery: 4, DetectProb: 0.8, InitialRogues: 16, RoguesPerEpoch: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,15 +269,8 @@ func TestParallelDeterminism(t *testing.T) {
 // infiltration hook, or the engine's stream derivation changes this number.
 // If a change is INTENDED, rerun with -v and update the constant.
 func TestGoldenTrajectory(t *testing.T) {
-	e, err := New(Config{
-		Params:         fastParams(t),
-		ReplicateEvery: 6,
-		DetectProb:     0.9,
-		InitialRogues:  32,
-		RoguesPerEpoch: 4,
-		Seed:           424242,
-		Workers:        1,
-	})
+	e, err := New(sim.Config{Params: fastParams(t), Seed: 424242, Workers: 1},
+		Config{ReplicateEvery: 6, DetectProb: 0.9, InitialRogues: 32, RoguesPerEpoch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +292,8 @@ func TestGoldenTrajectory(t *testing.T) {
 // engine's RoundReport and agree with the overlay's atomic counters.
 func TestKillsReportedPerRound(t *testing.T) {
 	p := fastParams(t)
-	e, err := New(Config{Params: p, ReplicateEvery: 16, DetectProb: 1,
-		InitialRogues: 64, Seed: 11, Workers: 1})
+	e, err := New(sim.Config{Params: p, Seed: 11, Workers: 1},
+		Config{ReplicateEvery: 16, DetectProb: 1, InitialRogues: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,10 +321,8 @@ func TestRogueWithStateAdversary(t *testing.T) {
 	p := fastParams(t)
 	paced := adversary.NewPaced(adversary.PerEpoch(p.T, p.MaxTolerableK(), 1),
 		adversary.NewGreedy())
-	e, err := New(Config{
-		Params: p, ReplicateEvery: 16, DetectProb: 1, InitialRogues: 32,
-		Adversary: paced, K: 1, Seed: 13, Workers: 1,
-	})
+	e, err := New(sim.Config{Params: p, Adversary: paced, K: 1, Seed: 13, Workers: 1},
+		Config{ReplicateEvery: 16, DetectProb: 1, InitialRogues: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,10 +357,8 @@ func TestRogueOnTorus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := New(Config{
-			Params: p, ReplicateEvery: 8, DetectProb: 1, InitialRogues: 64,
-			Matcher: tor, Seed: 21, Workers: workers,
-		})
+		e, err := New(sim.Config{Params: p, Matcher: tor, Seed: 21, Workers: workers},
+			Config{ReplicateEvery: 8, DetectProb: 1, InitialRogues: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,11 +399,8 @@ func clusterRing(t *testing.T, p params.Params, spec ClusterSpec, initial, perEp
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(Config{
-		Params: p, ReplicateEvery: 3, DetectProb: 1,
-		InitialRogues: initial, RoguesPerEpoch: perEpoch,
-		Matcher: ring, Cluster: &spec, Seed: seed, Workers: 1,
-	})
+	eng, err := New(sim.Config{Params: p, Matcher: ring, Seed: seed, Workers: 1},
+		Config{ReplicateEvery: 3, DetectProb: 1, InitialRogues: initial, RoguesPerEpoch: perEpoch, Cluster: &spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,20 +472,16 @@ func TestClusterPlacesInfiltration(t *testing.T) {
 // matcher and with a negative radius.
 func TestClusterValidation(t *testing.T) {
 	p := fastParams(t)
-	if _, err := New(Config{
-		Params: p, ReplicateEvery: 3, DetectProb: 1, InitialRogues: 4,
-		Cluster: &ClusterSpec{Radius: 0.1},
-	}); err == nil {
+	if _, err := New(sim.Config{Params: p},
+		Config{ReplicateEvery: 3, DetectProb: 1, InitialRogues: 4, Cluster: &ClusterSpec{Radius: 0.1}}); err == nil {
 		t.Error("Cluster accepted without a spatial Matcher")
 	}
 	ring, err := match.NewRing(1.0 / float64(p.N))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{
-		Params: p, ReplicateEvery: 3, DetectProb: 1, InitialRogues: 4,
-		Matcher: ring, Cluster: &ClusterSpec{Radius: -0.1},
-	}); err == nil {
+	if _, err := New(sim.Config{Params: p, Matcher: ring},
+		Config{ReplicateEvery: 3, DetectProb: 1, InitialRogues: 4, Cluster: &ClusterSpec{Radius: -0.1}}); err == nil {
 		t.Error("negative cluster radius accepted")
 	}
 }
@@ -510,11 +497,8 @@ func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := New(Config{
-			Params: p, ReplicateEvery: 2, DetectProb: 1,
-			InitialRogues: 32, RoguesPerEpoch: 4,
-			Matcher: ring, Cluster: &spec, Seed: 9, Workers: workers,
-		})
+		eng, err := New(sim.Config{Params: p, Matcher: ring, Seed: 9, Workers: workers},
+			Config{ReplicateEvery: 2, DetectProb: 1, InitialRogues: 32, RoguesPerEpoch: 4, Cluster: &spec})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -168,17 +169,26 @@ func TestStepEvictsDedupeEntry(t *testing.T) {
 }
 
 // TestFailedBuildNotCountedOrCached pins two metrics/cache properties: a
-// submission whose constructor fails is not counted as a sim run, and its
-// dedupe entry is evicted so a retry is not answered by the corpse forever.
+// job whose session build fails is not counted as a sim run, and its dedupe
+// entry is evicted so a retry is not answered by the corpse forever. Every
+// spec that hashes also builds, so the failing build here is a recovered
+// checkpoint that holds its dedupe identity but whose snapshot does not
+// restore.
 func TestFailedBuildNotCountedOrCached(t *testing.T) {
-	m := NewManager(Config{})
-	defer m.Close()
-	// Hashes fine (names resolve, axes are compatible) but the constructor
-	// rejects it: rogue.NewEngine requires ReplicateEvery >= 1.
-	bad := popstab.Spec{N: 4096, Tinner: 24, Seed: 31, Rogue: &popstab.RogueSpec{DetectProb: 1}}
-	j, _, err := m.Submit(context.Background(), bad, 10)
-	if err != nil {
+	store := NewMemStore()
+	spec := quickSpec(31)
+	if err := store.Put(Checkpoint{ID: "s-000001", Spec: spec, Target: 10, Pending: 10,
+		Dedupe: true, Snapshot: []byte("not a snapshot")}); err != nil {
 		t.Fatal(err)
+	}
+	m := NewManager(Config{Store: store})
+	defer m.Close()
+	if n, err := m.Recover(); err != nil || n != 1 {
+		t.Fatalf("Recover = %d, %v; want 1 job", n, err)
+	}
+	j, ok := m.Get("s-000001")
+	if !ok {
+		t.Fatal("recovered job not registered")
 	}
 	<-j.Done()
 	if j.Info().Status != StatusFailed {
@@ -188,12 +198,38 @@ func TestFailedBuildNotCountedOrCached(t *testing.T) {
 		t.Errorf("failed build counted as %d sim runs", runs)
 	}
 	// The retry must be a fresh job, not the failed one.
-	j2, deduped, err := m.Submit(context.Background(), bad, 10)
+	j2, deduped, err := m.Submit(context.Background(), spec, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if deduped || j2.ID() == j.ID() {
 		t.Error("retry deduped onto the failed job")
+	}
+	waitDone(t, j2)
+}
+
+// TestSubmitRejectsUnbuildableSpec pins the admission half of the spec
+// contract: a spec that cannot build (here a rogue extension without a
+// replication period) never becomes a job and is answered with 422.
+func TestSubmitRejectsUnbuildableSpec(t *testing.T) {
+	m := NewManager(Config{})
+	defer m.Close()
+	bad := popstab.Spec{N: 4096, Tinner: 24, Seed: 31, Rogue: &popstab.RogueSpec{DetectProb: 1}}
+	if _, _, err := m.Submit(context.Background(), bad, 10); !errors.Is(err, ErrInvalidSpec) {
+		t.Fatalf("Submit error %v, want ErrInvalidSpec", err)
+	}
+	if n := len(m.List()); n != 0 {
+		t.Errorf("%d jobs registered for a rejected spec", n)
+	}
+
+	ts := httptest.NewServer(NewHandler(m))
+	defer ts.Close()
+	var e ErrorBody
+	if resp := post(t, ts, "/v1/sessions", SubmitRequest{Spec: bad, Rounds: 10}, &e); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("unbuildable spec: status %d, want 422", resp.StatusCode)
+	}
+	if e.Error.Code != CodeInvalidSpec {
+		t.Errorf("unbuildable spec envelope code %q, want %q", e.Error.Code, CodeInvalidSpec)
 	}
 }
 

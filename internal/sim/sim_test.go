@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"popstab/internal/adversary"
@@ -381,6 +382,30 @@ func TestGoldenTrajectory(t *testing.T) {
 		checksum = checksum*31 + uint64(rep.SizeAfter)
 	}
 	const want = uint64(17620344927233764585)
+	if checksum != want {
+		t.Errorf("trajectory checksum changed: got %d, want %d\n"+
+			"(if this change is intentional, update the golden value)", checksum, want)
+	}
+}
+
+// TestTorusGoldenTrajectory pins the exact trajectory of the paper protocol
+// on the torus matcher with daughters spread by the mean inter-agent spacing
+// 1/√N — the spatial engine of experiment A5 and the torus twin of
+// TestGoldenTrajectory. If a change is INTENDED, rerun with -v and update
+// the constant.
+func TestTorusGoldenTrajectory(t *testing.T) {
+	p := fastParams(t)
+	torus, err := match.NewTorus(1 / math.Sqrt(float64(p.N)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ := newEngine(t, p, Config{Seed: 424242, Workers: 1, Matcher: torus})
+	var checksum uint64
+	for i := 0; i < 2*p.T; i++ {
+		rep := e.RunRound()
+		checksum = checksum*31 + uint64(rep.SizeAfter)
+	}
+	const want = uint64(9749419792947619442)
 	if checksum != want {
 		t.Errorf("trajectory checksum changed: got %d, want %d\n"+
 			"(if this change is intentional, update the golden value)", checksum, want)

@@ -6,11 +6,10 @@ import (
 	"testing"
 
 	"popstab"
-	"popstab/internal/match"
 )
 
 func TestNewDefaults(t *testing.T) {
-	s, err := popstab.New(popstab.Config{N: 4096, Seed: 1})
+	s, err := popstab.New(popstab.Spec{N: 4096, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,8 +20,8 @@ func TestNewDefaults(t *testing.T) {
 	if s.Size() != 4096 {
 		t.Errorf("initial size %d", s.Size())
 	}
-	if s.Kind() != popstab.Paper {
-		t.Errorf("kind %v", s.Kind())
+	if s.Counters() == nil {
+		t.Error("default protocol exposes no paper counters")
 	}
 	if !s.InInterval() {
 		t.Error("initial population outside interval")
@@ -30,22 +29,22 @@ func TestNewDefaults(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	cases := []popstab.Config{
+	cases := []popstab.Spec{
 		{N: 1000},                 // too small / not power of four
 		{N: 4096, MessageBits: 5}, // unsupported codec
 		{N: 4096, Tinner: 3},      // below ω(log N)
 		{N: 4096, Gamma: 2},       // invalid gamma
-		{N: 4096, Protocol: popstab.ProtocolKind(99)}, // unknown protocol
+		{N: 4096, Protocol: "99"}, // unknown protocol
 	}
-	for i, cfg := range cases {
-		if _, err := popstab.New(cfg); err == nil {
-			t.Errorf("case %d: accepted %+v", i, cfg)
+	for i, sp := range cases {
+		if _, err := popstab.New(sp); err == nil {
+			t.Errorf("case %d: accepted %+v", i, sp)
 		}
 	}
 }
 
 func TestRunEpochsStability(t *testing.T) {
-	s, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Seed: 2})
+	s, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +66,7 @@ func TestRunEpochsStability(t *testing.T) {
 }
 
 func TestCountersExposed(t *testing.T) {
-	s, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Seed: 3})
+	s, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,16 +78,13 @@ func TestCountersExposed(t *testing.T) {
 }
 
 func TestBaselineKinds(t *testing.T) {
-	for _, kind := range []popstab.ProtocolKind{popstab.Attempt1, popstab.Attempt2, popstab.Empty} {
-		s, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Seed: 4, Protocol: kind})
+	for _, kind := range []string{"attempt1", "attempt2", "empty"} {
+		s, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Seed: 4, Protocol: kind})
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		s.RunRounds(50)
-		if s.Kind() != kind {
-			t.Errorf("kind %v", s.Kind())
-		}
-		if kind != popstab.Attempt1 && s.EpochLen() != 1 {
+		if kind != "attempt1" && s.EpochLen() != 1 {
 			t.Errorf("%v epoch len %d", kind, s.EpochLen())
 		}
 		if s.Counters() != nil {
@@ -97,36 +93,28 @@ func TestBaselineKinds(t *testing.T) {
 	}
 }
 
+// TestProtocolKindStrings pins the protocol names a Spec accepts: each
+// normalizes to itself, "" to the paper protocol, and anything else fails.
 func TestProtocolKindStrings(t *testing.T) {
-	cases := map[popstab.ProtocolKind]string{
-		popstab.Paper:    "paper",
-		popstab.Attempt1: "attempt1",
-		popstab.Attempt2: "attempt2",
-		popstab.Empty:    "empty",
-	}
-	for kind, want := range cases {
-		if kind.String() != want {
-			t.Errorf("%d.String() = %q", int(kind), kind.String())
-		}
-		parsed, err := popstab.ProtocolKindFromString(want)
-		if err != nil || parsed != kind {
-			t.Errorf("parse %q = %v, %v", want, parsed, err)
+	for in, want := range map[string]string{
+		"": "paper", "paper": "paper", "attempt1": "attempt1", "attempt2": "attempt2", "empty": "empty",
+	} {
+		norm, err := popstab.Spec{N: 4096, Protocol: in}.Normalize()
+		if err != nil || norm.Protocol != want {
+			t.Errorf("protocol %q normalizes to %q, %v; want %q", in, norm.Protocol, err, want)
 		}
 	}
-	if _, err := popstab.ProtocolKindFromString("nope"); err == nil {
-		t.Error("parsed unknown protocol")
-	}
-	if def, err := popstab.ProtocolKindFromString(""); err != nil || def != popstab.Paper {
-		t.Error("empty string must default to paper")
+	if _, err := (popstab.Spec{N: 4096, Protocol: "nope"}).Normalize(); err == nil {
+		t.Error("accepted unknown protocol")
 	}
 }
 
 func TestFourBitCodecConfig(t *testing.T) {
-	s3, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Seed: 5, MessageBits: 3})
+	s3, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Seed: 5, MessageBits: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s4, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Seed: 5, MessageBits: 4})
+	s4, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Seed: 5, MessageBits: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,31 +127,32 @@ func TestFourBitCodecConfig(t *testing.T) {
 	}
 }
 
+// TestAdversaryByName builds a run under every position-blind registry
+// name and checks an unknown name is rejected with both registries listed.
 func TestAdversaryByName(t *testing.T) {
-	s, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := s.Params()
 	for _, name := range popstab.AdversaryNames() {
-		adv, err := popstab.NewAdversaryByName(name, p)
+		s, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Seed: 6, Adversary: name, K: 2, Workers: 1})
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if adv == nil {
-			t.Errorf("%s: nil adversary", name)
-		}
+		s.RunRound()
 	}
-	if _, err := popstab.NewAdversaryByName("bogus", p); err == nil {
-		t.Error("accepted bogus adversary name")
+	_, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Adversary: "bogus"})
+	if err == nil {
+		t.Fatal("accepted bogus adversary name")
+	}
+	for _, name := range []string{"greedy", "patch-combo"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-adversary error %q does not list %s", err, name)
+		}
 	}
 }
 
 func TestAdversarialRun(t *testing.T) {
-	s, err := popstab.New(popstab.Config{
+	s, err := popstab.New(popstab.Spec{
 		N: 4096, Tinner: 24, Seed: 7,
-		Adversary:      popstab.NewGreedy(),
+		Adversary:      "greedy",
 		K:              1,
 		PerEpochBudget: 8,
 	})
@@ -187,7 +176,7 @@ func TestAdversarialRun(t *testing.T) {
 }
 
 func TestDisplace(t *testing.T) {
-	s, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Seed: 8})
+	s, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +187,7 @@ func TestDisplace(t *testing.T) {
 }
 
 func TestCensus(t *testing.T) {
-	s, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Seed: 9})
+	s, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +199,7 @@ func TestCensus(t *testing.T) {
 }
 
 func TestRecordEpochs(t *testing.T) {
-	s, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Seed: 10})
+	s, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,34 +251,31 @@ func TestExperimentFacade(t *testing.T) {
 // an adversarial run, the full RoundReport trajectory and final Census are
 // bit-identical across Workers ∈ {1, 2, 8}.
 func TestParallelWorkersEquivalence(t *testing.T) {
-	kinds := []popstab.ProtocolKind{
-		popstab.Paper, popstab.Attempt1, popstab.Attempt2, popstab.Empty,
-	}
 	type arm struct {
 		name string
-		cfg  popstab.Config
+		cfg  popstab.Spec
 	}
 	var arms []arm
-	for _, kind := range kinds {
+	for _, kind := range []string{"paper", "attempt1", "attempt2", "empty"} {
 		arms = append(arms, arm{
-			name: kind.String(),
-			cfg:  popstab.Config{N: 4096, Tinner: 24, Seed: 31, Protocol: kind},
+			name: kind,
+			cfg:  popstab.Spec{N: 4096, Tinner: 24, Seed: 31, Protocol: kind},
 		})
 	}
 	arms = append(arms, arm{
 		name: "paper-adversarial",
-		cfg: popstab.Config{N: 4096, Tinner: 24, Seed: 32,
-			Adversary: popstab.NewGreedy(), K: 4},
+		cfg: popstab.Spec{N: 4096, Tinner: 24, Seed: 32,
+			Adversary: "greedy", K: 4},
 	})
 	arms = append(arms, arm{
 		name: "torus-adversarial",
-		cfg: popstab.Config{N: 4096, Tinner: 24, Seed: 33, Topology: popstab.Torus,
-			Adversary: popstab.NewGreedy(), K: 2},
+		cfg: popstab.Spec{N: 4096, Tinner: 24, Seed: 33, Topology: "torus",
+			Adversary: "greedy", K: 2},
 	})
 	arms = append(arms, arm{
 		name: "rogue-on-torus",
-		cfg: popstab.Config{N: 4096, Tinner: 24, Seed: 34, Topology: popstab.Torus,
-			Rogue: &popstab.RogueConfig{ReplicateEvery: 8, DetectProb: 1, InitialRogues: 32}},
+		cfg: popstab.Spec{N: 4096, Tinner: 24, Seed: 34, Topology: "torus",
+			Rogue: &popstab.RogueSpec{ReplicateEvery: 8, DetectProb: 1, InitialRogues: 32}},
 	})
 	// The rest of the topology gallery: all spatial matchers shard their
 	// own matching phase, so they must stay bit-identical across worker
@@ -297,21 +283,21 @@ func TestParallelWorkersEquivalence(t *testing.T) {
 	// the Place hook).
 	arms = append(arms, arm{
 		name: "grid-adversarial",
-		cfg: popstab.Config{N: 4096, Tinner: 24, Seed: 35, Topology: popstab.Grid,
-			Adversary: popstab.NewGreedy(), K: 2},
+		cfg: popstab.Spec{N: 4096, Tinner: 24, Seed: 35, Topology: "grid",
+			Adversary: "greedy", K: 2},
 	})
 	arms = append(arms, arm{
 		name: "ring",
-		cfg:  popstab.Config{N: 4096, Tinner: 24, Seed: 36, Topology: popstab.Ring},
+		cfg:  popstab.Spec{N: 4096, Tinner: 24, Seed: 36, Topology: "ring"},
 	})
 	arms = append(arms, arm{
 		name: "smallworld",
-		cfg: popstab.Config{N: 4096, Tinner: 24, Seed: 37, Topology: popstab.SmallWorld,
+		cfg: popstab.Spec{N: 4096, Tinner: 24, Seed: 37, Topology: "smallworld",
 			RewireProb: 0.25},
 	})
 
 	const rounds = 300
-	run := func(cfg popstab.Config, workers int) ([]popstab.RoundReport, popstab.Census) {
+	run := func(cfg popstab.Spec, workers int) ([]popstab.RoundReport, popstab.Census) {
 		cfg.Workers = workers
 		s, err := popstab.New(cfg)
 		if err != nil {
@@ -359,7 +345,7 @@ func TestInIntervalBoundary(t *testing.T) {
 		{5325, false}, // above (1+α)N
 	}
 	for _, tc := range cases {
-		s, err := popstab.New(popstab.Config{
+		s, err := popstab.New(popstab.Spec{
 			N: 4096, Tinner: 24, Alpha: 0.3, Seed: 1, InitialSize: tc.size,
 		})
 		if err != nil {
@@ -372,60 +358,51 @@ func TestInIntervalBoundary(t *testing.T) {
 }
 
 func TestTopologyConfig(t *testing.T) {
-	if _, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Topology: popstab.Torus,
-		Scheduler: match.Full{}}); err == nil {
-		t.Error("accepted Scheduler together with Torus topology")
-	}
-	if _, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, DaughterSpread: 1}); err == nil {
+	if _, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, DaughterSpread: 1}); err == nil {
 		t.Error("accepted DaughterSpread on the mixed topology")
 	}
-	if _, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Topology: popstab.Topology(9)}); err == nil {
+	if _, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Topology: "moebius"}); err == nil {
 		t.Error("accepted unknown topology")
 	}
-	for in, want := range map[string]popstab.Topology{
-		"": popstab.Mixed, "mixed": popstab.Mixed, "torus": popstab.Torus,
-		"grid": popstab.Grid, "ring": popstab.Ring, "smallworld": popstab.SmallWorld,
+	// Every gallery topology normalizes to its own name, and builds.
+	for in, want := range map[string]string{
+		"": "mixed", "mixed": "mixed", "torus": "torus",
+		"grid": "grid", "ring": "ring", "smallworld": "smallworld",
 	} {
-		got, err := popstab.TopologyFromString(in)
-		if err != nil || got != want {
-			t.Errorf("TopologyFromString(%q) = %v, %v", in, got, err)
+		sp := popstab.Spec{N: 4096, Tinner: 24, Topology: in, Workers: 1}
+		norm, err := sp.Normalize()
+		if err != nil || norm.Topology != want {
+			t.Errorf("topology %q normalizes to %q, %v; want %q", in, norm.Topology, err, want)
 		}
-	}
-	if _, err := popstab.TopologyFromString("moebius"); err == nil {
-		t.Error("parsed unknown topology name")
-	}
-	// Round trip: every gallery topology parses back from its name.
-	for _, topo := range popstab.Topologies() {
-		got, err := popstab.TopologyFromString(topo.String())
-		if err != nil || got != topo {
-			t.Errorf("topology %v does not round-trip: %v, %v", topo, got, err)
+		if _, err := popstab.New(sp); err != nil {
+			t.Errorf("topology %q: %v", in, err)
 		}
 	}
 	// RewireProb is SmallWorld-only and validated.
-	if _, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, RewireProb: 0.5}); err == nil {
+	if _, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, RewireProb: 0.5}); err == nil {
 		t.Error("accepted RewireProb on the mixed topology")
 	}
-	if _, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Topology: popstab.Ring,
+	if _, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Topology: "ring",
 		RewireProb: 0.5}); err == nil {
 		t.Error("accepted RewireProb on the ring topology")
 	}
-	if _, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Topology: popstab.SmallWorld,
+	if _, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Topology: "smallworld",
 		RewireProb: 1.5}); err == nil {
 		t.Error("accepted RewireProb outside [0, 1]")
 	}
-	if _, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Topology: popstab.SmallWorld,
+	if _, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Topology: "smallworld",
 		RewireProb: 0.3}); err != nil {
-		t.Errorf("rejected valid SmallWorld config: %v", err)
+		t.Errorf("rejected valid SmallWorld spec: %v", err)
 	}
 }
 
 // TestRogueExtensionThroughConfig drives the malicious-program extension
-// through the public Config surface (mixed topology) and asserts the rogue
+// through the public Spec surface (mixed topology) and asserts the rogue
 // cohort is contained while the honest population persists.
 func TestRogueExtensionThroughConfig(t *testing.T) {
-	s, err := popstab.New(popstab.Config{
+	s, err := popstab.New(popstab.Spec{
 		N: 4096, Tinner: 24, Seed: 5,
-		Rogue: &popstab.RogueConfig{ReplicateEvery: 16, DetectProb: 1, InitialRogues: 64},
+		Rogue: &popstab.RogueSpec{ReplicateEvery: 16, DetectProb: 1, InitialRogues: 64},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -446,14 +423,13 @@ func TestRogueExtensionThroughConfig(t *testing.T) {
 		t.Error("no kills recorded")
 	}
 	// Invalid rogue parameterizations must be rejected.
-	bad := []popstab.RogueConfig{
+	bad := []popstab.RogueSpec{
 		{ReplicateEvery: 0, DetectProb: 1},
 		{ReplicateEvery: 4, DetectProb: 1.5},
 		{ReplicateEvery: 4, DetectProb: 1, InitialRogues: -1},
 	}
 	for i, rc := range bad {
-		rc := rc
-		if _, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Rogue: &rc}); err == nil {
+		if _, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Rogue: &rc}); err == nil {
 			t.Errorf("case %d: accepted %+v", i, rc)
 		}
 	}
@@ -461,7 +437,7 @@ func TestRogueExtensionThroughConfig(t *testing.T) {
 
 // TestRogueWithoutExtensionAccessors pins the degenerate accessors.
 func TestRogueWithoutExtensionAccessors(t *testing.T) {
-	s, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Seed: 6})
+	s, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,11 +450,11 @@ func TestRogueWithoutExtensionAccessors(t *testing.T) {
 	}
 }
 
-// TestSelfishConfig wires Config.Selfish end to end: the selfish variant
+// TestSelfishConfig wires Spec.Selfish end to end: the selfish variant
 // escapes the admissible interval with no adversary at all, and the flag
 // composes with spatial topologies.
 func TestSelfishConfig(t *testing.T) {
-	s, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Seed: 31, Selfish: true, Workers: 1})
+	s, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Seed: 31, Selfish: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,29 +466,24 @@ func TestSelfishConfig(t *testing.T) {
 	if !escaped {
 		t.Fatalf("selfish run still at %d agents, want escape above the interval", s.Size())
 	}
-	if _, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Seed: 31, Selfish: true, Topology: popstab.Ring, Workers: 1}); err != nil {
+	if _, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Seed: 31, Selfish: true, Topology: "ring", Workers: 1}); err != nil {
 		t.Fatalf("Selfish on Ring: %v", err)
 	}
 }
 
 // TestSpatialAdversaryConfig drives the patch family through the public
-// Config on a ring and checks the spatial names registry.
+// Spec on a ring: every spatial name builds, and delete-patch spends its
+// budget inside the ball.
 func TestSpatialAdversaryConfig(t *testing.T) {
-	spec := popstab.PatchSpec{Center: popstab.Point{X: 0.5}, Radius: 0.05}
+	patch := &popstab.BallSpec{X: 0.5, R: 0.05}
 	for _, name := range popstab.SpatialAdversaryNames() {
-		if _, err := popstab.NewSpatialAdversaryByName(name, popstab.Params{}, spec); err != nil {
+		if _, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Topology: "ring",
+			Adversary: name, Patch: patch, K: 1, Workers: 1}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if _, err := popstab.NewSpatialAdversaryByName("bogus", popstab.Params{}, spec); err == nil {
-		t.Error("unknown spatial adversary accepted")
-	}
-	adv, err := popstab.NewSpatialAdversaryByName("delete-patch", popstab.Params{}, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Seed: 32, Topology: popstab.Ring,
-		Adversary: adv, K: 4, Workers: 1})
+	s, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Seed: 32, Topology: "ring",
+		Adversary: "delete-patch", Patch: patch, K: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,15 +497,15 @@ func TestSpatialAdversaryConfig(t *testing.T) {
 // spatial topology required, and the clustered run is deterministic in the
 // seed.
 func TestRogueClusterConfig(t *testing.T) {
-	spec := &popstab.PatchSpec{Center: popstab.Point{X: 0.5}, Radius: 0.02}
-	if _, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Seed: 33,
-		Rogue: &popstab.RogueConfig{ReplicateEvery: 3, DetectProb: 1, InitialRogues: 8, Cluster: spec},
+	ball := &popstab.BallSpec{X: 0.5, R: 0.02}
+	if _, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Seed: 33,
+		Rogue: &popstab.RogueSpec{ReplicateEvery: 3, DetectProb: 1, InitialRogues: 8, Cluster: ball},
 	}); err == nil {
 		t.Error("Cluster accepted on the mixed topology")
 	}
 	run := func() (int, int) {
-		s, err := popstab.New(popstab.Config{N: 4096, Tinner: 24, Seed: 33, Topology: popstab.Ring, Workers: 1,
-			Rogue: &popstab.RogueConfig{ReplicateEvery: 3, DetectProb: 1, InitialRogues: 8, Cluster: spec},
+		s, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Seed: 33, Topology: "ring", Workers: 1,
+			Rogue: &popstab.RogueSpec{ReplicateEvery: 3, DetectProb: 1, InitialRogues: 8, Cluster: ball},
 		})
 		if err != nil {
 			t.Fatal(err)

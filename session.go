@@ -38,7 +38,7 @@ type SessionStats struct {
 // the caller drives. Where Sim.RunEpochs owns the loop until it returns, a
 // Session advances in caller-chosen increments and can be paused,
 // serialized (Snapshot), shipped across processes, and resumed
-// (RestoreSession) with a bit-identical continuation — the seam the serving
+// (RestoreSessionFromSpec) with a bit-identical continuation — the seam the serving
 // layer (internal/serve, cmd/popserve) multiplexes many simulations
 // through. Not safe for concurrent use; callers serialize access.
 type Session struct {
@@ -46,9 +46,9 @@ type Session struct {
 	cum SessionStats
 }
 
-// NewSession builds a session over a fresh simulation of cfg.
-func NewSession(cfg Config) (*Session, error) {
-	sim, err := New(cfg)
+// NewSessionFromSpec builds a session over a fresh simulation of sp.
+func NewSessionFromSpec(sp Spec) (*Session, error) {
+	sim, err := New(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -114,8 +114,8 @@ const sessionTag uint32 = 100
 
 // Snapshot serializes the session — the cumulative counters plus the full
 // engine state (see internal/sim's snapshot documentation for exactly what
-// that captures). The bytes restore with RestoreSession into a session
-// built from the same Config, continuing bit-identically at any worker
+// that captures). The bytes restore with RestoreSessionFromSpec into a
+// session of an equal spec, continuing bit-identically at any worker
 // count.
 func (s *Session) Snapshot() []byte {
 	enc := wire.NewEnc()
@@ -130,12 +130,11 @@ func (s *Session) Snapshot() []byte {
 	return enc.Finish()
 }
 
-// RestoreSession rebuilds a session from cfg and reinstates a snapshot
-// taken by Session.Snapshot on a session built from the same Config
-// (Workers may differ: it is a throughput knob, invisible to the
-// trajectory).
-func RestoreSession(cfg Config, data []byte) (*Session, error) {
-	s, err := NewSession(cfg)
+// RestoreSessionFromSpec rebuilds a session from sp and reinstates a
+// snapshot taken by Session.Snapshot on a session of an equal spec (Workers
+// may differ: it is a throughput knob, invisible to the trajectory).
+func RestoreSessionFromSpec(sp Spec, data []byte) (*Session, error) {
+	s, err := NewSessionFromSpec(sp)
 	if err != nil {
 		return nil, err
 	}
@@ -165,6 +164,6 @@ func RestoreSession(cfg Config, data []byte) (*Session, error) {
 // Session.Snapshot for the session-level form the serving layer uses.
 func (s *Sim) Snapshot() []byte { return s.eng.Snapshot() }
 
-// Restore reinstates a snapshot taken by Sim.Snapshot on a simulation built
-// from the same Config. On error the Sim must be discarded.
+// Restore reinstates a snapshot taken by Sim.Snapshot on a simulation of an
+// equal spec. On error the Sim must be discarded.
 func (s *Sim) Restore(data []byte) error { return s.eng.Restore(data) }

@@ -67,3 +67,55 @@ func TestSpecNormalizeAcceptsResolvedConflicts(t *testing.T) {
 		}
 	}
 }
+
+// TestSpecRejectsUnbuildable tables specs whose values are each in range for
+// the JSON schema but describe no run: every one must fail Normalize, Hash
+// and the build alike, so the serving layer answers 422 instead of
+// admitting a job that can only fail in its runner.
+func TestSpecRejectsUnbuildable(t *testing.T) {
+	base := popstab.Spec{N: 4096, Tinner: 24, Seed: 7, Workers: 1}
+	rogue := func(rs popstab.RogueSpec) func(*popstab.Spec) {
+		return func(s *popstab.Spec) { s.Rogue = &rs }
+	}
+	cases := []struct {
+		name string
+		mut  func(*popstab.Spec)
+		want string
+	}{
+		{"DetectProb above one", rogue(popstab.RogueSpec{ReplicateEvery: 4, DetectProb: 2}), "DetectProb"},
+		{"ReplicateEvery zero", rogue(popstab.RogueSpec{DetectProb: 1}), "ReplicateEvery"},
+		{"MessageBits 5", func(s *popstab.Spec) { s.MessageBits = 5 }, "MessageBits"},
+		{"RewireProb above one", func(s *popstab.Spec) { s.Topology = "smallworld"; s.RewireProb = 2 }, "RewireProb"},
+		{"RewireProb negative", func(s *popstab.Spec) { s.Topology = "smallworld"; s.RewireProb = -0.5 }, "RewireProb"},
+		{"negative K", func(s *popstab.Spec) { s.Adversary = "greedy"; s.K = -1 }, "K"},
+		{"negative K without adversary", func(s *popstab.Spec) { s.K = -1 }, "K"},
+		{"negative Workers", func(s *popstab.Spec) { s.Workers = -1 }, "Workers"},
+		{"negative InitialSize", func(s *popstab.Spec) { s.InitialSize = -1 }, "InitialSize"},
+		{"negative InitialRogues", rogue(popstab.RogueSpec{ReplicateEvery: 4, DetectProb: 1, InitialRogues: -1}), "rogue"},
+		{"negative cluster radius", func(s *popstab.Spec) {
+			s.Topology = "torus"
+			s.Rogue = &popstab.RogueSpec{ReplicateEvery: 4, DetectProb: 1, Cluster: &popstab.BallSpec{X: 0.5, Y: 0.5, R: -0.1}}
+		}, "radius"},
+		// Builds the same unpaced run as 0 but would hash differently.
+		{"negative PerEpochBudget", func(s *popstab.Spec) { s.Adversary = "greedy"; s.K = 1; s.PerEpochBudget = -8 }, "PerEpochBudget"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sp := base
+			tc.mut(&sp)
+			_, err := sp.Normalize()
+			if err == nil {
+				t.Fatalf("Normalize accepted %+v", sp)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Normalize error %q does not mention %q", err, tc.want)
+			}
+			if h, err := sp.Hash(); err == nil {
+				t.Errorf("Hash accepted the spec: %s", h)
+			}
+			if _, err := popstab.NewSessionFromSpec(sp); err == nil {
+				t.Error("NewSessionFromSpec built a spec that does not normalize")
+			}
+		})
+	}
+}
