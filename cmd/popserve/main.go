@@ -82,7 +82,7 @@ func run(args []string) error {
 		maxConcurrent = fs.Int("max-concurrent", runtime.NumCPU(), "sessions stepping simultaneously")
 		maxSessions   = fs.Int("max-sessions", 4096, "session registry bound (completed sessions included)")
 		quantum       = fs.Int("quantum", 64, "rounds per scheduling slice (pause/snapshot latency bound)")
-		workers       = fs.Int("session-workers", 1, "engine worker count per session")
+		workers       = fs.Int("session-workers", 1, "engine worker count of every session (overrides a spec's workers)")
 		ckptDir       = fs.String("checkpoint-dir", "", "durable checkpoint directory (empty: in-memory only, no crash recovery)")
 		ckptEvery     = fs.Int("checkpoint-every", 256, "rounds between durable checkpoints per session")
 		sessionTTL    = fs.Duration("session-ttl", 0, "reap terminal sessions idle this long (0: keep forever)")

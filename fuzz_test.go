@@ -1,6 +1,7 @@
 package popstab_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -11,8 +12,9 @@ import (
 // FuzzSpec drives the Spec trust boundary — the JSON the serving layer
 // decodes from the network — through Normalize and Hash. For every input
 // it checks that nothing panics, that Normalize is idempotent, that Hash
-// survives a JSON round trip and ignores Workers, and that a spec
-// normalizes if and only if it builds. The build half runs only on specs
+// survives a JSON round trip and ignores Workers, that a spec normalizes if
+// and only if it builds, and that a spec and its normalized form build
+// sessions with byte-identical snapshots at round 0. The build half runs only on specs
 // small enough to build in milliseconds (N ≤ 16384, InitialSize and
 // InitialRogues ≤ 4·N, Tinner ≤ 1024, at most 2 workers), so the fuzzer
 // never allocates a large population, epoch table or worker pool.
@@ -67,8 +69,18 @@ func FuzzSpec(f *testing.F) {
 		if (err == nil) != (berr == nil) {
 			t.Fatalf("Normalize error %v but build error %v for %+v", err, berr, sp)
 		}
-		if s != nil {
-			s.Close()
+		if s == nil {
+			return
+		}
+		defer s.Close()
+		norm.Workers = sp.Workers
+		ns, err := popstab.NewSessionFromSpec(norm)
+		if err != nil {
+			t.Fatalf("normalized spec does not build: %v", err)
+		}
+		defer ns.Close()
+		if !bytes.Equal(s.Snapshot(), ns.Snapshot()) {
+			t.Fatalf("spec and its normalized form build different sessions: %+v vs %+v", sp, norm)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package popstab_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
@@ -94,6 +95,69 @@ func TestGoldenContentAddresses(t *testing.T) {
 			}
 			if snap != tc.snapshot {
 				t.Errorf("snapshot SHA-256 after two epochs = %s, want %s", snap, tc.snapshot)
+			}
+		})
+	}
+}
+
+// TestEqualHashesRestoreInterchangeably pins what an equal Spec.Hash
+// promises the dedupe cache: the two specs run the same simulation, so their
+// snapshots are byte-identical and each restores under the other spec. Each
+// pair differs only in a field the build ignores or canonicalizes: a budget
+// without an adversary, a paced adversary's K 0 (which runs as K 1), and the
+// 4-bit codec on a protocol that has no codec.
+func TestEqualHashesRestoreInterchangeably(t *testing.T) {
+	pairs := []struct {
+		name string
+		a, b popstab.Spec
+	}{
+		{"k-without-adversary",
+			popstab.Spec{N: 4096, Tinner: 24, Seed: 3, K: 5},
+			popstab.Spec{N: 4096, Tinner: 24, Seed: 3}},
+		{"paced-k0",
+			popstab.Spec{N: 4096, Tinner: 24, Seed: 4, Adversary: "greedy", PerEpochBudget: 16},
+			popstab.Spec{N: 4096, Tinner: 24, Seed: 4, Adversary: "greedy", K: 1, PerEpochBudget: 16}},
+		{"baseline-4-bit",
+			popstab.Spec{N: 4096, Tinner: 24, Seed: 5, Protocol: "attempt1", MessageBits: 4},
+			popstab.Spec{N: 4096, Tinner: 24, Seed: 5, Protocol: "attempt1"}},
+	}
+	for _, tc := range pairs {
+		t.Run(tc.name, func(t *testing.T) {
+			ha, err := tc.a.Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			hb, err := tc.b.Hash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ha != hb {
+				t.Errorf("hashes differ: %s vs %s", ha, hb)
+			}
+			snap := func(sp popstab.Spec) []byte {
+				sp.Workers = 1
+				s, err := popstab.NewSessionFromSpec(sp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				s.StepEpoch()
+				return s.Snapshot()
+			}
+			sa, sb := snap(tc.a), snap(tc.b)
+			if !bytes.Equal(sa, sb) {
+				t.Errorf("snapshots after one epoch differ (%d vs %d bytes)", len(sa), len(sb))
+			}
+			for _, r := range []struct {
+				spec popstab.Spec
+				blob []byte
+			}{{tc.b, sa}, {tc.a, sb}} {
+				s, err := popstab.RestoreSessionFromSpec(r.spec, r.blob)
+				if err != nil {
+					t.Errorf("snapshot does not restore under %+v: %v", r.spec, err)
+					continue
+				}
+				s.Close()
 			}
 		})
 	}

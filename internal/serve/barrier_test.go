@@ -25,8 +25,8 @@ func TestCallersSeeRealStates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Pause at once (often mid-build), then again once the resumed job
-		// has advanced (often mid-quantum).
+		// Pause at once (often before the first quantum), then again once
+		// the resumed job has advanced (often mid-quantum).
 		for k := 0; k < 2; k++ {
 			if err := j.Pause(ctx); err != nil {
 				t.Fatal(err)

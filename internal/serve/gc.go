@@ -63,11 +63,13 @@ func (m *Manager) reapExpired() int {
 		}
 		j.mu.Lock()
 		terminal := (j.status == StatusDone || j.status == StatusFailed) &&
-			!j.stepping && !j.parted && j.pending == 0
+			!j.stepping && !j.parted
 		// Re-check the touch stamp under the lock: a concurrent access
 		// may have refreshed it after the first screen.
 		if terminal && j.lastTouch.Load() < cutoff {
-			j.sess.Close() // release pool goroutines with the session
+			if j.sess != nil { // a failed build never had one
+				j.sess.Close() // release pool goroutines with the session
+			}
 			j.parted = true
 			j.sess = nil
 			j.cond.Broadcast()
@@ -127,7 +129,7 @@ func (m *Manager) hibernateOne() bool {
 func (m *Manager) hibernate(j *Job) bool {
 	j.mu.Lock()
 	idle := (j.status == StatusDone || j.status == StatusPaused) &&
-		!j.stepping && !j.parted && j.sess != nil
+		!j.stepping && !j.parted
 	if !idle {
 		j.mu.Unlock()
 		return false

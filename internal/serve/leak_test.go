@@ -15,15 +15,16 @@ import (
 // process goroutine count tracks the number of RESIDENT sessions, not the
 // number of sessions ever created.
 func TestHibernateReleasesPoolGoroutines(t *testing.T) {
+	// Workers 4 over N = 4096 engages the pool: up to 3 parked shard
+	// workers per live session.
 	m := NewManager(Config{
 		MaxConcurrent: 1, StepQuantum: 16, MaxSessions: 1, Store: NewMemStore(),
+		SessionWorkers: 4,
 	})
 	defer m.Close()
 	ctx := context.Background()
 
-	// Workers 4 over N = 4096 engages the pool: up to 3 parked shard
-	// workers plus the overlap goroutine per live session.
-	spec := popstab.Spec{N: 4096, Tinner: 24, Seed: 70, Workers: 4}
+	spec := popstab.Spec{N: 4096, Tinner: 24, Seed: 70}
 	a, _, err := m.Submit(ctx, spec, 48)
 	if err != nil {
 		t.Fatal(err)

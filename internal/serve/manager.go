@@ -7,8 +7,11 @@
 //
 // # Execution model
 //
-// Every job owns one goroutine (its runner) and one popstab.Session. The
-// runner advances the session in quanta of Config.StepQuantum rounds; to
+// Every job owns one goroutine (its runner) and one popstab.Session. A job
+// is built before anyone can use it: the registering call builds the
+// session under the job's lock and starts the runner only after the build
+// succeeded, so any job a caller can reach holds its session or has failed.
+// The runner advances the session in quanta of Config.StepQuantum rounds; to
 // run a quantum it first acquires a slot from the manager's bounded pool,
 // so at most Config.MaxConcurrent sessions consume CPU at once while any
 // number are open, paused, or parked between quanta — the inversion that
@@ -18,8 +21,8 @@
 // the in-flight quantum, so callers only ever see a between-rounds state
 // the session was really in.
 //
-// Lock order: a job's mu may be held while taking the manager's mu (the
-// dedupe-cache checks), never the reverse. The shutdown flag is atomic so
+// Lock order: a job's mu may be held while taking the manager's mu
+// (registration and the dedupe-cache checks), never the reverse. The shutdown flag is atomic so
 // runners and waiters read it without any lock.
 //
 // # Failure model
@@ -27,10 +30,11 @@
 // The serving layer assumes sessions can fail and the process can die at
 // any instant, and bounds the damage (DESIGN.md §9):
 //
-//   - Panic isolation: a panic anywhere in a runner — session build or a
-//     step quantum — is recovered into a StatusFailed transition carrying
-//     the stack, the dedupe entry is evicted, and the pool slot is returned
-//     by defer, so one poisoned spec cannot leak capacity.
+//   - Panic isolation: a panic in a session build (on the registering
+//     goroutine, before any runner exists) or in a step quantum (on the
+//     runner) is recovered into a StatusFailed transition carrying the
+//     stack, the dedupe entry is evicted, and the pool slot is returned by
+//     defer, so one poisoned spec cannot leak capacity.
 //   - Durable checkpoints: with a CheckpointStore configured, the runner
 //     persists a checkpoint every CheckpointEvery rounds and at completion,
 //     and Shutdown checkpoints every live session; Recover re-registers
@@ -89,9 +93,11 @@ type Config struct {
 	// StepQuantum is the number of rounds a runner advances per pool slot
 	// (0 = 64): the latency bound on pause/snapshot/shutdown.
 	StepQuantum int
-	// SessionWorkers is the engine worker count per session (0 = 1; the
-	// pool provides cross-session parallelism, so intra-session sharding
-	// is usually left off).
+	// SessionWorkers is the engine worker count of every session (0 = 1;
+	// the pool provides cross-session parallelism, so intra-session
+	// sharding is usually left off). It overrides the spec's Workers, which
+	// is outside the hash and the determinism boundary, so a client cannot
+	// size a server's pool.
 	SessionWorkers int
 
 	// Store persists checkpoints for crash recovery and hibernation
@@ -165,8 +171,9 @@ type Status string
 // Job statuses. A done job revives to running if more rounds are requested
 // (manual stepping past the original target).
 const (
-	// StatusQueued: submitted, session not yet built or waiting for its
-	// first pool slot.
+	// StatusQueued: the session is built and has rounds pending, and the
+	// runner is waiting for its first pool slot (or for the next one after
+	// Step revived a done job).
 	StatusQueued Status = "queued"
 	// StatusRunning: the runner holds (or is acquiring) a pool slot.
 	StatusRunning Status = "running"
@@ -174,8 +181,9 @@ const (
 	StatusPaused Status = "paused"
 	// StatusDone: the requested rounds have run to completion.
 	StatusDone Status = "done"
-	// StatusFailed: the session could not be built or restored, or its
-	// runner panicked (Error carries the recovered panic and stack).
+	// StatusFailed: the session could not be built or restored (the job
+	// then never had a runner), or a step quantum panicked (Error carries
+	// the recovered panic and stack).
 	StatusFailed Status = "failed"
 )
 
@@ -376,16 +384,17 @@ type Job struct {
 	// taking j.mu.
 	lastTouch atomic.Int64
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	sess     *popstab.Session
-	snapshot []byte // restore source; nil for fresh jobs, consumed by build
-	status   Status
-	err      error
-	stats    popstab.SessionStats
-	target   uint64 // total rounds requested so far
-	pending  uint64 // rounds not yet run
-	paused   bool
+	mu   sync.Mutex
+	cond *sync.Cond
+	// sess is set by register before the job is reachable; it is nil only
+	// for a failed build and for parted jobs.
+	sess    *popstab.Session
+	status  Status
+	err     error
+	stats   popstab.SessionStats
+	target  uint64 // total rounds requested so far
+	pending uint64 // rounds not yet run
+	paused  bool
 	// stepping: the runner is inside a step quantum with j.mu released;
 	// snapshot/hibernation wait for it to clear (cond-signaled).
 	stepping bool
@@ -413,11 +422,6 @@ type Job struct {
 	// and stays closed: the completion signal batch clients wait on.
 	done     chan struct{}
 	doneOnce sync.Once
-	// built is closed by the runner once the session build ends, with or
-	// without an error, and the job's first resting status is set. Readers
-	// of restored jobs wait on it: until then their status and stats are
-	// placeholders, not a state the restored session was ever in.
-	built chan struct{}
 }
 
 // touch records an access for LRU ordering.
@@ -470,47 +474,53 @@ func (m *Manager) Submit(ctx context.Context, spec popstab.Spec, rounds uint64) 
 		return nil, false, fmt.Errorf("%w: %v", ErrInvalidSpec, err)
 	}
 	key := jobKey(hash, rounds)
+	cp := Checkpoint{Spec: spec, Target: rounds, Pending: rounds}
 
 	for attempt := 0; ; attempt++ {
-		m.mu.Lock()
-		if m.closed.Load() {
-			m.mu.Unlock()
-			return nil, false, ErrClosed
-		}
-		if j, ok := m.byKey[key]; ok {
-			m.submissions.Add(1)
-			m.dedupeHits.Add(1)
-			m.mu.Unlock()
-			j.touch()
-			return j, true, nil
-		}
-		if len(m.jobs) >= m.cfg.MaxSessions {
-			m.mu.Unlock()
-			// Capacity pressure: spill the least-recently-touched idle
-			// session to the store and retry once.
-			if attempt == 0 && m.hibernateOne() {
-				continue
+		j, fresh, err := m.register(cp, obs.TraceID(ctx), func(j *Job) (*Job, error) {
+			if hit := m.byKey[key]; hit != nil && !m.isClosed() {
+				return hit, nil
 			}
-			return nil, false, fmt.Errorf("%w (%d)", errFull, m.cfg.MaxSessions)
+			if err := m.admitLocked(); err != nil {
+				return nil, err
+			}
+			j.key = key
+			m.byKey[key] = j
+			return nil, nil
+		})
+		// Capacity pressure: spill the least-recently-touched idle session
+		// to the store and retry once.
+		if errors.Is(err, errFull) && attempt == 0 && m.hibernateOne() {
+			continue
 		}
-		if retry, ok := m.admitLocked(); !ok {
-			m.mu.Unlock()
-			m.throttled.Add(1)
-			return nil, false, &ThrottledError{RetryAfter: retry}
+		if err != nil {
+			return nil, false, err
 		}
-		j := m.newJobLocked(spec, rounds, nil, key, false, obs.TraceID(ctx))
-		m.byKey[key] = j
-		m.mu.Unlock()
-		return j, false, nil
+		m.submissions.Add(1)
+		if !fresh {
+			m.dedupeHits.Add(1)
+			j.touch()
+		}
+		return j, !fresh, nil
 	}
 }
 
-// admitLocked consults the admission gate (caller holds m.mu).
-func (m *Manager) admitLocked() (time.Duration, bool) {
-	if m.gate == nil {
-		return 0, true
+// admitLocked checks a new submission or restore against the drain flag,
+// the registry cap and the admission gate (caller holds m.mu).
+func (m *Manager) admitLocked() error {
+	if m.isClosed() {
+		return ErrClosed
 	}
-	return m.gate.Admit(time.Now())
+	if len(m.jobs) >= m.cfg.MaxSessions {
+		return fmt.Errorf("%w (%d)", errFull, m.cfg.MaxSessions)
+	}
+	if m.gate != nil {
+		if retry, ok := m.gate.Admit(time.Now()); !ok {
+			m.throttled.Add(1)
+			return &ThrottledError{RetryAfter: retry}
+		}
+	}
+	return nil
 }
 
 // Restore registers a job that resumes the given session snapshot under
@@ -518,6 +528,8 @@ func (m *Manager) admitLocked() (time.Duration, bool) {
 // cache (their state is not derivable from the spec alone) but not the
 // admission gate. paused parks the job on arrival — the coordinator uses
 // this to migrate a paused session without racing rounds on the new host.
+// A snapshot that does not restore under spec yields a failed job, not an
+// error.
 func (m *Manager) Restore(ctx context.Context, spec popstab.Spec, snapshot []byte, rounds uint64, paused bool) (*Job, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -526,53 +538,94 @@ func (m *Manager) Restore(ctx context.Context, spec popstab.Spec, snapshot []byt
 	if len(snapshot) == 0 {
 		return nil, fmt.Errorf("%w: empty snapshot", ErrInvalidSpec)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed.Load() {
-		return nil, ErrClosed
+	cp := Checkpoint{Spec: spec, Target: rounds, Pending: rounds, Paused: paused, Snapshot: snapshot}
+	j, _, err := m.register(cp, obs.TraceID(ctx), func(*Job) (*Job, error) {
+		return nil, m.admitLocked()
+	})
+	if err != nil {
+		return nil, err
 	}
-	if len(m.jobs) >= m.cfg.MaxSessions {
-		return nil, fmt.Errorf("%w (%d)", errFull, m.cfg.MaxSessions)
-	}
-	if retry, ok := m.admitLocked(); !ok {
-		m.throttled.Add(1)
-		return nil, &ThrottledError{RetryAfter: retry}
-	}
-	return m.newJobLocked(spec, rounds, snapshot, "", paused, obs.TraceID(ctx)), nil
+	m.submissions.Add(1)
+	return j, nil
 }
 
-// newJobLocked allocates, registers, and starts a job. Caller holds m.mu
-// and has verified capacity.
-func (m *Manager) newJobLocked(spec popstab.Spec, rounds uint64, snapshot []byte, key string, paused bool, trace string) *Job {
-	// Sessions inherit the manager's worker setting unless the spec pins
-	// its own; either way the trajectory is identical.
-	if spec.Workers == 0 {
-		spec.Workers = m.cfg.SessionWorkers
-	}
-	m.nextID++
-	j := &Job{
+// register is the one way a job comes to exist, whether submitted,
+// restored, recovered or revived. cp describes it: cp.ID is kept (a fresh
+// ID is assigned when empty) and cp.Snapshot, when set, is restored instead
+// of building from the spec. The job's session runs at the manager's
+// SessionWorkers whatever the spec asks for; the trajectory is identical.
+//
+// The new job is locked before publish runs under m.mu (the package's one
+// lock order, j.mu → m.mu). publish enters it into the registry's indexes
+// or declines: with an error, or with another job that answers instead
+// (fresh reports false), and the new job is then dropped unseen. A
+// published job's session is built on the calling goroutine while its lock
+// keeps every reader out, and only a built job gets a runner, so whatever a
+// reader reaches holds its session or has failed. A failed build is a
+// failed job, not an error: it leaves the dedupe cache and the store.
+func (m *Manager) register(cp Checkpoint, trace string, publish func(*Job) (*Job, error)) (j *Job, fresh bool, err error) {
+	spec := cp.Spec
+	spec.Workers = m.cfg.SessionWorkers
+	j = &Job{
 		m:        m,
-		id:       fmt.Sprintf("s-%06d", m.nextID),
+		id:       cp.ID,
 		spec:     spec,
-		key:      key,
-		restored: snapshot != nil,
+		restored: cp.Snapshot != nil,
 		trace:    trace,
-		snapshot: snapshot,
-		target:   rounds,
+		target:   cp.Target,
 		status:   StatusQueued,
-		pending:  rounds,
-		paused:   paused,
+		pending:  cp.Pending,
+		paused:   cp.Paused,
 		subs:     make(map[uint64]chan popstab.SessionStats),
 		done:     make(chan struct{}),
-		built:    make(chan struct{}),
 	}
 	j.cond = sync.NewCond(&j.mu)
 	j.touch()
+	j.mu.Lock()
+	m.mu.Lock()
+	if other, err := publish(j); other != nil || err != nil {
+		m.mu.Unlock()
+		j.mu.Unlock()
+		return other, false, err
+	}
+	if j.id == "" {
+		m.nextID++
+		j.id = fmt.Sprintf("s-%06d", m.nextID)
+	}
 	m.jobs[j.id] = j
-	m.submissions.Add(1)
+	m.mu.Unlock()
+
+	endBuild := m.tracer.Start(trace, "build")
+	sess, err := j.buildSession(cp.Snapshot)
+	if err != nil {
+		endBuild("session", j.id, "error", err.Error())
+		j.failLocked(err)
+		j.mu.Unlock()
+		// A failed build must not keep answering for its (hash, rounds)
+		// identity: evict so a retry runs instead of deduping onto the
+		// corpse, and drop any checkpoint so recovery does not resurrect
+		// the poison.
+		j.evict()
+		j.dropCheckpoint()
+		return j, true, nil
+	}
+	endBuild("session", j.id)
+	// SimRuns is "engines actually run", so failed builds and corrupt
+	// restores don't inflate the metric the dedupe verdict is measured
+	// against.
+	m.simRuns.Add(1)
+	j.sess = sess
+	j.stats = sess.Stats()
+	j.phase = sess.RoundStats()
+	if j.pending == 0 || j.paused {
+		j.settleLocked()
+	}
+	// Added under j.mu: Shutdown locks every job it will wait for before
+	// it waits, so this Add cannot race its Wait.
 	m.runners.Add(1)
-	go j.run()
-	return j
+	go j.run(sess)
+	j.mu.Unlock()
+	return j, true, nil
 }
 
 // Get looks a job up by ID, transparently reviving a hibernated one from
@@ -702,7 +755,6 @@ func (m *Manager) ResultByHash(hash string) (*Job, error) {
 		pending    bool
 	)
 	for _, c := range cands {
-		c.j.awaitBuilt()
 		c.j.mu.Lock()
 		done := c.j.status == StatusDone
 		c.j.mu.Unlock()
@@ -816,50 +868,13 @@ func (m *Manager) releaseSlot() {
 	m.active.Add(-1)
 }
 
-// run is the job's runner goroutine: build (or restore) the session, then
-// alternate between waiting for work and stepping one quantum under a pool
-// slot. Panics in build or step are isolated into StatusFailed; the pool
-// slot is provably returned (release is deferred around the recovering
-// step call).
-func (j *Job) run() {
+// run is the job's runner goroutine, started by register once sess is
+// built: it alternates between waiting for work and stepping one quantum
+// under a pool slot. Panics in a step are isolated into StatusFailed; the
+// pool slot is provably returned (release is deferred around the
+// recovering step call).
+func (j *Job) run(sess *popstab.Session) {
 	defer j.m.runners.Done()
-	endBuild := j.m.tracer.Start(j.trace, "build")
-	sess, err := j.buildSession()
-	if err != nil {
-		endBuild("session", j.id, "error", err.Error())
-	} else {
-		endBuild("session", j.id)
-	}
-	j.mu.Lock()
-	if err != nil {
-		j.failLocked(err)
-		close(j.built)
-		j.mu.Unlock()
-		// A failed build must not keep answering for its (hash, rounds)
-		// identity: evict so a retry runs instead of deduping onto the
-		// corpse, and drop any checkpoint so recovery does not resurrect
-		// the poison.
-		j.evict()
-		j.dropCheckpoint()
-		return
-	}
-	// Counted here, after the constructor succeeded: SimRuns is "engines
-	// actually run", so failed builds and corrupt restores don't inflate
-	// the metric the dedupe verdict is measured against.
-	j.m.simRuns.Add(1)
-	j.sess = sess
-	j.stats = sess.Stats()
-	j.phase = sess.RoundStats()
-	j.snapshot = nil // the restore source is consumed; don't hold the bytes
-	// Settle the first resting status before built is closed, so a
-	// restored done or paused session never reads as queued.
-	if j.pending == 0 || j.paused {
-		j.settleLocked()
-	}
-	close(j.built)
-	j.cond.Broadcast()
-	j.mu.Unlock()
-
 	for {
 		j.mu.Lock()
 		for j.pending == 0 || j.paused {
@@ -956,17 +971,17 @@ func (j *Job) run() {
 	}
 }
 
-// buildSession constructs or restores the session, converting panics in
-// the engine constructors into errors.
-func (j *Job) buildSession() (sess *popstab.Session, err error) {
+// buildSession constructs the session, or restores snapshot into it when
+// set, converting panics in the engine constructors into errors.
+func (j *Job) buildSession(snapshot []byte) (sess *popstab.Session, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			j.m.panics.Add(1)
 			err = fmt.Errorf("serve: session build panic: %v\n%s", r, debug.Stack())
 		}
 	}()
-	if j.snapshot != nil {
-		return popstab.RestoreSessionFromSpec(j.spec, j.snapshot)
+	if snapshot != nil {
+		return popstab.RestoreSessionFromSpec(j.spec, snapshot)
 	}
 	return popstab.NewSessionFromSpec(j.spec)
 }
@@ -1007,7 +1022,7 @@ func (j *Job) checkpointNow() {
 		return
 	}
 	j.mu.Lock()
-	if j.sess == nil || j.status == StatusFailed || j.parted {
+	if j.status == StatusFailed || j.parted {
 		j.mu.Unlock()
 		return
 	}
@@ -1051,19 +1066,26 @@ func (m *Manager) Recover() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n := 0
+	// Keep fresh IDs ahead of every recovered one before any is
+	// registered, so a concurrent Submit cannot take a checkpoint's ID.
 	m.mu.Lock()
 	for _, cp := range cps {
-		if m.closed.Load() {
-			break
+		var seq uint64
+		if _, err := fmt.Sscanf(cp.ID, "s-%d", &seq); err == nil && seq > m.nextID {
+			m.nextID = seq
 		}
-		if _, ok := m.jobs[cp.ID]; ok {
-			continue
-		}
-		m.registerCheckpointLocked(cp)
-		n++
 	}
 	m.mu.Unlock()
+	n := 0
+	for _, cp := range cps {
+		_, fresh, err := m.register(cp, "", m.rejoin(cp))
+		if err != nil {
+			break
+		}
+		if fresh {
+			n++
+		}
+	}
 	m.recovered.Add(uint64(n))
 	return n, nil
 }
@@ -1074,68 +1096,47 @@ func (m *Manager) revive(id string) (*Job, bool) {
 	if err != nil || !ok {
 		return nil, false
 	}
-	m.mu.Lock()
-	if j, ok := m.jobs[id]; ok { // racing revival won
-		m.mu.Unlock()
-		j.touch()
-		return j, true
-	}
-	if m.closed.Load() {
-		m.mu.Unlock()
+	j, fresh, err := m.register(cp, "", m.rejoin(cp))
+	if err != nil {
 		return nil, false
 	}
-	j := m.registerCheckpointLocked(cp)
-	m.mu.Unlock()
-	m.revivals.Add(1)
+	if fresh {
+		m.revivals.Add(1)
+	} else { // racing revival won
+		j.touch()
+	}
 	return j, true
 }
 
-// registerCheckpointLocked builds a job from a checkpoint under its
-// original ID and starts its runner. Caller holds m.mu. Workers is a
-// serving-layer throughput knob excluded from the simulation's identity,
-// so the recovering manager imposes its own setting — recovery routinely
-// crosses worker counts at the kill boundary and the continuation is
-// bit-identical regardless.
-func (m *Manager) registerCheckpointLocked(cp Checkpoint) *Job {
-	spec := cp.Spec
-	spec.Workers = m.cfg.SessionWorkers
-	j := &Job{
-		m:        m,
-		id:       cp.ID,
-		spec:     spec,
-		restored: true,
-		snapshot: cp.Snapshot,
-		target:   cp.Target,
-		status:   StatusQueued,
-		pending:  cp.Pending,
-		paused:   cp.Paused,
-		// Already-terminal checkpoints re-finish without re-counting.
-		countedDone: cp.Pending == 0,
-		subs:        make(map[uint64]chan popstab.SessionStats),
-		done:        make(chan struct{}),
-		built:       make(chan struct{}),
-	}
-	j.cond = sync.NewCond(&j.mu)
-	j.touch()
-	if cp.Dedupe {
-		if hash, err := cp.Spec.Hash(); err == nil {
-			key := jobKey(hash, cp.Target)
-			if m.byKey[key] == nil {
-				j.key = key
-				m.byKey[key] = j
+// rejoin is register's publish step for a job rebuilt from its checkpoint
+// under its original ID. A job already resident under that ID answers
+// instead; an already-terminal checkpoint re-finishes without re-counting;
+// a job that held its dedupe identity at checkpoint time rejoins the cache
+// unless another job took the key since. The recovering manager's
+// SessionWorkers replaces the checkpoint's Workers (register does this for
+// every job): recovery routinely crosses worker counts at the kill
+// boundary and the continuation is bit-identical regardless.
+func (m *Manager) rejoin(cp Checkpoint) func(*Job) (*Job, error) {
+	return func(j *Job) (*Job, error) {
+		if other := m.jobs[cp.ID]; other != nil {
+			return other, nil
+		}
+		if m.isClosed() {
+			return nil, ErrClosed
+		}
+		j.countedDone = cp.Pending == 0
+		if cp.Dedupe {
+			if hash, err := cp.Spec.Hash(); err == nil {
+				key := jobKey(hash, cp.Target)
+				if m.byKey[key] == nil {
+					j.key = key
+					m.byKey[key] = j
+				}
 			}
 		}
+		delete(m.hibernated, cp.ID)
+		return nil, nil
 	}
-	m.jobs[j.id] = j
-	delete(m.hibernated, j.id)
-	// Keep fresh IDs ahead of every recovered one.
-	var seq uint64
-	if _, err := fmt.Sscanf(cp.ID, "s-%d", &seq); err == nil && seq > m.nextID {
-		m.nextID = seq
-	}
-	m.runners.Add(1)
-	go j.run()
-	return j
 }
 
 // settleLocked sets the resting status of a runner with no quantum to run:
@@ -1211,20 +1212,9 @@ func (j *Job) RoundStats() popstab.RoundStats {
 // Done returns a channel closed when the job first completes or fails.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// awaitBuilt blocks until a restored job's session is built, so its first
-// reader sees the restored state rather than the queued placeholder. Fresh
-// jobs return at once: queued at round 0 is a state they really are in.
-// Callers must hold no lock.
-func (j *Job) awaitBuilt() {
-	if j.restored {
-		<-j.built
-	}
-}
-
 // Info snapshots the job's state.
 func (j *Job) Info() JobInfo {
 	j.touch()
-	j.awaitBuilt()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.infoLocked()
@@ -1312,8 +1302,8 @@ func (j *Job) Step(n uint64) error {
 	return nil
 }
 
-// Pause parks the job and waits — under ctx — for the runner to park: the
-// session built and no quantum in flight. On a nil return the job runs no
+// Pause parks the job and waits — under ctx — for the runner to park: no
+// quantum in flight. On a nil return the job runs no
 // further rounds until Resume, so its stats are the paused state.
 func (j *Job) Pause(ctx context.Context) error {
 	j.touch()
@@ -1328,7 +1318,7 @@ func (j *Job) Pause(ctx context.Context) error {
 			return fmt.Errorf("%w: %v", ErrSessionFailed, j.err)
 		}
 		j.paused = true
-		if j.sess != nil && !j.stepping {
+		if !j.stepping {
 			break
 		}
 		if err := ctx.Err(); err != nil {
@@ -1384,9 +1374,6 @@ func (j *Job) Snapshot(ctx context.Context) (popstab.Spec, []byte, error) {
 	}
 	if j.status == StatusFailed {
 		return popstab.Spec{}, nil, fmt.Errorf("%w: %v", ErrSessionFailed, j.err)
-	}
-	if j.sess == nil {
-		return popstab.Spec{}, nil, errors.New("serve: session still initializing")
 	}
 	return j.spec, j.m.observeSnapshot(func() []byte { return j.sess.Snapshot() }), nil
 }

@@ -373,6 +373,30 @@ func TestGCReapsExpiredTerminal(t *testing.T) {
 	waitDone(t, r)
 }
 
+// TestGCReapsFailedBuilds pins that TTL reaping covers failed jobs too,
+// whether or not rounds were still pending when they failed, including jobs
+// whose build failed and so never held a session.
+func TestGCReapsFailedBuilds(t *testing.T) {
+	m := NewManager(Config{SessionTTL: 30 * time.Millisecond, GCInterval: time.Hour})
+	defer m.Close()
+	for _, rounds := range []uint64{0, 10} {
+		j, err := m.Restore(context.Background(), quickSpec(71), []byte("not a snapshot"), rounds, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := j.Info().Status; st != StatusFailed {
+			t.Fatalf("status %s, want failed", st)
+		}
+	}
+	time.Sleep(60 * time.Millisecond)
+	if reaped, _ := m.GC(); reaped != 2 {
+		t.Fatalf("GC reaped %d failed jobs, want 2", reaped)
+	}
+	if mt := m.Metrics(); mt.Sessions != 0 {
+		t.Fatalf("%d sessions resident after reaping, want 0", mt.Sessions)
+	}
+}
+
 // TestGCHibernatesOverResidency pins the janitor watermark: GC spills LRU
 // idle sessions while residency exceeds MaxResident.
 func TestGCHibernatesOverResidency(t *testing.T) {

@@ -208,6 +208,94 @@ func TestFailedBuildNotCountedOrCached(t *testing.T) {
 	waitDone(t, j2)
 }
 
+// TestRestoreThatCannotBuild pins the failed-restore path: a truncated
+// snapshot, and a greedy-adversary snapshot restored under its spec at a
+// different budget K, each yield a job whose first Info already reads failed
+// with the restore error. The failure is counted as failed, not as a sim
+// run, leaves no checkpoint behind, and does not stop a later valid restore
+// of the same spec.
+func TestRestoreThatCannotBuild(t *testing.T) {
+	store := NewMemStore()
+	m := NewManager(Config{Store: store, StepQuantum: 16})
+	defer m.Close()
+	ctx := context.Background()
+
+	spec := popstab.Spec{N: 4096, Tinner: 24, Seed: 33, Adversary: "greedy", K: 2}
+	src, err := popstab.NewSessionFromSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Step(40)
+	blob := src.Snapshot()
+	src.Close()
+	otherK := spec
+	otherK.K = 3
+
+	for _, tc := range []struct {
+		name string
+		spec popstab.Spec
+		blob []byte
+		want string
+	}{
+		{"truncated", spec, blob[:len(blob)/2], "wire:"},
+		{"budget-mismatch", otherK, blob, "budget K"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := m.Metrics()
+			j, err := m.Restore(ctx, tc.spec, tc.blob, 16, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			info := j.Info()
+			if info.Status != StatusFailed || !strings.Contains(info.Error, tc.want) {
+				t.Fatalf("first Info: status %s, error %q; want failed with %q", info.Status, info.Error, tc.want)
+			}
+			after := m.Metrics()
+			if after.Failed != before.Failed+1 || after.SimRuns != before.SimRuns {
+				t.Errorf("metrics %+v -> %+v, want Failed +1 and SimRuns unchanged", before, after)
+			}
+			if _, ok, err := store.Get(j.ID()); ok || err != nil {
+				t.Errorf("checkpoint of the failed job remains (ok %v, err %v)", ok, err)
+			}
+		})
+	}
+
+	j, err := m.Restore(ctx, spec, blob, 16, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	if info := j.Info(); info.Status != StatusDone || info.Stats.Round != 56 {
+		t.Fatalf("valid restore: status %s at round %d (%s), want done at 56", info.Status, info.Stats.Round, info.Error)
+	}
+}
+
+// TestSessionWorkersOverrideSpec pins that a client's Workers never sizes a
+// server pool: a spec asking for 2^20 workers runs at the manager's
+// SessionWorkers, and it dedupes with the same spec at Workers 0.
+func TestSessionWorkersOverrideSpec(t *testing.T) {
+	m := NewManager(Config{SessionWorkers: 2, StepQuantum: 16})
+	defer m.Close()
+	ctx := context.Background()
+	spec := quickSpec(34)
+	spec.Workers = 1 << 20
+	a, _, err := m.Submit(ctx, spec, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Info().Spec.Workers; got != 2 {
+		t.Fatalf("job runs at Workers %d, want the manager's 2", got)
+	}
+	b, deduped, err := m.Submit(ctx, quickSpec(34), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !deduped || b.ID() != a.ID() {
+		t.Fatalf("Workers 0 submission not deduped onto %s (got %s, deduped %v)", a.ID(), b.ID(), deduped)
+	}
+	waitDone(t, a)
+}
+
 // TestSubmitRejectsUnbuildableSpec pins the admission half of the spec
 // contract: a spec that cannot build (here a rogue extension without a
 // replication period) never becomes a job and is answered with 422.

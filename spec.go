@@ -199,7 +199,8 @@ func (sp Spec) resolve() (*plan, error) {
 	out := sp
 	out.Tinner, out.Gamma, out.Alpha = p.Tinner, p.Gamma, p.Alpha
 	out.Protocol, out.Topology = proto, topo
-	if out.MessageBits == 0 {
+	if out.MessageBits == 0 || proto != "paper" {
+		// Only the paper protocol has a wire codec; the baselines ignore it.
 		out.MessageBits = 3
 	}
 	if spatialTopo && out.DaughterSpread == 0 {
@@ -217,9 +218,8 @@ func (sp Spec) resolve() (*plan, error) {
 
 	pl := &plan{sim: sim.Config{
 		Params:      p,
-		K:           sp.K,
 		Seed:        sp.Seed,
-		InitialSize: sp.InitialSize,
+		InitialSize: out.InitialSize,
 		Workers:     sp.Workers,
 	}}
 	if spatialTopo {
@@ -249,9 +249,13 @@ func (sp Spec) resolve() (*plan, error) {
 		return nil, fmt.Errorf("popstab: unknown adversary %q (position-blind: %v; spatial: %v)",
 			sp.Adversary, AdversaryNames(), SpatialAdversaryNames())
 	}
-	if pl.sim.Adversary != nil && out.PerEpochBudget > 0 && pl.sim.K == 0 {
-		pl.sim.K = 1
+	if out.PerEpochBudget > 0 && out.K == 0 {
+		// A paced action alters at least one agent: K 0 runs as K 1.
+		out.K = 1
 	}
+	// The engine is built from the canonical values, so specs with equal
+	// hashes build engines whose snapshots are interchangeable.
+	pl.sim.K = out.K
 
 	if rs := sp.Rogue; rs != nil {
 		rc := rogue.Config{
@@ -357,7 +361,8 @@ func (sp Spec) Normalize() (Spec, error) {
 // Hash returns the canonical content address of the simulation the spec
 // describes: a hex SHA-256 over the normalized spec with Workers cleared.
 // Equal hashes mean bit-identical simulations (same trajectory, same
-// stats), which is what lets the serving layer dedupe submissions.
+// stats, interchangeable snapshots), which is what lets the serving layer
+// dedupe submissions.
 func (sp Spec) Hash() (string, error) {
 	norm, err := sp.Normalize()
 	if err != nil {
