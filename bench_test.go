@@ -15,6 +15,7 @@ import (
 
 	"popstab"
 	"popstab/internal/agent"
+	"popstab/internal/experiment"
 	"popstab/internal/match"
 	"popstab/internal/params"
 	"popstab/internal/pool"
@@ -27,20 +28,24 @@ import (
 // benchExperiment runs one suite experiment per iteration.
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
+	e, ok := experiment.Lookup(id)
+	if !ok {
+		b.Fatalf("unknown experiment %q", id)
+	}
 	for i := 0; i < b.N; i++ {
-		res, err := popstab.RunExperiment(id, popstab.ExperimentConfig{
-			Scale:   popstab.ScaleQuick,
+		res, err := e.Execute(experiment.Config{
+			Scale:   experiment.Quick,
 			Seed:    uint64(7 + i),
 			Workers: runtime.NumCPU(),
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		ok := 0.0
+		reproduced := 0.0
 		if strings.HasPrefix(res.Verdict, "REPRODUCED") {
-			ok = 1
+			reproduced = 1
 		}
-		b.ReportMetric(ok, "reproduced")
+		b.ReportMetric(reproduced, "reproduced")
 	}
 }
 

@@ -36,7 +36,7 @@ import (
 	"strings"
 	"time"
 
-	"popstab"
+	"popstab/internal/experiment"
 )
 
 // jsonReport is the machine-readable output of a -json run. Fields are
@@ -55,14 +55,14 @@ type jsonReport struct {
 
 // jsonExperiment is one experiment's outcome and cost.
 type jsonExperiment struct {
-	ID         string                `json:"id"`
-	Title      string                `json:"title"`
-	Claim      string                `json:"claim"`
-	Verdict    string                `json:"verdict"`
-	Reproduced bool                  `json:"reproduced"`
-	ElapsedMS  int64                 `json:"elapsed_ms"`
-	Tables     []popstab.ResultTable `json:"tables,omitempty"`
-	Notes      []string              `json:"notes,omitempty"`
+	ID         string             `json:"id"`
+	Title      string             `json:"title"`
+	Claim      string             `json:"claim"`
+	Verdict    string             `json:"verdict"`
+	Reproduced bool               `json:"reproduced"`
+	ElapsedMS  int64              `json:"elapsed_ms"`
+	Tables     []experiment.Table `json:"tables,omitempty"`
+	Notes      []string           `json:"notes,omitempty"`
 }
 
 func main() {
@@ -116,31 +116,32 @@ func run(args []string) error {
 	}
 
 	if *list {
-		for _, id := range popstab.ExperimentIDs() {
-			title, claim, err := popstab.ExperimentInfo(id)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-4s %s\n     %s\n", id, title, claim)
+		for _, e := range experiment.All() {
+			fmt.Printf("%-4s %s\n     %s\n", e.ID, e.Title, e.Claim)
 		}
 		return nil
 	}
 
-	var scale popstab.ExperimentConfig
+	cfg := experiment.Config{Seed: *seed, Workers: *workers}
 	switch *scaleName {
 	case "quick":
-		scale = popstab.ExperimentConfig{Scale: popstab.ScaleQuick}
+		cfg.Scale = experiment.Quick
 	case "full":
-		scale = popstab.ExperimentConfig{Scale: popstab.ScaleFull}
+		cfg.Scale = experiment.Full
 	default:
 		return fmt.Errorf("unknown scale %q", *scaleName)
 	}
-	scale.Seed = *seed
-	scale.Workers = *workers
 
-	ids := popstab.ExperimentIDs()
+	exps := experiment.All()
 	if *runIDs != "" {
-		ids = strings.Split(*runIDs, ",")
+		exps = nil
+		for _, id := range strings.Split(*runIDs, ",") {
+			e, ok := experiment.Lookup(strings.TrimSpace(id))
+			if !ok {
+				return fmt.Errorf("unknown experiment %q", id)
+			}
+			exps = append(exps, e)
+		}
 	}
 
 	type summaryRow struct {
@@ -158,10 +159,9 @@ func run(args []string) error {
 	}
 	suiteStart := time.Now()
 	failures := 0
-	for _, id := range ids {
-		id = strings.TrimSpace(id)
+	for _, e := range exps {
 		start := time.Now()
-		res, err := popstab.RunExperiment(id, scale)
+		res, err := e.Execute(cfg)
 		if err != nil {
 			return err
 		}
@@ -242,7 +242,7 @@ func run(args []string) error {
 }
 
 // printMarkdown renders a result as a markdown section with pipe tables.
-func printMarkdown(res *popstab.ExperimentResult, elapsed time.Duration) {
+func printMarkdown(res *experiment.Result, elapsed time.Duration) {
 	fmt.Printf("### %s — %s\n\n", res.ID, res.Title)
 	fmt.Printf("**Claim.** %s\n\n", res.Claim)
 	fmt.Printf("**Verdict.** %s *(ran in %s)*\n\n", res.Verdict, elapsed)

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"popstab"
+	"popstab/internal/experiment"
 )
 
 func TestRunList(t *testing.T) {
@@ -125,10 +125,14 @@ func TestRunJSON(t *testing.T) {
 	}
 }
 
-// TestQuickExperimentsMatchBaseline regenerates three cheap experiments
+// TestQuickExperimentsMatchBaseline regenerates six cheap experiments
 // and requires their verdicts, tables and notes to equal the committed
 // BENCH_baseline.json entries, so table drift is caught by go test and
-// not only by the CI diff of the whole suite.
+// not only by the CI diff of the whole suite. Between them they cover a
+// paced Spec adversary (E3), the Spec-built stability runs (E12), the
+// matched fraction as Spec.Gamma (E14), the rogue cohort (E17), a
+// Spec-built torus with its color probe (A5), and arms that still build a
+// sim.Config (E13's codec runs).
 func TestQuickExperimentsMatchBaseline(t *testing.T) {
 	base, err := loadReport(filepath.Join("..", "..", "BENCH_baseline.json"))
 	if err != nil {
@@ -141,13 +145,13 @@ func TestQuickExperimentsMatchBaseline(t *testing.T) {
 	for _, e := range base.Experiments {
 		want[e.ID] = e
 	}
-	out := runStdout(t, "-scale", "quick", "-seed", "7", "-run", "E3,E13,E17", "-json")
+	out := runStdout(t, "-scale", "quick", "-seed", "7", "-run", "E3,E12,E13,E14,E17,A5", "-json")
 	var rep jsonReport
 	if err := json.Unmarshal(out, &rep); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, out)
 	}
-	if len(rep.Experiments) != 3 {
-		t.Fatalf("got %d experiments, want 3", len(rep.Experiments))
+	if len(rep.Experiments) != 6 {
+		t.Fatalf("got %d experiments, want 6", len(rep.Experiments))
 	}
 	for _, got := range rep.Experiments {
 		w, ok := want[got.ID]
@@ -187,7 +191,7 @@ func baseReport() jsonReport {
 		TotalMS:       1000,
 		Experiments: []jsonExperiment{
 			{ID: "E1", Title: "main theorem", Verdict: "REPRODUCED: ok", Reproduced: true, ElapsedMS: 600,
-				Tables: []popstab.ResultTable{{
+				Tables: []experiment.Table{{
 					Title: "max deviation",
 					Cols:  []string{"N", "maxDev"},
 					Rows:  [][]string{{"4096", "0.005"}, {"16384", "0.002"}},

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	"popstab"
 	"popstab/internal/baseline"
-	"popstab/internal/protocol"
 	"popstab/internal/sim"
 	"popstab/internal/stats"
 )
@@ -36,34 +36,40 @@ func runE9(cfg Config) (*Result, error) {
 		Cols:  []string{"adversary", "budget/round", "outcome", "epochs", "final size"},
 	}
 	a1 := baseline.MustNewAttempt1(p)
-	runArm := func(simCfg sim.Config) (string, int, int) {
-		eng := sim.MustNew(simCfg)
-		for ep := 0; ep < maxEpochs; ep++ {
+	outcomes := map[string]string{}
+	// record runs one arm until the population leaves [N/2, 2N] or the
+	// epochs run out.
+	record := func(name string, k int, eng interface {
+		RunRound() sim.RoundReport
+		Size() int
+	}) {
+		outcome, ep := "stable", maxEpochs
+		for e := 0; e < maxEpochs && outcome == "stable"; e++ {
 			for r := 0; r < a1.EpochLen(); r++ {
 				eng.RunRound()
 			}
-			if eng.Size() < p.N/2 {
-				return "collapse", ep, eng.Size()
-			}
-			if eng.Size() > 2*p.N {
-				return "explode", ep, eng.Size()
+			switch {
+			case eng.Size() < p.N/2:
+				outcome, ep = "collapse", e
+			case eng.Size() > 2*p.N:
+				outcome, ep = "explode", e
 			}
 		}
-		return "stable", maxEpochs, eng.Size()
-	}
-	outcomes := map[string]string{}
-	record := func(name string, k int, simCfg sim.Config) {
-		outcome, eps, size := runArm(simCfg)
 		outcomes[name] = outcome
-		table.AddRow(name, fmtI(k), outcome, fmtI(eps), fmtI(size))
+		table.AddRow(name, fmtI(k), outcome, fmtI(ep), fmtI(eng.Size()))
 	}
-	record("none", 0, sim.Config{Params: p, Protocol: a1, Seed: cfg.Seed, Workers: 1})
-	record("suppressor (insert heard=1)", 1, sim.Config{Params: p, Protocol: baseline.MustNewAttempt1(p),
+	none, err := newSim(p, cfg.Seed, popstab.Spec{Protocol: "attempt1"})
+	if err != nil {
+		return nil, err
+	}
+	record("none", 0, none)
+	// The attacks read Attempt 1's internals, which no Spec names.
+	record("suppressor (insert heard=1)", 1, sim.MustNew(sim.Config{Params: p, Protocol: baseline.MustNewAttempt1(p),
 		Workers: 1,
-		Seed:    cfg.Seed, K: 1, Adversary: baseline.NewAttempt1Suppressor(a1)})
-	record("igniter (delete carriers)", p.MaxTolerableK(), sim.Config{Params: p, Protocol: baseline.MustNewAttempt1(p),
+		Seed:    cfg.Seed, K: 1, Adversary: baseline.NewAttempt1Suppressor(a1)}))
+	record("igniter (delete carriers)", p.MaxTolerableK(), sim.MustNew(sim.Config{Params: p, Protocol: baseline.MustNewAttempt1(p),
 		Workers: 1,
-		Seed:    cfg.Seed, K: p.MaxTolerableK(), Adversary: baseline.NewAttempt1Igniter(a1)})
+		Seed:    cfg.Seed, K: p.MaxTolerableK(), Adversary: baseline.NewAttempt1Igniter(a1)}))
 	res.Tables = append(res.Tables, table)
 	ok := outcomes["none"] == "stable" &&
 		outcomes["suppressor (insert heard=1)"] == "collapse" &&
@@ -104,10 +110,13 @@ func runE10(cfg Config) (*Result, error) {
 		Title: fmt.Sprintf("max |m−N| over %d rounds, no adversary, %d trials", horizon, trials),
 		Cols:  []string{"protocol", "mean max|m−N|", "max max|m−N|", "as fraction of N"},
 	}
-	measure := func(mk func(seed uint64) *sim.Engine) (mean, worst float64) {
+	measure := func(protocol string) (mean, worst float64, err error) {
 		var s stats.Summary
 		for tr := 0; tr < trials; tr++ {
-			eng := mk(cfg.Seed + uint64(tr)*104729)
+			eng, err := newSim(p, cfg.Seed+uint64(tr)*104729, popstab.Spec{Protocol: protocol})
+			if err != nil {
+				return 0, 0, err
+			}
 			maxDev := 0.0
 			for r := 0; r < horizon; r++ {
 				eng.RunRound()
@@ -117,14 +126,16 @@ func runE10(cfg Config) (*Result, error) {
 			}
 			s.Add(maxDev)
 		}
-		return s.Mean(), s.Max()
+		return s.Mean(), s.Max(), nil
 	}
-	a2Mean, a2Worst := measure(func(seed uint64) *sim.Engine {
-		return sim.MustNew(sim.Config{Params: p, Protocol: baseline.MustNewAttempt2(p), Seed: seed, Workers: 1})
-	})
-	mainMean, mainWorst := measure(func(seed uint64) *sim.Engine {
-		return sim.MustNew(sim.Config{Params: p, Protocol: protocol.MustNew(p), Seed: seed, Workers: 1})
-	})
+	a2Mean, a2Worst, err := measure("attempt2")
+	if err != nil {
+		return nil, err
+	}
+	mainMean, mainWorst, err := measure("paper")
+	if err != nil {
+		return nil, err
+	}
 	table.AddRow("attempt2", fmtF(a2Mean), fmtF(a2Worst), fmtF(a2Worst/float64(p.N)))
 	table.AddRow("main protocol", fmtF(mainMean), fmtF(mainWorst), fmtF(mainWorst/float64(p.N)))
 	res.Tables = append(res.Tables, table)

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"popstab"
 	"popstab/internal/match"
 	"popstab/internal/params"
 	"popstab/internal/prng"
@@ -143,11 +144,7 @@ func runE8(cfg Config) (*Result, error) {
 	// Lemma 9.
 	lo, hi := p.Bounds()
 	for _, start := range []int{lo, hi} {
-		pr, err := protocol.New(p)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := sim.New(sim.Config{Params: p, Protocol: pr, Seed: cfg.Seed, InitialSize: start, Workers: 1})
+		eng, err := newSim(p, cfg.Seed, popstab.Spec{InitialSize: start})
 		if err != nil {
 			return nil, err
 		}
@@ -216,16 +213,10 @@ func runE16(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	mStar := float64(p.PredictedEquilibrium())
-	pr, err := protocol.New(p)
-	if err != nil {
-		return nil, err
-	}
 	// Start at the predicted fixed point and test that the population
 	// stays there (rather than drifting back up to N): the relaxation time
 	// Θ(m*/√N) epochs makes approach-from-N runs much longer.
-	eng, err := sim.New(sim.Config{Params: p, Protocol: pr, Seed: cfg.Seed,
-		Workers:     1,
-		InitialSize: p.PredictedEquilibrium()})
+	eng, err := newSim(p, cfg.Seed, popstab.Spec{InitialSize: p.PredictedEquilibrium()})
 	if err != nil {
 		return nil, err
 	}

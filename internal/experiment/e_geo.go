@@ -2,13 +2,8 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 
-	"popstab/internal/adversary"
-	"popstab/internal/match"
-	"popstab/internal/protocol"
-	"popstab/internal/rogue"
-	"popstab/internal/sim"
+	"popstab"
 )
 
 // A7 — the cross-product scenarios the paper leaves open, reachable only
@@ -32,13 +27,6 @@ func init() {
 	})
 }
 
-// a7Cell is one (topology, budget) outcome of the sweep.
-type a7Cell struct {
-	violatedAt int // epoch of first interval violation, -1 if none
-	endSize    int
-	maxDev     float64
-}
-
 func runA7(cfg Config) (*Result, error) {
 	n := 4096
 	epochs := 15
@@ -50,8 +38,7 @@ func runA7(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	lo, hi := p.Bounds()
-	spacing := 1 / math.Sqrt(float64(p.N))
+	mixed, torus := locality{"mixed", 0}, locality{"torus", 0}
 
 	// Table 1: greedy adversary at a per-epoch budget grid, well-mixed vs
 	// torus. Same seed per cell: the engine's stream separation makes the
@@ -62,71 +49,26 @@ func runA7(cfg Config) (*Result, error) {
 		Title: fmt.Sprintf("greedy adversary budget sweep, N=%d, %d epochs (early exit at 4N)", n, epochs),
 		Cols:  []string{"topology", "budget", "first violation (epoch)", "end size", "maxDev"},
 	}
-	runCell := func(torus bool, perEpoch int) (a7Cell, error) {
-		pr, err := protocol.New(p)
-		if err != nil {
-			return a7Cell{}, err
-		}
-		simCfg := sim.Config{Params: p, Protocol: pr, Seed: cfg.Seed, Workers: 1}
-		if perEpoch > 0 {
-			simCfg.K = 1
-			simCfg.Adversary = adversary.NewPaced(adversary.PerEpoch(p.T, perEpoch, 1),
-				adversary.NewGreedy())
-		}
-		if torus {
-			tor, err := match.NewTorus(spacing)
-			if err != nil {
-				return a7Cell{}, err
-			}
-			simCfg.Matcher = tor
-		}
-		eng, err := sim.New(simCfg)
-		if err != nil {
-			return a7Cell{}, err
-		}
-		out := a7Cell{violatedAt: -1}
-		for ep := 0; ep < epochs && eng.Size() < 4*p.N; ep++ {
-			rep := eng.RunEpoch()
-			if out.violatedAt < 0 && (rep.MinSize < lo || rep.MaxSize > hi) {
-				out.violatedAt = ep
-			}
-			for _, v := range []int{rep.MinSize, rep.MaxSize} {
-				if d := absF(float64(v-p.N)) / float64(p.N); d > out.maxDev {
-					out.maxDev = d
-				}
-			}
-		}
-		out.endSize = eng.Size()
-		return out, nil
-	}
-	cells := map[bool]map[int]a7Cell{false: {}, true: {}}
-	for _, torus := range []bool{false, true} {
-		name := "mixed"
-		if torus {
-			name = "torus"
-		}
+	cells := map[locality]map[int]stabilityOutcome{mixed: {}, torus: {}}
+	for _, topo := range []locality{mixed, torus} {
 		for _, b := range budgets {
-			c, err := runCell(torus, b)
+			c, err := runEpochs(p, cfg.Seed, topo.on(paced("greedy", b)), epochs, 4*p.N)
 			if err != nil {
 				return nil, err
 			}
-			cells[torus][b] = c
-			firstViol := "none"
-			if c.violatedAt >= 0 {
-				firstViol = fmtI(c.violatedAt)
-			}
-			t1.AddRow(name, budgetLabel(b), firstViol, fmtI(c.endSize), fmtF(c.maxDev))
+			cells[topo][b] = c
+			t1.AddRow(topo.String(), budgetLabel(b), c.firstViolation(), fmtI(c.endSize), fmtF(c.maxDevFrac(p.N)))
 		}
 	}
 	res.Tables = append(res.Tables, t1)
 	// The verdict asserts exactly what the claim says: the well-mixed arms
 	// hold at and below the tolerated budget, while every torus arm —
 	// including budget 0 — escapes, and budget only accelerates the escape.
-	sweepOK := cells[false][0].violatedAt < 0 && cells[false][base].violatedAt < 0
+	sweepOK := cells[mixed][0].violatedAt < 0 && cells[mixed][base].violatedAt < 0
 	for _, b := range budgets {
-		sweepOK = sweepOK && cells[true][b].violatedAt >= 0
+		sweepOK = sweepOK && cells[torus][b].violatedAt >= 0
 	}
-	sweepOK = sweepOK && cells[true][16*base].violatedAt <= cells[true][0].violatedAt
+	sweepOK = sweepOK && cells[torus][16*base].violatedAt <= cells[torus][0].violatedAt
 
 	// Table 2: malicious programs on the torus (rogue×geo). Scattered
 	// rogues on the torus face a contact (and therefore cull) rate of ≈ 1
@@ -137,34 +79,16 @@ func runA7(cfg Config) (*Result, error) {
 		Title: fmt.Sprintf("rogue cohort of 64 vs replication period R, mixed vs torus (detect=1, ≤%d rounds; well-mixed R* ≈ 2.41)", horizon),
 		Cols:  []string{"R", "topology", "rogues left", "honest size", "rogue kills", "outcome"},
 	}
-	rogueOutcome := map[bool]map[int]bool{false: {}, true: {}} // contained?
+	contained := map[locality]map[int]bool{mixed: {}, torus: {}}
 	for _, r := range []int{1, 2, 3, 6} {
-		for _, torus := range []bool{false, true} {
-			sc := sim.Config{Params: p, Seed: cfg.Seed, Workers: 1}
-			name := "mixed"
-			if torus {
-				name = "torus"
-				tor, err := match.NewTorus(spacing)
-				if err != nil {
-					return nil, err
-				}
-				sc.Matcher = tor
-			}
-			eng, err := rogue.New(sc, rogue.Config{ReplicateEvery: r, DetectProb: 1, InitialRogues: 64})
+		for _, topo := range []locality{mixed, torus} {
+			out, err := runCohort(p, cfg.Seed, topo.on(popstab.Spec{Rogue: rogues(r, 1)}), horizon)
 			if err != nil {
 				return nil, err
 			}
-			for i := 0; i < horizon && eng.Size() < 4*p.N; i++ {
-				eng.RunRound()
-			}
-			honest, rogues := eng.Counts()
-			outcome := "contained"
-			if rogues >= 64 {
-				outcome = "takeover"
-			}
-			rogueOutcome[torus][r] = outcome == "contained"
-			t2.AddRow(fmtI(r), name, fmtI(rogues), fmtI(honest),
-				fmtI(int(eng.Stats().RogueKills)), outcome)
+			contained[topo][r] = out.contained()
+			t2.AddRow(fmtI(r), topo.String(), fmtI(out.rogues), fmtI(out.honest),
+				fmtI(out.kills), out.label())
 		}
 	}
 	res.Tables = append(res.Tables, t2)
@@ -172,9 +96,9 @@ func runA7(cfg Config) (*Result, error) {
 	// contained, well-mixed takeover since 2 < R*), and both contain R ≥ 3.
 	// The torus R=1 row is metastable — see the patch-shielding note — so it
 	// is reported but not asserted.
-	rogueOK := !rogueOutcome[false][1] && !rogueOutcome[false][2] &&
-		rogueOutcome[false][3] && rogueOutcome[false][6] &&
-		rogueOutcome[true][2] && rogueOutcome[true][3] && rogueOutcome[true][6]
+	rogueOK := !contained[mixed][1] && !contained[mixed][2] &&
+		contained[mixed][3] && contained[mixed][6] &&
+		contained[torus][2] && contained[torus][3] && contained[torus][6]
 
 	res.Verdict = verdict(sweepOK && rogueOK,
 		"topology and intervention compose as orthogonal axes: geometric matching destabilizes "+

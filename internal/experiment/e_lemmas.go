@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 
+	"popstab"
 	"popstab/internal/adversary"
+	"popstab/internal/params"
 	"popstab/internal/protocol"
 	"popstab/internal/sim"
 	"popstab/internal/stats"
@@ -107,13 +109,7 @@ func runE3(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		// Stress with the attack that inflates activation the most.
-		paced := adversary.NewPaced(adversary.PerEpoch(p.T, p.MaxTolerableK(), 1),
-			adversary.NewFakeLeaderInserter(0))
-		pr, err := protocol.New(p)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := sim.New(sim.Config{Params: p, Protocol: pr, Seed: cfg.Seed, K: 1, Adversary: paced, Workers: 1})
+		eng, err := newSim(p, cfg.Seed, paced("insert-leader0", p.MaxTolerableK()))
 		if err != nil {
 			return nil, err
 		}
@@ -162,20 +158,11 @@ func runE4(cfg Config) (*Result, error) {
 	logN := logOf(n)
 	ok := true
 	for _, mult := range []int{2, 4, 8} {
-		p, err := paramsFor(n, cfg.Scale)
+		p, err := params.Derive(n, params.WithTinner(mult*logN))
 		if err != nil {
 			return nil, err
 		}
-		p.Tinner = mult * logN
-		p.T = p.Tinner * p.HalfLogN
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-		pr, err := protocol.New(p)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := sim.New(sim.Config{Params: p, Protocol: pr, Seed: cfg.Seed, Workers: 1})
+		eng, err := newSim(p, cfg.Seed, popstab.Spec{})
 		if err != nil {
 			return nil, err
 		}
@@ -234,11 +221,7 @@ func runE5(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pr, err := protocol.New(p)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := sim.New(sim.Config{Params: p, Protocol: pr, Seed: cfg.Seed, Workers: 1})
+		eng, err := newSim(p, cfg.Seed, popstab.Spec{})
 		if err != nil {
 			return nil, err
 		}
@@ -301,11 +284,7 @@ func runE6(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pr, err := protocol.New(p)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := sim.New(sim.Config{Params: p, Protocol: pr, Seed: cfg.Seed, Workers: 1})
+		eng, err := newSim(p, cfg.Seed, popstab.Spec{})
 		if err != nil {
 			return nil, err
 		}

@@ -2,10 +2,9 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 
+	"popstab"
 	"popstab/internal/baseline"
-	"popstab/internal/match"
 	"popstab/internal/params"
 	"popstab/internal/protocol"
 	"popstab/internal/sim"
@@ -45,12 +44,8 @@ func runA5(cfg Config) (*Result, error) {
 			"mean splits/epoch", "mean deaths/epoch", "end size"},
 	}
 
-	// Uniform arm via the standard engine.
-	pr, err := protocol.New(p)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := sim.New(sim.Config{Params: p, Protocol: pr, Seed: cfg.Seed, Workers: 1})
+	// Uniform arm: the model's γ-matching.
+	eng, err := newSim(p, cfg.Seed, popstab.Spec{})
 	if err != nil {
 		return nil, err
 	}
@@ -60,41 +55,29 @@ func runA5(cfg Config) (*Result, error) {
 		uniFrac.Add(sameColorPairFraction(eng))
 		eng.RunRounds(1)
 	}
-	uc := pr.Counters()
+	uc := eng.Counters()
 	table.AddRow("uniform (model)", fmtF(uniFrac.Mean()),
 		fmtF(float64(uc.EvalSplits)/float64(epochs)),
 		fmtF(float64(uc.EvalDeaths)/float64(epochs)),
 		fmtI(eng.Size()))
 
-	// Spatial arm: the same protocol over the torus matcher, daughters
-	// spread by the mean inter-agent spacing 1/√N (Workers: 1 like every
-	// suite engine; output is identical for any worker count).
-	gpr, err := protocol.New(p)
+	// Spatial arm: the same protocol on the torus, daughters spread by the
+	// mean inter-agent spacing 1/√N.
+	geng, err := newSim(p, cfg.Seed, popstab.Spec{Topology: "torus"})
 	if err != nil {
 		return nil, err
 	}
-	torus, err := match.NewTorus(1 / math.Sqrt(float64(p.N)))
-	if err != nil {
-		return nil, err
-	}
-	geng, err := sim.New(sim.Config{Params: p, Protocol: gpr, Matcher: torus, Seed: cfg.Seed, Workers: 1})
-	if err != nil {
-		return nil, err
-	}
-	var (
-		geoFrac stats.Summary
-		probe   match.Pairing
-	)
+	var geoFrac stats.Summary
 	for ep := 0; ep < epochs; ep++ {
 		geng.RunRounds(p.T - 1)
 		frac := 0.5
-		if same, diff := sampleColorAgreement(geng, torus, &probe); same+diff > 0 {
+		if same, diff, _ := geng.ColorAgreement(); same+diff > 0 {
 			frac = float64(same) / float64(same+diff)
 		}
 		geoFrac.Add(frac)
 		geng.RunRound()
 	}
-	gc := gpr.Counters()
+	gc := geng.Counters()
 	table.AddRow("nearest-neighbor", fmtF(geoFrac.Mean()),
 		fmtF(float64(gc.EvalSplits)/float64(epochs)),
 		fmtF(float64(gc.EvalDeaths)/float64(epochs)),
@@ -116,8 +99,8 @@ func runA5(cfg Config) (*Result, error) {
 // sameColorPairFraction estimates the same-color probability of matched
 // colored pairs at the evaluation round by census approximation: it derives
 // Pr[same] from the realized color counts (exact enough for the comparison).
-func sameColorPairFraction(eng *sim.Engine) float64 {
-	c := eng.Census()
+func sameColorPairFraction(s *popstab.Sim) float64 {
+	c := s.Census()
 	colored := float64(c.ColorCount[0] + c.ColorCount[1])
 	if colored < 2 {
 		return 0.5
@@ -126,34 +109,8 @@ func sameColorPairFraction(eng *sim.Engine) float64 {
 	p1 := float64(c.ColorCount[1]) / colored
 	// Independent-pair approximation plus the same-cluster excess √N/colored.
 	base := p0*p0 + p1*p1
-	excess := float64(eng.Params().ClusterSize) / colored * (1 - base)
+	excess := float64(s.Params().ClusterSize) / colored * (1 - base)
 	return base + excess
-}
-
-// sampleColorAgreement draws a fresh local matching over the engine's
-// current population — from the torus's own placement stream, so the
-// simulation's matching randomness is untouched — and reports how many
-// matched active pairs agree or disagree in color. It does not advance the
-// simulation; probe is reusable scratch.
-func sampleColorAgreement(eng *sim.Engine, torus *match.Torus, probe *match.Pairing) (same, diff int) {
-	pop := eng.Population()
-	torus.SampleProbe(pop, probe)
-	for i := 0; i < pop.Len(); i++ {
-		j := probe.Nbr[i]
-		if j == match.Unmatched || int(j) < i {
-			continue
-		}
-		a, b := pop.State(i), pop.State(int(j))
-		if !a.Active || !b.Active {
-			continue
-		}
-		if a.Color == b.Color {
-			same++
-		} else {
-			diff++
-		}
-	}
-	return same, diff
 }
 
 // A6 — partial synchrony: bounded clock drift.

@@ -1,32 +1,25 @@
 package experiment
 
 import (
-	"math"
 	"testing"
 
-	"popstab/internal/match"
+	"popstab"
 	"popstab/internal/params"
-	"popstab/internal/protocol"
-	"popstab/internal/sim"
 )
 
-// torusEngine builds A5's spatial arm: the paper protocol on the torus with
+// torusSim builds A5's spatial arm: the paper protocol on the torus with
 // daughters spread by the mean inter-agent spacing.
-func torusEngine(t *testing.T, p params.Params, seed uint64) (*sim.Engine, *match.Torus) {
+func torusSim(t *testing.T, p params.Params, seed uint64) *popstab.Sim {
 	t.Helper()
-	torus, err := match.NewTorus(1 / math.Sqrt(float64(p.N)))
+	s, err := newSim(p, seed, popstab.Spec{Topology: "torus"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := sim.New(sim.Config{Params: p, Protocol: protocol.MustNew(p), Matcher: torus, Seed: seed, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, torus
+	return s
 }
 
-// TestColorAgreementProbeDoesNotPerturbTrajectory pins sampleColorAgreement's
-// contract: the probe draws from the torus's placement stream, so a probed
+// TestColorAgreementProbeDoesNotPerturbTrajectory pins Sim.ColorAgreement's
+// contract: the probe draws from the torus's own probe stream, so a probed
 // and an unprobed run of the same configuration follow identical
 // trajectories (the paired-comparison property of DESIGN.md §5).
 func TestColorAgreementProbeDoesNotPerturbTrajectory(t *testing.T) {
@@ -35,16 +28,15 @@ func TestColorAgreementProbeDoesNotPerturbTrajectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(probed bool) []int {
-		eng, torus := torusEngine(t, p, 8)
-		var (
-			probe match.Pairing
-			sizes []int
-		)
+		s := torusSim(t, p, 8)
+		var sizes []int
 		for i := 0; i < p.T; i++ {
 			if probed && i%10 == 0 {
-				sampleColorAgreement(eng, torus, &probe)
+				if _, _, ok := s.ColorAgreement(); !ok {
+					t.Fatal("torus run has no probe")
+				}
 			}
-			sizes = append(sizes, eng.RunRound().SizeAfter)
+			sizes = append(sizes, s.RunRound().SizeAfter)
 		}
 		return sizes
 	}
@@ -65,11 +57,10 @@ func TestLocalMatchingBiasesColorSignal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, torus := torusEngine(t, p, 4)
+	s := torusSim(t, p, 4)
 	// Run to the evaluation round of the first epoch.
-	eng.RunRounds(p.T - 1)
-	var probe match.Pairing
-	same, diff := sampleColorAgreement(eng, torus, &probe)
+	s.RunRounds(p.T - 1)
+	same, diff, _ := s.ColorAgreement()
 	if same+diff < 20 {
 		t.Skipf("too few colored pairs to judge (%d)", same+diff)
 	}

@@ -2,14 +2,8 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 
-	"popstab/internal/adversary"
-	"popstab/internal/match"
-	"popstab/internal/population"
-	"popstab/internal/protocol"
-	"popstab/internal/rogue"
-	"popstab/internal/sim"
+	"popstab"
 )
 
 // A9 — the patch-attack map enabled by the spatial adversary seam: the
@@ -53,26 +47,10 @@ func init() {
 	})
 }
 
-// a9Center is the patch center used throughout (any point works: the
-// topologies are homogeneous, modulo the grid boundary, which A9 avoids).
-var a9Center = population.Point{X: 0.5, Y: 0.5}
-
-// a9Matcher builds the topology for one cell.
-func a9Matcher(name string, n int) (match.Matcher, error) {
-	s2 := 1 / math.Sqrt(float64(n))
-	s1 := 1 / float64(n)
-	switch name {
-	case "ring":
-		return match.NewRing(s1)
-	case "torus":
-		return match.NewTorus(s2)
-	case "smallworld(0.1)":
-		return match.NewSmallWorld(s1, 0.1)
-	case "smallworld(0.5)":
-		return match.NewSmallWorld(s1, 0.5)
-	}
-	return nil, fmt.Errorf("a9: unknown topology %q", name)
-}
+// a9Ball is the patch of radius r used throughout, centered at (0.5, 0.5)
+// (any point works: the topologies are homogeneous, modulo the grid
+// boundary, which A9 avoids).
+func a9Ball(r float64) *popstab.BallSpec { return &popstab.BallSpec{X: 0.5, Y: 0.5, R: r} }
 
 func runA9(cfg Config) (*Result, error) {
 	n := 4096
@@ -81,7 +59,8 @@ func runA9(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	lo, hi := p.Bounds()
+	ring, torus := locality{"ring", 0}, locality{"torus", 0}
+	sw1, sw5 := locality{"smallworld", 0.1}, locality{"smallworld", 0.5}
 	base := p.MaxTolerableK()
 	epochs := 12
 	horizon := 2 * p.T
@@ -94,66 +73,33 @@ func runA9(cfg Config) (*Result, error) {
 	// changes. delete-patch uses DeleteNear (nearest-first in one ball);
 	// patch-combo alternates the ball's budget between deletion and
 	// clustered fake-leader insertion (InsertAt).
-	type t1arm struct {
-		name string
-		mk   func() adversary.Adversary
-	}
-	arms := []t1arm{
-		{"delete-random", func() adversary.Adversary { return adversary.NewRandomDeleter() }},
-		{"delete-patch(0.02)", func() adversary.Adversary { return adversary.NewPatchDeleter(a9Center, 0.02) }},
-		{"delete-patch(0.1)", func() adversary.Adversary { return adversary.NewPatchDeleter(a9Center, 0.1) }},
-		{"patch-combo(0.05)", func() adversary.Adversary {
-			return adversary.NewPatchCombo(a9Center, 0.05, nil)
-		}},
+	arms := []struct {
+		name, adversary string
+		r               float64 // patch radius; unread by delete-random
+	}{
+		{"delete-random", "delete-random", 0},
+		{"delete-patch(0.02)", "delete-patch", 0.02},
+		{"delete-patch(0.1)", "delete-patch", 0.1},
+		{"patch-combo(0.05)", "patch-combo", 0.05},
 	}
 	t1 := Table{
 		Title: fmt.Sprintf("concentrated vs spread alteration, N=%d, %d epochs, budgets/epoch {%d, %d}", n, epochs, base, 16*base),
 		Cols:  []string{"topology", "strategy", "budget", "first violation (epoch)", "maxDev"},
 	}
-	t1dev := map[string]map[string]map[int]float64{} // topo -> arm -> budget -> maxDev
-	t1viol := map[string]map[string]map[int]int{}
-	for _, topo := range []string{"ring", "torus"} {
-		t1dev[topo] = map[string]map[int]float64{}
-		t1viol[topo] = map[string]map[int]int{}
+	t1out := map[locality]map[string]map[int]stabilityOutcome{} // topo -> arm -> budget
+	for _, topo := range []locality{ring, torus} {
+		t1out[topo] = map[string]map[int]stabilityOutcome{}
 		for _, arm := range arms {
-			t1dev[topo][arm.name] = map[int]float64{}
-			t1viol[topo][arm.name] = map[int]int{}
+			t1out[topo][arm.name] = map[int]stabilityOutcome{}
 			for _, b := range []int{base, 16 * base} {
-				m, err := a9Matcher(topo, p.N)
+				sp := paced(arm.adversary, b)
+				sp.Patch = a9Ball(arm.r)
+				c, err := runEpochs(p, cfg.Seed, topo.on(sp), epochs, 4*p.N)
 				if err != nil {
 					return nil, err
 				}
-				pr, err := protocol.New(p)
-				if err != nil {
-					return nil, err
-				}
-				eng, err := sim.New(sim.Config{
-					Params: p, Protocol: pr, Seed: cfg.Seed, Workers: 1, Matcher: m, K: 1,
-					Adversary: adversary.NewPaced(adversary.PerEpoch(p.T, b, 1), arm.mk()),
-				})
-				if err != nil {
-					return nil, err
-				}
-				firstViol := -1
-				maxDev := 0.0
-				for ep := 0; ep < epochs && eng.Size() < 4*p.N; ep++ {
-					rep := eng.RunEpoch()
-					if firstViol < 0 && (rep.MinSize < lo || rep.MaxSize > hi) {
-						firstViol = ep
-					}
-					for _, v := range []int{rep.MinSize, rep.MaxSize} {
-						if d := absF(float64(v-p.N)) / float64(p.N); d > maxDev {
-							maxDev = d
-						}
-					}
-				}
-				t1dev[topo][arm.name][b] = maxDev
-				t1viol[topo][arm.name][b] = firstViol
-				cell := "none"
-				if firstViol >= 0 {
-					cell = fmtI(firstViol)
-				}
-				t1.AddRow(topo, arm.name, budgetLabel(b), cell, fmtF(maxDev))
+				t1out[topo][arm.name][b] = c
+				t1.AddRow(topo.String(), arm.name, budgetLabel(b), c.firstViolation(), fmtF(c.maxDevFrac(p.N)))
 			}
 		}
 	}
@@ -165,10 +111,10 @@ func runA9(cfg Config) (*Result, error) {
 	// breaks the interval on the ring. Torus rows are dominated by the
 	// topology's own signal collapse (A5/A7: it escapes at budget 0) and
 	// are reported, not asserted.
-	bigB := 16 * base
-	deletionOK := t1dev["ring"]["delete-random"][bigB] >= 2*t1dev["ring"]["delete-patch(0.02)"][bigB] &&
-		t1viol["ring"]["delete-patch(0.02)"][bigB] < 0 &&
-		t1viol["ring"]["delete-patch(0.1)"][bigB] < 0
+	onRing := func(arm string) stabilityOutcome { return t1out[ring][arm][16*base] }
+	deletionOK := onRing("delete-random").maxDevFrac(p.N) >= 2*onRing("delete-patch(0.02)").maxDevFrac(p.N) &&
+		onRing("delete-patch(0.02)").violatedAt < 0 &&
+		onRing("delete-patch(0.1)").violatedAt < 0
 
 	// Table 2: clustered rogue cohort (64 rogues, R = 3, detect = 1) across
 	// patch radius × topology. radius "uniform" is A8's oblivious seeding;
@@ -184,33 +130,21 @@ func runA9(cfg Config) (*Result, error) {
 		Title: fmt.Sprintf("clustered rogue cohort of 64, R=3, detect=1, ≤%d rounds: patch radius × topology", horizon),
 		Cols:  []string{"topology", "radius", "rogues left", "honest size", "rogue kills", "outcome"},
 	}
-	contained := map[string]map[string]bool{}
-	for _, topo := range []string{"ring", "torus", "smallworld(0.1)", "smallworld(0.5)"} {
+	contained := map[locality]map[string]bool{}
+	for _, topo := range []locality{ring, torus, sw1, sw5} {
 		contained[topo] = map[string]bool{}
 		for _, rad := range radii {
-			m, err := a9Matcher(topo, p.N)
-			if err != nil {
-				return nil, err
-			}
-			rc := rogue.Config{ReplicateEvery: 3, DetectProb: 1, InitialRogues: 64}
+			rs := rogues(3, 1)
 			if rad >= 0 {
-				rc.Cluster = &rogue.ClusterSpec{Center: a9Center, Radius: rad}
+				rs.Cluster = a9Ball(rad)
 			}
-			eng, err := rogue.New(sim.Config{Params: p, Seed: cfg.Seed, Workers: 1, Matcher: m}, rc)
+			out, err := runCohort(p, cfg.Seed, topo.on(popstab.Spec{Rogue: rs}), horizon)
 			if err != nil {
 				return nil, err
 			}
-			for i := 0; i < horizon && eng.Size() < 4*p.N; i++ {
-				eng.RunRound()
-			}
-			honest, rogues := eng.Counts()
-			outcome := "contained"
-			if rogues >= 64 {
-				outcome = "takeover"
-			}
-			contained[topo][radLabel(rad)] = outcome == "contained"
-			t2.AddRow(topo, radLabel(rad), fmtI(rogues), fmtI(honest),
-				fmtI(int(eng.Stats().RogueKills)), outcome)
+			contained[topo][radLabel(rad)] = out.contained()
+			t2.AddRow(topo.String(), radLabel(rad), fmtI(out.rogues), fmtI(out.honest),
+				fmtI(out.kills), out.label())
 		}
 	}
 	res.Tables = append(res.Tables, t2)
@@ -222,11 +156,11 @@ func runA9(cfg Config) (*Result, error) {
 	// placement flip. smallworld(0.1) straddles seeds and is reported only.
 	placementOK := true
 	for _, rad := range radii {
-		placementOK = placementOK && !contained["ring"][radLabel(rad)]
-		placementOK = placementOK && contained["smallworld(0.5)"][radLabel(rad)]
+		placementOK = placementOK && !contained[ring][radLabel(rad)]
+		placementOK = placementOK && contained[sw5][radLabel(rad)]
 	}
-	placementOK = placementOK && contained["torus"]["uniform"] &&
-		!contained["torus"]["0.002"] && !contained["torus"]["0.02"]
+	placementOK = placementOK && contained[torus]["uniform"] &&
+		!contained[torus]["0.002"] && !contained[torus]["0.02"]
 
 	// Table 3: adversarial rewiring on smallworld(0.5): the same clustered
 	// cohort (radius 0.02) under no adversary, rewiring denied inside a
@@ -241,34 +175,21 @@ func runA9(cfg Config) (*Result, error) {
 	for _, r := range []int{1, 3} {
 		rewireContained[r] = map[string]bool{}
 		for _, arm := range []string{"free", "deny-patch(0.1)", "deny-all"} {
-			m, err := a9Matcher("smallworld(0.5)", p.N)
-			if err != nil {
-				return nil, err
-			}
-			sc := sim.Config{Params: p, Seed: cfg.Seed, Workers: 1, Matcher: m}
+			rs := rogues(r, 1)
+			rs.Cluster = a9Ball(0.02)
+			sp := popstab.Spec{Rogue: rs}
 			switch arm {
 			case "deny-patch(0.1)":
-				sc.Adversary, sc.K = adversary.NewRewireDenier(a9Center, 0.1), 1
+				sp.Adversary, sp.Patch, sp.K = "rewire-deny", a9Ball(0.1), 1
 			case "deny-all":
-				sc.Adversary, sc.K = adversary.NewRewireDenier(a9Center, -1), 1
+				sp.Adversary, sp.Patch, sp.K = "rewire-deny-all", a9Ball(0), 1
 			}
-			eng, err := rogue.New(sc, rogue.Config{
-				ReplicateEvery: r, DetectProb: 1, InitialRogues: 64,
-				Cluster: &rogue.ClusterSpec{Center: a9Center, Radius: 0.02},
-			})
+			out, err := runCohort(p, cfg.Seed, sw5.on(sp), horizon)
 			if err != nil {
 				return nil, err
 			}
-			for i := 0; i < horizon && eng.Size() < 4*p.N; i++ {
-				eng.RunRound()
-			}
-			honest, rogues := eng.Counts()
-			outcome := "contained"
-			if rogues >= 64 {
-				outcome = "takeover"
-			}
-			rewireContained[r][arm] = outcome == "contained"
-			t3.AddRow(fmtI(r), arm, fmtI(rogues), fmtI(honest), outcome)
+			rewireContained[r][arm] = out.contained()
+			t3.AddRow(fmtI(r), arm, fmtI(out.rogues), fmtI(out.honest), out.label())
 		}
 	}
 	res.Tables = append(res.Tables, t3)

@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"popstab/internal/rogue"
-	"popstab/internal/sim"
+	"popstab"
 )
 
 // E17 — the §1.2 malicious-program extension: with agent-removal, program
@@ -49,25 +48,15 @@ func runE17(cfg Config) (*Result, error) {
 	}
 	thresholdOK := true
 	for _, r := range []int{2, 3, 6, 12, 24} {
-		eng, err := rogue.New(sim.Config{Params: p, Seed: cfg.Seed},
-			rogue.Config{ReplicateEvery: r, DetectProb: 1, InitialRogues: 64})
+		out, err := runCohort(p, cfg.Seed, popstab.Spec{Rogue: rogues(r, 1)}, epochs*p.T)
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < epochs*p.T && eng.Size() < 4*p.N; i++ {
-			eng.RunRound()
-		}
-		_, rogues := eng.Counts()
-		outcome := "contained"
-		if rogues >= 64 {
-			outcome = "takeover"
-		}
-		wantContained := float64(r) > rStar
-		if wantContained != (outcome == "contained") {
+		if out.contained() != (float64(r) > rStar) {
 			thresholdOK = false
 		}
 		t1.AddRow(fmtI(r), fmtF(math.Ln2/float64(r)), fmtF(-math.Log1p(-p.Gamma)),
-			fmtI(rogues), outcome)
+			fmtI(out.rogues), out.label())
 	}
 	res.Tables = append(res.Tables, t1)
 
@@ -88,26 +77,15 @@ func runE17(cfg Config) (*Result, error) {
 	}
 	ablationOK := true
 	for idx, a := range arms {
-		eng, err := rogue.New(sim.Config{Params: p, Seed: cfg.Seed + uint64(idx)},
-			rogue.Config{ReplicateEvery: a.r, DetectProb: a.detect, InitialRogues: 64})
+		out, err := runCohort(p, cfg.Seed+uint64(idx), popstab.Spec{Rogue: rogues(a.r, a.detect)}, horizonRounds)
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < horizonRounds && eng.Size() < 4*p.N; i++ {
-			eng.RunRound()
-		}
-		honest, rogues := eng.Counts()
-		outcome := "contained"
-		if rogues >= 64 {
-			outcome = "takeover"
-		}
-		if idx == 0 && outcome != "contained" {
+		// Only the full extension may contain the cohort.
+		if out.contained() != (idx == 0) {
 			ablationOK = false
 		}
-		if idx > 0 && outcome != "takeover" {
-			ablationOK = false
-		}
-		t2.AddRow(a.name, fmtI(rogues), fmtI(honest), outcome)
+		t2.AddRow(a.name, fmtI(out.rogues), fmtI(out.honest), out.label())
 	}
 	res.Tables = append(res.Tables, t2)
 

@@ -3,8 +3,7 @@ package experiment
 import (
 	"fmt"
 
-	"popstab/internal/adversary"
-	"popstab/internal/match"
+	"popstab/internal/params"
 	"popstab/internal/stats"
 )
 
@@ -40,12 +39,8 @@ func runE1(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		arms := []stabilityArm{
-			{name: "none", adversary: nil},
-			{name: "delete-random", adversary: adversary.NewRandomDeleter(), perEpoch: p.MaxTolerableK()},
-			{name: "insert-benign", adversary: adversary.NewBenignInserter(), perEpoch: p.MaxTolerableK()},
-			{name: "greedy", adversary: adversary.NewGreedy(), perEpoch: p.MaxTolerableK()},
-		}
+		k := p.MaxTolerableK()
+		arms := []stabilityArm{{"none", 0}, {"delete-random", k}, {"insert-benign", k}, {"greedy", k}}
 		nEpochs := epochs
 		if n >= 65536 {
 			// The largest size costs ~5 ms/round; keep the headline
@@ -57,7 +52,7 @@ func runE1(cfg Config) (*Result, error) {
 			worst := 0.0
 			violations := 0
 			for tr := 0; tr < trials; tr++ {
-				out, err := runStability(p, arm, nEpochs, cfg.Seed+uint64(tr)*7919, nil)
+				out, err := runStability(p, arm, nEpochs, cfg.Seed+uint64(tr)*7919)
 				if err != nil {
 					return nil, err
 				}
@@ -71,7 +66,7 @@ func runE1(cfg Config) (*Result, error) {
 			if violations > 0 {
 				allOK = false
 			}
-			table.AddRow(fmtI(n), arm.name, budgetLabel(arm.perEpoch), fmtI(nEpochs),
+			table.AddRow(fmtI(n), arm.adversary, budgetLabel(arm.perEpoch), fmtI(nEpochs),
 				fmtF(worst), fmtI(violations))
 		}
 	}
@@ -107,19 +102,11 @@ func runE11(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	arms := []stabilityArm{
-		{name: "none", adversary: nil},
-		{name: "delete-random", adversary: adversary.NewRandomDeleter(), perEpoch: p.MaxTolerableK()},
-		{name: "delete-active", adversary: adversary.NewLeaderKiller(), perEpoch: p.MaxTolerableK()},
-		{name: "delete-color1", adversary: adversary.NewColorDeleter(1), perEpoch: p.MaxTolerableK()},
-		{name: "insert-benign", adversary: adversary.NewBenignInserter(), perEpoch: p.MaxTolerableK()},
-		{name: "insert-leader0", adversary: adversary.NewFakeLeaderInserter(0), perEpoch: p.MaxTolerableK()},
-		{name: "insert-singleton", adversary: adversary.NewSingletonInserter(), perEpoch: p.MaxTolerableK()},
-		{name: "insert-offset", adversary: adversary.NewWrongRoundInserter(p.T / 2), perEpoch: p.MaxTolerableK()},
-		{name: "insert-eval", adversary: adversary.NewEvalFlooder(), perEpoch: p.MaxTolerableK()},
-		{name: "skew-up", adversary: adversary.NewColorSkewer(true), perEpoch: p.MaxTolerableK()},
-		{name: "skew-down", adversary: adversary.NewColorSkewer(false), perEpoch: p.MaxTolerableK()},
-		{name: "greedy", adversary: adversary.NewGreedy(), perEpoch: p.MaxTolerableK()},
+	arms := []stabilityArm{{"none", 0}}
+	for _, name := range []string{"delete-random", "delete-active", "delete-color1",
+		"insert-benign", "insert-leader0", "insert-singleton", "insert-offset",
+		"insert-eval", "skew-up", "skew-down", "greedy"} {
+		arms = append(arms, stabilityArm{name, p.MaxTolerableK()})
 	}
 	res := &Result{}
 	table := Table{
@@ -129,7 +116,7 @@ func runE11(cfg Config) (*Result, error) {
 	}
 	allOK := true
 	for _, arm := range arms {
-		out, err := runStability(p, arm, epochs, cfg.Seed, nil)
+		out, err := runStability(p, arm, epochs, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -139,7 +126,7 @@ func runE11(cfg Config) (*Result, error) {
 			violated = fmt.Sprintf("epoch %d", out.violatedAt)
 			allOK = false
 		}
-		table.AddRow(arm.name, fmtF(out.maxDevFrac(p.N)), fmtF(endDev), violated)
+		table.AddRow(arm.adversary, fmtF(out.maxDevFrac(p.N)), fmtF(endDev), violated)
 	}
 	res.Tables = append(res.Tables, table)
 	res.Verdict = verdict(allOK,
@@ -181,11 +168,7 @@ func runE12(cfg Config) (*Result, error) {
 	lowOK := true
 	highBroke := false
 	for _, b := range budgets {
-		arm := stabilityArm{name: "insert-eval", adversary: adversary.NewEvalFlooder(), perEpoch: b}
-		if b == 0 {
-			arm = stabilityArm{name: "none"}
-		}
-		out, err := runStability(p, arm, epochs, cfg.Seed, nil)
+		out, err := runStability(p, stabilityArm{"insert-eval", b}, epochs, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -200,13 +183,6 @@ func runE12(cfg Config) (*Result, error) {
 			}
 		}
 		table.AddRow(budgetLabel(b), fmtF(float64(b)/float64(base)), fmtF(out.maxDevFrac(p.N)), violated)
-	}
-	if !highBroke {
-		// The largest budgets must defeat the protocol for the threshold
-		// shape to be visible.
-		for _, row := range table.Rows {
-			_ = row
-		}
 	}
 	res.Tables = append(res.Tables, table)
 	res.Verdict = verdict(lowOK && highBroke,
@@ -247,15 +223,11 @@ func runE14(cfg Config) (*Result, error) {
 	var perGamma []float64
 	allOK := true
 	for _, g := range gammas {
-		p, err := paramsFor(n, cfg.Scale)
+		p, err := paramsFor(n, cfg.Scale, params.WithGamma(g))
 		if err != nil {
 			return nil, err
 		}
-		sched, err := match.NewUniform(g)
-		if err != nil {
-			return nil, err
-		}
-		out, err := runStability(p, stabilityArm{name: "none"}, epochs, cfg.Seed, sched)
+		out, err := runStability(p, stabilityArm{"none", 0}, epochs, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}

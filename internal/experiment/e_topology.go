@@ -2,13 +2,8 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 
-	"popstab/internal/adversary"
-	"popstab/internal/match"
-	"popstab/internal/protocol"
-	"popstab/internal/rogue"
-	"popstab/internal/sim"
+	"popstab"
 )
 
 // A8 — the topology gallery sweep enabled by the sharded spatial pipeline:
@@ -43,27 +38,14 @@ func init() {
 	})
 }
 
-// a8Topology is one gallery entry: a label and a Matcher constructor (nil
-// matcher = well-mixed γ-scheduling).
-type a8Topology struct {
-	name string
-	mk   func() (match.Matcher, error)
-}
-
-// a8Gallery builds the locality ladder for population size n, in
-// decreasing order of mixing. Spreads follow the popstab conventions:
-// 1/√N on 2-D topologies, 1/N on 1-D ones.
-func a8Gallery(n int) []a8Topology {
-	s2 := 1 / math.Sqrt(float64(n))
-	s1 := 1 / float64(n)
-	return []a8Topology{
-		{"mixed", nil},
-		{"smallworld(0.5)", func() (match.Matcher, error) { return match.NewSmallWorld(s1, 0.5) }},
-		{"smallworld(0.1)", func() (match.Matcher, error) { return match.NewSmallWorld(s1, 0.1) }},
-		{"grid", func() (match.Matcher, error) { return match.NewGrid(s2) }},
-		{"torus", func() (match.Matcher, error) { return match.NewTorus(s2) }},
-		{"ring", func() (match.Matcher, error) { return match.NewRing(s1) }},
-	}
+// ladder is A8's topology gallery, in decreasing order of mixing.
+var ladder = []locality{
+	{"mixed", 0},
+	{"smallworld", 0.5},
+	{"smallworld", 0.1},
+	{"grid", 0},
+	{"torus", 0},
+	{"ring", 0},
 }
 
 func runA8(cfg Config) (*Result, error) {
@@ -77,8 +59,6 @@ func runA8(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	gallery := a8Gallery(p.N)
-	lo, hi := p.Bounds()
 	base := p.MaxTolerableK()
 	budgets := []int{0, base, 16 * base}
 
@@ -90,49 +70,15 @@ func runA8(cfg Config) (*Result, error) {
 		Cols:  []string{"topology", "budget", "first violation (epoch)", "end size", "maxDev"},
 	}
 	viol := map[string]map[int]int{} // topology -> budget -> first violation epoch (-1 none)
-	for _, topo := range gallery {
-		viol[topo.name] = map[int]int{}
+	for _, topo := range ladder {
+		viol[topo.String()] = map[int]int{}
 		for _, b := range budgets {
-			pr, err := protocol.New(p)
+			c, err := runEpochs(p, cfg.Seed, topo.on(paced("greedy", b)), epochs, 4*p.N)
 			if err != nil {
 				return nil, err
 			}
-			simCfg := sim.Config{Params: p, Protocol: pr, Seed: cfg.Seed, Workers: 1}
-			if b > 0 {
-				simCfg.K = 1
-				simCfg.Adversary = adversary.NewPaced(adversary.PerEpoch(p.T, b, 1),
-					adversary.NewGreedy())
-			}
-			if topo.mk != nil {
-				m, err := topo.mk()
-				if err != nil {
-					return nil, err
-				}
-				simCfg.Matcher = m
-			}
-			eng, err := sim.New(simCfg)
-			if err != nil {
-				return nil, err
-			}
-			firstViol := -1
-			maxDev := 0.0
-			for ep := 0; ep < epochs && eng.Size() < 4*p.N; ep++ {
-				rep := eng.RunEpoch()
-				if firstViol < 0 && (rep.MinSize < lo || rep.MaxSize > hi) {
-					firstViol = ep
-				}
-				for _, v := range []int{rep.MinSize, rep.MaxSize} {
-					if d := absF(float64(v-p.N)) / float64(p.N); d > maxDev {
-						maxDev = d
-					}
-				}
-			}
-			viol[topo.name][b] = firstViol
-			cell := "none"
-			if firstViol >= 0 {
-				cell = fmtI(firstViol)
-			}
-			t1.AddRow(topo.name, budgetLabel(b), cell, fmtI(eng.Size()), fmtF(maxDev))
+			viol[topo.String()][b] = c.violatedAt
+			t1.AddRow(topo.String(), budgetLabel(b), c.firstViolation(), fmtI(c.endSize), fmtF(c.maxDevFrac(p.N)))
 		}
 	}
 	res.Tables = append(res.Tables, t1)
@@ -153,8 +99,8 @@ func runA8(cfg Config) (*Result, error) {
 		}
 	}
 	sweepOK = sweepOK && viol["grid"][base] >= 0
-	for _, topo := range gallery {
-		sweepOK = sweepOK && viol[topo.name][16*base] >= 0
+	for _, topo := range ladder {
+		sweepOK = sweepOK && viol[topo.String()][16*base] >= 0
 	}
 
 	// Table 2: malicious-program containment threshold across the ladder.
@@ -170,34 +116,18 @@ func runA8(cfg Config) (*Result, error) {
 		Cols:  []string{"R", "topology", "rogues left", "honest size", "rogue kills", "outcome"},
 	}
 	contained := map[string]map[int]bool{}
-	for _, topo := range gallery {
-		contained[topo.name] = map[int]bool{}
+	for _, topo := range ladder {
+		contained[topo.String()] = map[int]bool{}
 	}
 	for _, r := range []int{1, 2, 3, 6} {
-		for _, topo := range gallery {
-			sc := sim.Config{Params: p, Seed: cfg.Seed, Workers: 1}
-			if topo.mk != nil {
-				m, err := topo.mk()
-				if err != nil {
-					return nil, err
-				}
-				sc.Matcher = m
-			}
-			eng, err := rogue.New(sc, rogue.Config{ReplicateEvery: r, DetectProb: 1, InitialRogues: 64})
+		for _, topo := range ladder {
+			out, err := runCohort(p, cfg.Seed, topo.on(popstab.Spec{Rogue: rogues(r, 1)}), horizon)
 			if err != nil {
 				return nil, err
 			}
-			for i := 0; i < horizon && eng.Size() < 4*p.N; i++ {
-				eng.RunRound()
-			}
-			honest, rogues := eng.Counts()
-			outcome := "contained"
-			if rogues >= 64 {
-				outcome = "takeover"
-			}
-			contained[topo.name][r] = outcome == "contained"
-			t2.AddRow(fmtI(r), topo.name, fmtI(rogues), fmtI(honest),
-				fmtI(int(eng.Stats().RogueKills)), outcome)
+			contained[topo.String()][r] = out.contained()
+			t2.AddRow(fmtI(r), topo.String(), fmtI(out.rogues), fmtI(out.honest),
+				fmtI(out.kills), out.label())
 		}
 	}
 	res.Tables = append(res.Tables, t2)

@@ -1,7 +1,12 @@
 // Package experiment defines and runs the reproduction suite: one
 // experiment per quantitative claim of the paper (E1–E17) plus design
-// ablations and open-question probes (A1–A8), as indexed in DESIGN.md §4
+// ablations and open-question probes (A1–A9), as indexed in DESIGN.md §4
 // and reported in EXPERIMENTS.md.
+//
+// Every arm a popstab.Spec can express is one, built by popstab.New like
+// any other client of the library. The rest need what no Spec names — a
+// prepared population, a protocol ablation, a non-uniform scheduler, the
+// Attempt 1 attacks, a drifting clock — and assemble a sim.Config.
 //
 // The paper is a theory result with no empirical tables or figures, so each
 // "table/figure" here is a measurable statement extracted from a theorem,

@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"testing"
-
-	"popstab/internal/adversary"
 )
 
 func TestParamsForScales(t *testing.T) {
@@ -67,8 +65,8 @@ func TestRunStabilityRejectsBadParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := q
-	bad.T = 0
-	if _, err := runStability(bad, stabilityArm{name: "none"}, 1, 1, nil); err == nil {
+	bad.Tinner = logOf(bad.N) // below the ω(log N) floor of 2·log N
+	if _, err := runStability(bad, stabilityArm{"none", 0}, 1, 1); err == nil {
 		t.Error("accepted invalid params")
 	}
 }
@@ -78,11 +76,7 @@ func TestRunStabilityAdversaryArm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := runStability(q, stabilityArm{
-		name:      "delete-random",
-		adversary: adversary.NewRandomDeleter(),
-		perEpoch:  8,
-	}, 2, 1, nil)
+	out, err := runStability(q, stabilityArm{"delete-random", 8}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -476,33 +476,37 @@ func (m *Manager) Submit(ctx context.Context, spec popstab.Spec, rounds uint64) 
 	key := jobKey(hash, rounds)
 	cp := Checkpoint{Spec: spec, Target: rounds, Pending: rounds}
 
-	for attempt := 0; ; attempt++ {
-		j, fresh, err := m.register(cp, obs.TraceID(ctx), func(j *Job) (*Job, error) {
-			if hit := m.byKey[key]; hit != nil && !m.isClosed() {
-				return hit, nil
-			}
-			if err := m.admitLocked(); err != nil {
-				return nil, err
-			}
-			j.key = key
-			m.byKey[key] = j
-			return nil, nil
-		})
-		// Capacity pressure: spill the least-recently-touched idle session
-		// to the store and retry once.
-		if errors.Is(err, errFull) && attempt == 0 && m.hibernateOne() {
-			continue
+	j, fresh, err := m.admit(cp, obs.TraceID(ctx), func(j *Job) (*Job, error) {
+		if hit := m.byKey[key]; hit != nil && !m.isClosed() {
+			return hit, nil
 		}
-		if err != nil {
-			return nil, false, err
+		if err := m.admitLocked(); err != nil {
+			return nil, err
 		}
-		m.submissions.Add(1)
-		if !fresh {
-			m.dedupeHits.Add(1)
-			j.touch()
-		}
-		return j, !fresh, nil
+		j.key = key
+		m.byKey[key] = j
+		return nil, nil
+	})
+	if err != nil {
+		return nil, false, err
 	}
+	m.submissions.Add(1)
+	if !fresh {
+		m.dedupeHits.Add(1)
+		j.touch()
+	}
+	return j, !fresh, nil
+}
+
+// admit registers a submitted or restored job. At the registry cap it makes
+// room the one way the manager has: it spills the least-recently-touched
+// idle session to the store and retries once.
+func (m *Manager) admit(cp Checkpoint, trace string, publish func(*Job) (*Job, error)) (*Job, bool, error) {
+	j, fresh, err := m.register(cp, trace, publish)
+	if errors.Is(err, errFull) && m.hibernateOne() {
+		j, fresh, err = m.register(cp, trace, publish)
+	}
+	return j, fresh, err
 }
 
 // admitLocked checks a new submission or restore against the drain flag,
@@ -526,7 +530,8 @@ func (m *Manager) admitLocked() error {
 // Restore registers a job that resumes the given session snapshot under
 // spec and then runs rounds more rounds. Restored jobs bypass the dedupe
 // cache (their state is not derivable from the spec alone) but not the
-// admission gate. paused parks the job on arrival — the coordinator uses
+// admission gate, and make room at registry capacity as submissions do.
+// paused parks the job on arrival — the coordinator uses
 // this to migrate a paused session without racing rounds on the new host.
 // A snapshot that does not restore under spec yields a failed job, not an
 // error.
@@ -539,7 +544,7 @@ func (m *Manager) Restore(ctx context.Context, spec popstab.Spec, snapshot []byt
 		return nil, fmt.Errorf("%w: empty snapshot", ErrInvalidSpec)
 	}
 	cp := Checkpoint{Spec: spec, Target: rounds, Pending: rounds, Paused: paused, Snapshot: snapshot}
-	j, _, err := m.register(cp, obs.TraceID(ctx), func(*Job) (*Job, error) {
+	j, _, err := m.admit(cp, obs.TraceID(ctx), func(*Job) (*Job, error) {
 		return nil, m.admitLocked()
 	})
 	if err != nil {

@@ -276,6 +276,35 @@ func TestRecoveredJobRejoinsDedupe(t *testing.T) {
 	}
 }
 
+// TestRestoreAtCapacityHibernates: a restore at the registry cap makes room
+// the way a submission does, by hibernating an idle session, instead of
+// answering "session limit reached".
+func TestRestoreAtCapacityHibernates(t *testing.T) {
+	m := NewManager(Config{
+		MaxConcurrent: 1, StepQuantum: 16, MaxSessions: 1, Store: NewMemStore(),
+	})
+	defer m.Close()
+	ctx := context.Background()
+
+	a, _, err := m.Submit(ctx, quickSpec(80), 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, a)
+	spec, snap, err := a.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := m.Restore(ctx, spec, snap, 16, false)
+	if err != nil {
+		t.Fatalf("restore at capacity did not hibernate: %v", err)
+	}
+	waitDone(t, r)
+	if mt := m.Metrics(); mt.Hibernated != 1 || mt.Sessions != 1 {
+		t.Fatalf("metrics after restore: %+v, want 1 hibernated / 1 resident", mt)
+	}
+}
+
 // TestHibernateReviveTransparent pins capacity-pressure eviction: at the
 // registry cap, submitting hibernates the least-recently-touched idle
 // session, and the hibernated session revives transparently on Get with

@@ -16,7 +16,6 @@
 //   - the §1.2 extensions (malicious programs, geometric communication,
 //     clock drift), composable with each other and with any adversary
 //     through Spec.Topology and Spec.Rogue;
-//   - the reproduction experiment suite (E1–E17, A1–A9);
 //   - one deterministic parallel round engine behind pluggable
 //     communication (Matcher) and program (Stepper) seams: per-agent
 //     counter-based randomness makes simulation output bit-identical
@@ -29,6 +28,8 @@
 // Spec. New, NewSessionFromSpec and RestoreSessionFromSpec build from it, and
 // the serving layer (internal/serve, cmd/popserve) accepts it over the
 // network: a snapshot restored in another process continues bit-identically.
+// The reproduction suite (E1–E17, A1–A9, internal/experiment and
+// cmd/popbench) sits above this package and builds its arms from Specs too.
 //
 // Quick start:
 //
@@ -148,6 +149,41 @@ func (s *Sim) MatchStats() (stats MatchPipelineStats, ok bool) {
 		return r.PipelineStats(), true
 	}
 	return MatchPipelineStats{}, false
+}
+
+// ColorAgreement draws one matching over the current population from the
+// spatial matcher's probe stream and counts the matched pairs of active
+// agents whose colors agree and disagree: how far locality correlates the
+// evaluation-phase color signal (EXPERIMENTS.md A5). ok is false on the
+// well-mixed topology. The probe stream is split from the streams rounds
+// draw from, so probing never changes the trajectory; its position is
+// snapshot state.
+func (s *Sim) ColorAgreement() (same, diff int, ok bool) {
+	sp, ok := s.eng.Matcher().(interface {
+		SampleProbe(*population.Population, *match.Pairing)
+	})
+	if !ok {
+		return 0, 0, false
+	}
+	pop := s.eng.Population()
+	var probe match.Pairing
+	sp.SampleProbe(pop, &probe)
+	for i := 0; i < pop.Len(); i++ {
+		j := probe.Nbr[i]
+		if j == match.Unmatched || int(j) < i {
+			continue
+		}
+		a, b := pop.State(i), pop.State(int(j))
+		if !a.Active || !b.Active {
+			continue
+		}
+		if a.Color == b.Color {
+			same++
+		} else {
+			diff++
+		}
+	}
+	return same, diff, true
 }
 
 // RoundStats reports the engine's cumulative per-phase cost counters

@@ -221,31 +221,6 @@ func TestRecordEpochs(t *testing.T) {
 	}
 }
 
-func TestExperimentFacade(t *testing.T) {
-	ids := popstab.ExperimentIDs()
-	if len(ids) != 26 {
-		t.Fatalf("suite has %d experiments: %v", len(ids), ids)
-	}
-	title, claim, err := popstab.ExperimentInfo("E13")
-	if err != nil || title == "" || claim == "" {
-		t.Fatalf("ExperimentInfo: %q %q %v", title, claim, err)
-	}
-	if _, _, err := popstab.ExperimentInfo("E99"); err == nil {
-		t.Error("unknown experiment accepted")
-	}
-	if _, err := popstab.RunExperiment("E99", popstab.ExperimentConfig{}); err == nil {
-		t.Error("unknown experiment ran")
-	}
-	// E13 is the cheapest experiment: run it through the facade.
-	res, err := popstab.RunExperiment("E13", popstab.ExperimentConfig{Scale: popstab.ScaleQuick, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ID != "E13" || !strings.HasPrefix(res.Verdict, "REPRODUCED") {
-		t.Errorf("E13 result: %s / %s", res.ID, res.Verdict)
-	}
-}
-
 // TestParallelWorkersEquivalence is the public-surface determinism
 // guarantee of the parallel round engine: for every protocol kind, and for
 // an adversarial run, the full RoundReport trajectory and final Census are
@@ -393,6 +368,28 @@ func TestTopologyConfig(t *testing.T) {
 	if _, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Topology: "smallworld",
 		RewireProb: 0.3}); err != nil {
 		t.Errorf("rejected valid SmallWorld spec: %v", err)
+	}
+}
+
+// TestColorAgreement: the probe needs a spatial matcher, and at the
+// evaluation round it sees colored pairs on every spatial topology.
+func TestColorAgreement(t *testing.T) {
+	s, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := s.ColorAgreement(); ok {
+		t.Error("well-mixed run reports a probe")
+	}
+	for _, topo := range []string{"torus", "grid", "ring", "smallworld"} {
+		s, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Topology: topo, Seed: 3, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.RunRounds(s.EpochLen() - 1)
+		if same, diff, ok := s.ColorAgreement(); !ok || same+diff == 0 {
+			t.Errorf("%s: probe same=%d diff=%d ok=%v", topo, same, diff, ok)
+		}
 	}
 }
 
