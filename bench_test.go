@@ -232,8 +232,8 @@ func (churnStepper) Step(_ *agent.State, _ wire.Message, _ bool, src *prng.Sourc
 
 // benchChurnRounds measures a round dominated by apply/compaction: compose
 // and matching are trivial under churnStepper, so nearly all the time is
-// the prefix-sum plan over ~n/2 deaths and ~n/2 births plus the tracker
-// scatters.
+// the step's coin flips and the compaction over ~n/4 deaths and ~n/4
+// births.
 func benchChurnRounds(b *testing.B, n, workers int) {
 	b.Helper()
 	p, err := params.Derive(n, params.WithTinner(2*logOf(n)))

@@ -27,10 +27,9 @@ import (
 //
 //  1. bucket (sharded): cellIdx[i] = cell of agent i — pure float math;
 //  2. scatter (sharded): a stable counting sort builds the CSR cell index
-//     (cellStart/cellAgents) with the count→scan→scatter idiom of
-//     population/applyplan.go: per-shard histograms over agent ranges, an
-//     exclusive scan over (cell, shard), and a scatter into precomputed
-//     disjoint slots. Within a cell, slots are laid out shard-major and
+//     (cellStart/cellAgents) with a count→scan→scatter idiom: per-shard
+//     histograms over agent ranges, an exclusive scan over (cell, shard),
+//     and a scatter into precomputed disjoint slots. Within a cell, slots are laid out shard-major and
 //     shards cover ascending agent ranges, so the layout — ascending agent
 //     index within each cell — is bit-identical to the historical serial
 //     cursor scatter at every shard count;
@@ -504,7 +503,7 @@ const (
 
 // scatter is phase 2: it builds cellStart/cellAgents/posByCell — the stable
 // counting-sort CSR layout, ascending agent index within each cell — and
-// order (agent -> slot) with the ApplyPlan count→scan→scatter idiom:
+// order (agent -> slot) with a sharded count→scan→scatter:
 //
 //	pass 1 (sharded over agent ranges): per-shard histograms cnt[k][c];
 //	pass 2 (sharded over cell ranges): down-column exclusive scan turning

@@ -1,6 +1,6 @@
 // Package pool provides the engine's persistent worker pool: a fixed set of
 // parked goroutines that data-parallel phases (compose/step sharding, the
-// spatial matching pipeline, the apply-plan scatter, snapshot encoding) wake
+// spatial matching pipeline, snapshot encoding) wake
 // per task instead of spawning fresh goroutines every round. At high round
 // rates the per-round spawn + WaitGroup-barrier cost of the old scheme was a
 // measurable serial tail (DESIGN.md §10); the pool replaces it with one

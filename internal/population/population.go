@@ -60,37 +60,30 @@ type Tracker interface {
 	// DeletedSwap reports a swap-deletion: the agent at index last moved
 	// into slot i and the population shrank by one.
 	DeletedSwap(i, last int)
-	// AppliedPlan reports one Apply compaction pass through the round's
-	// precomputed ApplyPlan; the tracker replays the identical stable
-	// compaction (and daughter appends for ActSplit) over its own array
-	// without re-walking and re-counting the actions — and, with a pool
-	// attached, shards the scatter. The plan is valid only for the duration
-	// of the call plus the current round.
-	AppliedPlan(plan *ApplyPlan)
+	// Applied reports one Apply pass over actions; the tracker replays the
+	// identical compaction (Compact) over its own array. actions is valid
+	// only for the duration of the call.
+	Applied(actions []Action)
 }
 
-// PoolUser is an optional Tracker refinement: trackers that shard their own
-// bulk work (scatter, snapshot encode) receive the population's worker pool
-// when one is attached (Population.SetPool).
+// PoolUser is an optional Tracker refinement: trackers that shard their
+// snapshot encode and decode receive the population's worker pool when one
+// is attached (Population.SetPool).
 type PoolUser interface {
 	SetPool(p *pool.Pool)
 }
 
 // Population is the mutable set of living agents. It is not safe for
-// concurrent use; the simulator owns it on a single goroutine (sharded bulk
-// phases — the apply-plan scatter, snapshot encode — fan out through the
-// attached pool but are fully joined before any method returns).
+// concurrent use; the simulator owns it on a single goroutine (the sharded
+// snapshot encode and decode fan out through the attached pool but are
+// fully joined before any method returns).
 type Population struct {
-	states []agent.State
-	// spare is the displaced double-buffer of the apply scatter, reused
-	// across rounds (see ApplyPlanned).
-	spare    []agent.State
+	states   []agent.State
 	trackers []Tracker
 
-	// pool, when set, shards Apply and EncodeState; nil runs them serially.
-	// Purely a throughput knob: layouts and bytes are pool-invariant.
+	// pool, when set, shards EncodeState and DecodeState; nil runs them
+	// serially. Purely a throughput knob: the bytes are pool-invariant.
 	pool *pool.Pool
-	plan ApplyPlan
 }
 
 // New returns a population of n agents in the all-zero initial state, as at
@@ -119,10 +112,10 @@ func (p *Population) Attach(t Tracker) {
 	}
 }
 
-// SetPool attaches a worker pool sharding the bulk phases (Apply's
-// count/scatter passes, EncodeState), propagating it to every attached
-// tracker that can use one. The engine calls it once at construction; nil
-// (the default) keeps everything serial. Output is pool-invariant.
+// SetPool attaches a worker pool sharding the snapshot encode and decode,
+// propagating it to every attached tracker that can use one. The engine
+// calls it once at construction; nil (the default) keeps everything serial.
+// Output is pool-invariant.
 func (p *Population) SetPool(pl *pool.Pool) {
 	p.pool = pl
 	for _, t := range p.trackers {
@@ -183,25 +176,78 @@ func (p *Population) DeleteDescending(indices []int) int {
 	return len(indices)
 }
 
-// Apply executes one action per agent in a single compaction pass. The
-// actions slice must have exactly Len() entries describing the outcome of
-// each agent's step. Daughters of splitting agents are appended after the
-// pass (they take no action this round). Returns the number of births and
+// Apply executes one action per agent in a single compaction pass
+// (Compact). The actions slice must have exactly Len() entries describing
+// the outcome of each agent's step. Daughters of splitting agents are
+// appended after the survivors (they take no action this round), and every
+// tracker replays the same compaction. Returns the number of births and
 // deaths.
 func (p *Population) Apply(actions []Action) (births, deaths int) {
-	if len(actions) != len(p.states) {
-		panic(fmt.Sprintf("population: %d actions for %d agents", len(actions), len(p.states)))
-	}
-	// Build the round's slot plan once (it also yields the birth/death
-	// census, folding out the historical separate counting walk), apply it
-	// to the state array, and replay it over every side-array.
-	p.plan.build(actions, p.pool)
-	p.states, p.spare = ApplyPlanned(&p.plan, p.states, p.spare,
-		func(parent agent.State) agent.State { return parent })
+	n := len(p.states)
+	p.states, births = Compact(p.states, actions, func(parent agent.State) agent.State { return parent })
 	for _, t := range p.trackers {
-		t.AppliedPlan(&p.plan)
+		t.Applied(actions)
 	}
-	return p.plan.Births(), p.plan.Deaths()
+	return births, n + births - len(p.states)
+}
+
+// Compact is the compaction Apply runs over the state array and every
+// tracker over its side-array: it produces ReplayApply's layout — survivors
+// stably compacted, then one spawn(parent) daughter per ActSplit in action
+// order — and reports the number of daughters. arr must have one entry per
+// action. The first pass compacts in place and counts births; it moves
+// nothing before the first death, where every survivor is already in its
+// slot. Only when there are births does a second walk append the daughters,
+// calling spawn serially in action order, so a spawn that consumes a
+// randomness stream (Positions) draws in the same order as ReplayApply.
+// The array grows with 1.5× slack when the daughters do not fit.
+func Compact[T any](arr []T, actions []Action, spawn func(parent T) T) (out []T, births int) {
+	n := len(actions)
+	if len(arr) != n {
+		panic(fmt.Sprintf("population: %d actions applied to %d elements", n, len(arr)))
+	}
+	i := 0
+	for ; i < n && actions[i] != ActDie; i++ {
+		if actions[i] == ActSplit {
+			births++
+		}
+	}
+	w := i
+	for ; i < n; i++ {
+		switch actions[i] {
+		case ActDie:
+			continue
+		case ActSplit:
+			births++
+		}
+		arr[w] = arr[i]
+		w++
+	}
+	if births == 0 {
+		return arr[:w], 0
+	}
+	if need := w + births; cap(arr) < need {
+		grown := make([]T, w, need+need/2)
+		copy(grown, arr[:w])
+		arr = grown
+	}
+	// Survivor r of the original order now sits at compacted slot r; the
+	// daughters fill slots w, w+1, ... in action order.
+	out = arr[:w+births]
+	r, d := 0, w
+	for _, act := range actions {
+		if act == ActDie {
+			continue
+		}
+		if act == ActSplit {
+			out[d] = spawn(out[r])
+			if d++; d == len(out) {
+				break
+			}
+		}
+		r++
+	}
+	return out, births
 }
 
 // ReplayApply is the serial reference form of Apply's compaction invariant:
@@ -212,10 +258,9 @@ func (p *Population) Apply(actions []Action) (births, deaths int) {
 // walked. Trackers replaying the same actions over their own arrays
 // therefore stay index-aligned with the population by construction.
 //
-// Apply and every tracker go through the sharded ApplyPlan, which
-// reproduces this function's layout bit for bit; ReplayApply remains only
-// as the semantic definition and the reference the plan and Positions tests
-// compare against (DESIGN.md §10).
+// Apply and every tracker go through Compact, the fused form of this
+// function; ReplayApply remains only as the semantic definition and the
+// reference the Apply and Positions tests compare against (DESIGN.md §10).
 func ReplayApply[T any](arr []T, actions []Action, spawn func(parent T) T) []T {
 	w := 0
 	for i, act := range actions {

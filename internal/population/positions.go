@@ -64,16 +64,11 @@ type Positions struct {
 	Spawn func(parent Point) Point
 
 	pos []Point
-	// spare is the displaced double-buffer of the sharded apply scatter,
-	// reused across rounds; daughters stages the serially-drawn daughter
-	// positions of one AppliedPlan pass (see AppliedPlan).
-	spare     []Point
-	daughters []Point
 	// queued holds explicit one-shot placements consumed FIFO by the next
 	// insertions, ahead of the Place seam (the engine queues the adversary's
 	// InsertAt positions here, immediately before the matching insert).
 	queued []Point
-	// pool, when set, shards AppliedPlan's scatter and EncodeState.
+	// pool, when set, shards EncodeState and DecodeState.
 	pool *pool.Pool
 }
 
@@ -234,20 +229,11 @@ func (ps *Positions) DeletedSwap(i, last int) {
 	ps.pos = ps.pos[:last]
 }
 
-// AppliedPlan implements Tracker: it replays Apply's stable compaction over
-// the position array, Spawning one daughter position per split in the same
-// order Apply appends daughter states. Spawn consumes the matcher's serial
-// placement stream, so daughter positions are drawn FIRST, serially, in
-// exact action order — the same draw order as ReplayApply, O(births) not
-// O(n) — and staged; the O(n) compaction scatter then shards freely.
-func (ps *Positions) AppliedPlan(plan *ApplyPlan) {
-	idx := plan.SplitIndices()
-	if cap(ps.daughters) < len(idx) {
-		ps.daughters = make([]Point, 0, len(idx)+len(idx)/2)
-	}
-	ps.daughters = ps.daughters[:0]
-	for _, i := range idx {
-		ps.daughters = append(ps.daughters, ps.Spawn(ps.pos[i]))
-	}
-	ps.pos, ps.spare = ApplyPlannedStaged(plan, ps.pos, ps.spare, ps.daughters)
+// Applied implements Tracker: it replays Apply's compaction over the
+// position array, Spawning one daughter position per split in the order
+// Apply appends daughter states. Spawn consumes the matcher's serial
+// placement stream; Compact calls it in action order, the draw order of
+// ReplayApply.
+func (ps *Positions) Applied(actions []Action) {
+	ps.pos, _ = Compact(ps.pos, actions, ps.Spawn)
 }

@@ -108,10 +108,7 @@ type Overlay struct {
 	detectProb     float64
 	roguesPerEpoch int
 
-	meta []meta
-	// spare is the displaced double-buffer of the sharded AppliedPlan
-	// scatter, reused across rounds.
-	spare []meta
+	meta  []meta
 	stats Stats
 
 	// positions and clusterPlace implement clustered infiltration (set by
@@ -253,14 +250,12 @@ func (o *Overlay) DeletedSwap(i, last int) {
 	o.meta = o.meta[:last]
 }
 
-// AppliedPlan implements population.Tracker: it replays Apply's stable
-// compaction over the program side-array; daughters inherit their parent's
-// post-step tag and cooldown (a splitting rogue's cooldown was re-armed in
-// StepAt, so both copies wait a full period). Daughter metas are a pure
-// copy of the parent (no randomness), so the plain concurrent scatter
-// applies directly.
-func (o *Overlay) AppliedPlan(plan *population.ApplyPlan) {
-	o.meta, o.spare = population.ApplyPlanned(plan, o.meta, o.spare, func(parent meta) meta { return parent })
+// Applied implements population.Tracker: it replays Apply's compaction
+// over the program side-array; daughters inherit their parent's post-step
+// tag and cooldown (a splitting rogue's cooldown was re-armed in StepAt, so
+// both copies wait a full period).
+func (o *Overlay) Applied(actions []population.Action) {
+	o.meta, _ = population.Compact(o.meta, actions, func(parent meta) meta { return parent })
 }
 
 // EncodeState implements sim.StateCodec: an identity fingerprint (the

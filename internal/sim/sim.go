@@ -40,12 +40,12 @@
 // Compose and Step phases shard across a persistent worker pool
 // (Config.Workers, internal/pool): simulation output is bit-identical for
 // every worker count, including the serial Workers=1 path, for every matcher
-// and program. The apply phase shards too, through the population's
-// prefix-sum apply plan, and the randomness-free Compose phase overlaps the
-// matching: the pool's workers claim compose chunks while the engine
-// goroutine samples the matching, then it claims chunks too (pool.Share; the
-// two touch disjoint state — DESIGN.md §10). The adversary's
-// turn stays serial — sequential by its budget semantics — and so does the
+// and program. The randomness-free Compose phase overlaps the matching: the
+// pool's workers claim compose chunks while the engine goroutine samples
+// the matching, then it claims chunks too (pool.Share; the two touch
+// disjoint state — DESIGN.md §10). The adversary's turn stays serial —
+// sequential by its budget semantics — and so do the kill fold and the
+// apply compaction, single passes that sharding did not speed up, and the
 // greedy walk that finishes spatial matching; the spatial pipeline's other
 // phases shard on the engine's pool (match/spatial.go, DESIGN.md §12).
 // Engines own their pool: Close releases its goroutines (a closed engine
@@ -212,12 +212,11 @@ type Engine struct {
 	space match.Space
 	adv   adversary.Adversary
 	// pool is the persistent worker pool behind every sharded phase
-	// (compose/step, the apply-plan scatter, the spatial matching pipeline,
-	// snapshot encoding) and the compose∥match overlap, where its workers
-	// claim compose chunks while the engine goroutine samples the matching
-	// (pool.Share). Owned by the engine: Close releases it, and a runtime
-	// cleanup releases it for engines that are simply dropped
-	// (hibernated/reaped sessions).
+	// (compose/step, the spatial matching pipeline, snapshot encoding) and
+	// the compose∥match overlap, where its workers claim compose chunks
+	// while the engine goroutine samples the matching (pool.Share). Owned
+	// by the engine: Close releases it, and a runtime cleanup releases it
+	// for engines that are simply dropped (hibernated/reaped sessions).
 	pool *pool.Pool
 	// composeChunk and sampleMatch are the two sides of the overlap, bound
 	// once at construction so a round allocates no closures.
@@ -244,11 +243,8 @@ type Engine struct {
 	actions []population.Action
 	// kill is the extended programs' neighbor-removal mask; nil for plain
 	// Steppers. kill[j] has a unique writer per round (j's matched
-	// neighbor) and is read only by the kill-fold phase, whose shards read
-	// disjoint ranges.
+	// neighbor) and is read only by the serial kill fold.
 	kill []bool
-	// killCounts holds the kill-fold's per-shard kill tallies.
-	killCounts []int
 
 	round uint64
 
@@ -352,7 +348,7 @@ func buildEngine(cfg Config, pop *population.Population) (*Engine, error) {
 	}
 
 	// The persistent worker pool behind every sharded phase. It is threaded
-	// to the population (apply-plan scatter, bulk snapshot encode), to every
+	// to the population (bulk snapshot encode and decode), to every
 	// pool-aware tracker side-array, and to matchers that shard their
 	// matching phase. The cleanup releases the pool's parked
 	// goroutines when an engine is dropped without Close — internal/serve
@@ -504,28 +500,16 @@ func (e *Engine) RunRound() RoundReport {
 	e.stats.StepNS += sinceNS(ts)
 
 	// 6. Apply fates. Neighbor-kills override the victim's own action (the
-	// victim is removed before it can divide). The fold shards: each shard
-	// folds a disjoint range of the mask into the action array and tallies
-	// its kills, and the (tiny) per-shard tallies sum serially.
+	// victim is removed before it can divide): the kill mask folds into the
+	// action array, then one serial compaction drops the dead and appends
+	// the daughters.
 	if e.xproto != nil {
 		tk := time.Now()
-		w := e.pool.Shards(n, minShardAgents)
-		if cap(e.killCounts) < w {
-			e.killCounts = make([]int, w)
-		}
-		counts := e.killCounts[:w]
-		e.pool.RunN(w, func(k int) {
-			c := 0
-			for j := k * n / w; j < (k+1)*n/w; j++ {
-				if e.kill[j] {
-					e.actions[j] = population.ActDie
-					c++
-				}
+		for j, killed := range e.kill {
+			if killed {
+				e.actions[j] = population.ActDie
+				rep.Kills++
 			}
-			counts[k] = c
-		})
-		for _, c := range counts {
-			rep.Kills += c
 		}
 		e.stats.KillFoldNS += sinceNS(tk)
 	}
