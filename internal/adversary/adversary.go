@@ -17,6 +17,7 @@ package adversary
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"popstab/internal/agent"
@@ -166,9 +167,11 @@ type Insertion struct {
 }
 
 // Budget tracks and enforces the per-round alteration budget K shared by
-// insertions and deletions. The engine owns one Budget per adversary turn;
-// it implements Mutator over staged operations so that index semantics are
-// stable while the adversary is still reading the View. On a spatial
+// insertions and deletions. The engine owns one Budget and Resets it at
+// every adversary turn, so a turn reuses its storage instead of allocating;
+// strategies must not retain it past Act. It implements Mutator over staged
+// operations so that index semantics are stable while the adversary is
+// still reading the View. On a spatial
 // topology the engine additionally binds the position side-array and metric
 // (BindSpace) so the spatial Mutator operations resolve against the same
 // state the View exposes.
@@ -185,6 +188,9 @@ type Budget struct {
 	// the slice stays valid until the engine applies them.
 	pos   []population.Point
 	dist2 func(a, b population.Point) float64
+
+	// dels is the reused storage of Deletions' sorted list.
+	dels []int
 }
 
 var _ Mutator = (*Budget)(nil)
@@ -192,12 +198,19 @@ var _ Mutator = (*Budget)(nil)
 // NewBudget prepares a budget of k alterations against a population of
 // popLen agents with epoch length epochLen.
 func NewBudget(k, popLen, epochLen int) *Budget {
-	return &Budget{
-		k:         k,
-		deletions: make(map[int]struct{}, k),
-		epochLen:  epochLen,
-		popLen:    popLen,
-	}
+	b := &Budget{deletions: make(map[int]struct{}, k)}
+	b.Reset(k, popLen, epochLen)
+	return b
+}
+
+// Reset empties the budget for a new turn of k alterations against a
+// population of popLen agents with epoch length epochLen, keeping its
+// storage. It unbinds the space: BindSpace again on a spatial topology.
+func (b *Budget) Reset(k, popLen, epochLen int) {
+	clear(b.deletions)
+	b.inserts = b.inserts[:0]
+	b.k, b.used, b.popLen, b.epochLen = k, 0, popLen, epochLen
+	b.pos, b.dist2 = nil, nil
 }
 
 // BindSpace attaches the position side-array and metric of the round's
@@ -263,7 +276,8 @@ func (b *Budget) DeleteNear(center population.Point, r float64, limit int) int {
 	// Collect candidates within the ball, then order by (distance, index).
 	// The scan is O(n) over the side-array — the adversary's turn is serial
 	// and the model's adversary is computationally unbounded, so clarity
-	// wins over sublinear indexing here.
+	// wins over sublinear indexing here. The list is not kept across turns:
+	// a ball holds thousands of agents, which the live heap would carry.
 	type cand struct {
 		i int
 		d float64
@@ -303,13 +317,16 @@ func (b *Budget) Remaining() int { return b.k - b.used }
 func (b *Budget) Used() int { return b.used }
 
 // Deletions returns the staged deletion indices in strictly descending
-// order, ready for population.DeleteDescending.
+// order, ready for population.DeleteDescending. The slice is the budget's
+// own, valid until the next Deletions or Reset.
 func (b *Budget) Deletions() []int {
-	out := make([]int, 0, len(b.deletions))
+	out := b.dels[:0]
 	for i := range b.deletions {
 		out = append(out, i)
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
+	slices.Sort(out)
+	slices.Reverse(out)
+	b.dels = out
 	return out
 }
 

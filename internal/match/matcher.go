@@ -82,9 +82,14 @@ type PipelineStats struct {
 	SpecWalks, SerialWalks uint64
 	// DistEvals counts the candidate phase's distance evaluations: every
 	// point of an agent's neighborhood other than itself, for every agent
-	// whose candidates come from the geometry. Rescans counts the walk's
-	// exact fallback rescans. Both are pure functions of the seed and the
-	// inputs, identical at every worker count.
+	// whose candidates come from the geometry; visit-order pruning drops
+	// points after their distance is computed, so it does not change
+	// DistEvals. Rescans counts the walk's exact fallback rescans, which
+	// fire only when an agent has more than candK neighbors visited after
+	// it (every neighbor counts while SmallWorld's rewrite hook is
+	// installed) and all stored ones are taken — so pruned rows rescan far
+	// less often than the unpruned rows did. Both are pure functions of the
+	// seed and the inputs, identical at every worker count.
 	DistEvals, Rescans uint64
 }
 

@@ -32,25 +32,56 @@ import (
 //     and a scatter into precomputed disjoint slots. Within a cell, slots are laid out shard-major and
 //     shards cover ascending agent ranges, so the layout — ascending agent
 //     index within each cell — is bit-identical to the historical serial
-//     cursor scatter at every shard count;
+//     cursor scatter at every shard count. The scatter leaves order[i] and
+//     cellIdx[i] both = slot of agent i; cellIdx keeps that map for the
+//     rewrite hook once order is shuffled;
 //  3. candidates (sharded): for every CSR slot k (an agent's position in
 //     the cell-sorted cellAgents/posByCell layout), scan the neighborhood
-//     cells and keep the candK nearest candidates, sorted by (distance,
-//     scan order), as neighbor SLOTS in cand[k*candK:] — slots are visited
-//     in order, so the candidate rows are written sequentially, and each
-//     shard owns its slots (no shared writes);
+//     cells and keep the candK nearest candidates VISITED AFTER k, sorted
+//     by (distance, scan order), as neighbor SLOTS in cand[k*candK:] —
+//     slots are visited in order, so the candidate rows are written
+//     sequentially, and each shard owns its slots (no shared writes);
 //  4. greedy walk (serial), in slot space: visit agents in a random order
 //     drawn from the matcher's stream; each unmatched agent takes the
 //     first unmatched entry of its precomputed candidate list, recording
 //     partners in the slot-indexed mate array. Because the list is the
-//     prefix of the full stable ordering, "first unmatched stored
+//     prefix of the stable ordering of every neighbor that can still be
+//     unmatched (see "Visit-order pruning"), "first unmatched stored
 //     candidate" IS the nearest unmatched candidate — unless all stored
-//     entries are taken while further candidates exist, in which case an
-//     exact fallback rescan of the neighborhood (same metric, same
-//     tie-breaking) recovers the answer. The walk is inherently sequential
-//     and stays serial: DESIGN.md §12 records why parallelizing it did not
-//     pay. A final sharded pass translates mate back to agent indices in
-//     Pairing.Nbr, writing every entry (no separate Unmatched fill).
+//     entries are taken while further later-visited candidates exist
+//     (candMore), in which case an exact fallback rescan of the whole
+//     neighborhood (same metric, same tie-breaking) recovers the answer.
+//     The walk is inherently sequential and stays serial: DESIGN.md §12
+//     records why parallelizing it did not pay. A final sharded pass
+//     translates mate back to agent indices in Pairing.Nbr, writing every
+//     entry (no separate Unmatched fill).
+//
+// Phase 4's visit order is drawn between phases 2 and 3, serially: the
+// shuffle, then one pass writing mate[order[t]] = -(t+1). Until the walk
+// pairs a slot, mate holds its visit time that way, so "j is visited after
+// k" is mate[j] < mate[k], while the walk, the rescan and the output pass
+// still read mate < 0 as unmatched. Both steps are timed as the walk's.
+//
+// # Visit-order pruning
+//
+// Take slot k and a neighbor j visited earlier, t(j) < t(k). The torus,
+// grid and ring neighborhoods are symmetric — j ∈ N(k) ⇔ k ∈ N(j), also
+// for side < 3, where a neighborhood scans some cells more than once — so
+// k is a neighbor of j. k is still unmatched at its own visit and matches
+// are permanent, so k was unmatched at t(j): if j was unmatched then, it
+// had an unmatched neighbor and paired, through its stored prefix or the
+// exact rescan. Every earlier-visited neighbor is therefore matched when k
+// is visited, and dropping them from k's row leaves "the first unmatched
+// stored candidate" unchanged. candMore accordingly counts the
+// later-visited neighbors only, which is what makes the rescan rarer;
+// DistEvals still counts every neighbor, since each distance is computed
+// before the visit-time test.
+//
+// The argument needs symmetric candidate sets, and a rewired SmallWorld
+// agent's are not: a rewired j proposes to random agents, so an
+// earlier-visited ring neighbor of k may be left unmatched while k is
+// unvisited. So while a rewrite hook is installed, rows keep every
+// neighbor, earlier-visited or not.
 //
 // # Tie-breaking rule
 //
@@ -64,22 +95,26 @@ import (
 // functions with shard-invariant layouts and phase 4 is serial,
 // bit-identical across every worker count.
 //
-// The pipeline itself consumes randomness only in the serial walk (the visit
-// permutation). The scatter leaves order[i] = slot of agent i, and the walk
+// The pipeline itself consumes randomness only for the visit permutation.
+// The scatter leaves order[i] = slot of agent i, and the visit-order step
 // shuffles that buffer with src.ShuffleInt32, whose variates are those of
 // shuffling an identity-filled permutation of the agents: the swaps depend
 // only on positions and variates, so order[t] is the slot of the agent that
-// permutation would visit t-th. Matchers that need per-agent coins inside
-// the sharded candidate phase (SmallWorld's rewiring) draw them from
-// counter-based streams keyed on (matcher key, sample counter, agent index)
-// — see prng.SeedCounter — so shard boundaries cannot perturb them.
+// permutation would visit t-th. Drawing it before the candidate phase
+// rather than after leaves the variates unchanged: nothing else in a sample
+// draws from src (prematch may not, and rewrite uses counter streams).
+// Matchers that need per-agent coins inside the sharded candidate phase
+// (SmallWorld's rewiring) draw them from counter-based streams keyed on
+// (matcher key, sample counter, agent index) — see prng.SeedCounter — so
+// shard boundaries cannot perturb them.
 
 // candK is the number of nearest candidates precomputed per slot. Larger
 // values make the exact fallback rescan rarer but cost memory bandwidth in
 // the sharded candidate phase. The rescan runs inside the serial greedy
-// walk: at ~1 agent per cell, the probability that an agent's 8 nearest are
-// all matched before its visit is a fraction of a percent, which keeps the
-// rescan time negligible against the sharded phases.
+// walk, and only for an agent with more than candK later-visited neighbors
+// whose stored ones are all taken: at ~1 agent per cell that is a handful
+// of agents per 2¹⁸, which keeps the rescan time negligible against the
+// sharded phases.
 const candK = 8
 
 // maxNbrCells bounds a geometry's neighborhood size (3×3 cells in 2-D,
@@ -149,7 +184,9 @@ type spatial[G geometry[G]] struct {
 	// to keep the geometric candidates; the pipeline maps the agents to
 	// their slots. It runs concurrently from shards and must be a pure
 	// function of (i, n, call) — per-agent randomness comes from
-	// counter-based streams, never from a shared Source.
+	// counter-based streams, never from a shared Source. While it is
+	// installed, geometric rows are not pruned by visit order (see the file
+	// header).
 	rewrite func(i, n int, call uint64, dst []int32) int
 	// prematch, when non-nil, runs serially at the top of every sample,
 	// before the sharded phases — the hook SmallWorld uses to precompute
@@ -166,14 +203,14 @@ type spatial[G geometry[G]] struct {
 
 	// Pipeline buffers, reused across rounds (1.5× growth slack). A slot
 	// is an index into the CSR layout (cellAgents/posByCell).
-	cellIdx    []int32            // agent -> bucket
+	cellIdx    []int32            // agent -> bucket; agent -> slot after the scatter
 	cellStart  []int32            // CSR: bucket c holds slots [cellStart[c], cellStart[c+1])
 	cellAgents []int32            // slot -> agent, ascending agent index within a cell
 	posByCell  []population.Point // slot -> position — sequential reads in the candidate scan
 	cnt        []int32            // scatter histograms, one row of ncells per shard
 	cand       []int32            // candK nearest candidate slots per slot
 	candN      []uint8            // stored candidate count per slot, | candMore
-	mate       []int32            // slot -> partner slot in the walk, -1 while unmatched
+	mate       []int32            // slot -> partner slot in the walk; -(t+1) while unmatched, t its visit time
 	order      []int32            // agent -> slot after the scatter; visit order of slots after the shuffle
 	candShards []candShard        // one candidate-phase scratch per shard (shardCount)
 }
@@ -389,10 +426,23 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 	s.stats.BucketNS += uint64(time.Since(t0))
 
 	// Phase 2 (sharded): stable counting-sort scatter into the CSR index;
-	// it also leaves order[i] = slot of agent i.
+	// it also leaves order[i] = cellIdx[i] = slot of agent i.
 	t0 = time.Now()
 	s.scatter(pos, n, ncells)
 	s.stats.ScatterNS += uint64(time.Since(t0))
+
+	// Phase 4's visit order (serial, timed as the walk's). Shuffling the
+	// agent -> slot map with the variates of an identity-filled shuffle
+	// turns it into the visit order of slots (see the file header), so the
+	// walk is bit-identical to the historical agent-space form. mate then
+	// records each slot's visit time as -(t+1) for phase 3's pruning.
+	t0 = time.Now()
+	src.ShuffleInt32(s.order)
+	mate := s.mate
+	for t, k := range s.order {
+		mate[k] = int32(-1 - t)
+	}
+	walkNS := time.Since(t0)
 
 	// Phase 3 (sharded): per-slot candK-nearest candidate selection,
 	// iterated in CSR order so slots of the same cell reuse each other's
@@ -400,9 +450,10 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 	// (posByCell) in contiguous segments and writing candidate rows
 	// sequentially. The scan ORDER over candidates is the per-agent one —
 	// segments are maximal runs of consecutive cell ids in the geometry's
-	// neighborhood order — so tie-breaking is unchanged. Each shard also
-	// marks its own slots unmatched for the walk. The shards are run()'s
-	// partition, each with its own reused scratch.
+	// neighborhood order — so tie-breaking is unchanged. Rows keep only the
+	// neighbors visited after their slot unless a rewrite hook is installed
+	// (see "Visit-order pruning"). The shards are run()'s partition, each
+	// with its own reused scratch.
 	t0 = time.Now()
 	rewrite := s.rewrite
 	w := s.shardCount(n)
@@ -434,16 +485,17 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 				c++
 				nseg = -1
 			}
-			s.mate[k] = -1
+			tk := mate[k] // admit the neighbors visited after k
 			if rewrite != nil {
 				row := s.cand[k*candK : (k+1)*candK]
 				if kn := rewrite(int(s.cellAgents[k]), n, call, row); kn >= 0 {
 					for x, a := range row[:kn] {
-						row[x] = s.order[a] // order maps agent -> slot until the shuffle
+						row[x] = s.cellIdx[a] // agent -> slot since the scatter
 					}
 					s.candN[k] = uint8(kn)
 					continue
 				}
+				tk = 0 // admit every neighbor: rewired rows are not symmetric
 			}
 			if nseg < 0 {
 				cells := g.neighborhood(c, scr.nbuf[:0])
@@ -458,7 +510,7 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 					si = sj
 				}
 			}
-			dists += s.nearestCandidates(g, &scr.sel, k, segs[:nseg])
+			dists += s.nearestCandidates(g, &scr.sel, k, segs[:nseg], tk)
 		}
 		scr.dists = uint64(dists)
 	})
@@ -467,15 +519,11 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 	}
 	s.stats.CandNS += uint64(time.Since(t0))
 
-	// Phase 4: random-order greedy matching in slot space. Shuffling the
-	// agent -> slot map with the variates of an identity-filled shuffle
-	// turns it into the visit order of slots (see the file header), so the
-	// walk is bit-identical to the historical agent-space form; a sharded
-	// pass then writes every agent's partner into the pairing.
+	// Phase 4: random-order greedy matching in slot space; a sharded pass
+	// then writes every agent's partner into the pairing.
 	t0 = time.Now()
-	src.ShuffleInt32(s.order)
 	s.walk(g)
-	mate, cellAgents, nbr := s.mate, s.cellAgents, p.Nbr
+	cellAgents, nbr := s.cellAgents, p.Nbr
 	s.run(n, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			j := Unmatched
@@ -486,7 +534,7 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 		}
 	})
 	s.stats.SerialWalks++
-	s.stats.WalkNS += uint64(time.Since(t0))
+	s.stats.WalkNS += uint64(walkNS + time.Since(t0))
 }
 
 // maxScatterShards caps the scatter fan-out: the count→scan→scatter passes
@@ -503,7 +551,8 @@ const (
 
 // scatter is phase 2: it builds cellStart/cellAgents/posByCell — the stable
 // counting-sort CSR layout, ascending agent index within each cell — and
-// order (agent -> slot) with a sharded count→scan→scatter:
+// order (agent -> slot) with a sharded count→scan→scatter; pass 4 also
+// overwrites cellIdx[i], dead once read, with the same slot:
 //
 //	pass 1 (sharded over agent ranges): per-shard histograms cnt[k][c];
 //	pass 2 (sharded over cell ranges): down-column exclusive scan turning
@@ -590,6 +639,7 @@ func (s *spatial[G]) scatter(pos []population.Point, n, ncells int) {
 			cellAgents[at] = int32(i)
 			posByCell[at] = pos[i]
 			order[i] = at
+			cellIdx[i] = at
 		}
 	})
 }
@@ -626,13 +676,15 @@ func (s *spatial[G]) walk(g G) {
 
 // rescan is the exact nearest-unmatched search over slot k's neighborhood
 // — the historical serial algorithm in slot space, used only when the
-// precomputed candidate prefix is exhausted. Slots within a cell ascend
-// with agent index, so the strict `<` minimum breaks ties as before.
+// precomputed candidate prefix is exhausted. It scans every neighbor, not
+// only the later-visited ones: earlier-visited neighbors are matched and
+// skipped. Slots within a cell ascend with agent index, so the strict `<`
+// minimum breaks ties as before.
 func (s *spatial[G]) rescan(g G, k int32, nbuf []int32) int32 {
 	best := int32(-1)
 	bestD := math.Inf(1)
 	pk := s.posByCell[k]
-	for _, c := range g.neighborhood(s.cellIdx[s.cellAgents[k]], nbuf) {
+	for _, c := range g.neighborhood(g.cell(pk), nbuf) {
 		for j := s.cellStart[c]; j < s.cellStart[c+1]; j++ {
 			if j == k || s.mate[j] >= 0 {
 				continue
@@ -646,21 +698,31 @@ func (s *spatial[G]) rescan(g G, k int32, nbuf []int32) int32 {
 	return best
 }
 
-// candMore is the candN bit saying the neighborhood holds more candidates
-// than the stored ones (the walk's exact-rescan trigger); the low bits hold
-// the stored count.
+// candMore is the candN bit saying the neighborhood holds more admitted
+// candidates — later-visited ones, or every one while a rewrite hook is
+// installed — than the stored ones (the walk's exact-rescan trigger); the
+// low bits hold the stored count.
 const candMore = 0x80
 
 // nearestCandidates fills slot selfK's candidate row with its candK nearest
-// neighbor slots in (distance, scan order) — the prefix of the full stable
-// ordering. segs are [start, end) slot ranges covering the neighborhood in
-// exact scan order; selfK itself is skipped wherever it appears. Distances
-// are gathered a chunk at a time by one dist2Bits call, and a point at or
-// beyond the current candK-th best distance is dropped before it reaches
-// the selector's batch, which keeps crowded neighborhoods linear. sel is
-// the calling shard's scratch selector. It returns how many distances it
-// evaluated: the neighborhood's points other than selfK.
-func (s *spatial[G]) nearestCandidates(g G, sel *selector, selfK int, segs [][2]int32) int {
+// admitted neighbor slots in (distance, scan order) — the prefix of the
+// stable ordering of the admitted ones. A neighbor j is admitted when
+// mate[j] < tk: tk = mate[selfK] admits the neighbors visited after selfK,
+// and tk = 0 admits every one. segs are [start, end) slot ranges covering
+// the neighborhood in exact scan order; selfK itself is skipped wherever it
+// appears. Distances are gathered a chunk at a time by one dist2Bits call,
+// and a point at or beyond the current candK-th best distance is dropped
+// before it reaches the selector's batch, which keeps crowded neighborhoods
+// linear. The visit-time test does not branch: every point under the bound
+// is written to the batch, and only an admitted one advances it — a branch
+// there would be a coin flip per point. sel is the calling shard's scratch
+// selector. It returns how many distances it evaluated: the neighborhood's
+// points other than selfK.
+//
+// Until candK points are kept the bound is MaxInt64 and every admitted
+// point enters, so a row with fewer than candK entries holds every admitted
+// neighbor; only a full row needs admitsMore for its candMore bit.
+func (s *spatial[G]) nearestCandidates(g G, sel *selector, selfK int, segs [][2]int32, tk int32) int {
 	sel.kept, sel.n, sel.bound = 0, 0, math.MaxInt64
 	pi := s.posByCell[selfK]
 	self := int32(selfK)
@@ -675,13 +737,17 @@ func (s *spatial[G]) nearestCandidates(g G, sel *selector, selfK int, segs [][2]
 				ds[self-lo] = math.MaxInt64 // never admitted: bound ≤ MaxInt64
 				total--
 			}
+			ts := s.mate[lo:hi]
+			ts = ts[:len(ds)] // one length, so ts[x] needs no bounds check
 			for x, d := range ds {
 				if d >= sel.bound {
 					continue
 				}
 				at := sel.n & (selCap - 1)
 				sel.d[at], sel.slot[at] = d, lo+int32(x)
-				if sel.n++; sel.n == candK+candBatch {
+				// Admitted when mate[j] < tk, the sign bit of the
+				// difference: both lie in [-n, 0], so it cannot overflow.
+				if sel.n += int(uint32(ts[x]-tk) >> 31); sel.n == candK+candBatch {
 					sel.flush()
 				}
 			}
@@ -693,11 +759,29 @@ func (s *spatial[G]) nearestCandidates(g G, sel *selector, selfK int, segs [][2]
 	// Whole-row copy: entries past the stored count are never read.
 	*(*[candK]int32)(s.cand[selfK*candK:]) = *(*[candK]int32)(sel.slot[:candK])
 	cn := uint8(sel.kept)
-	if total > candK {
+	if sel.kept == candK && s.admitsMore(self, segs, tk) {
 		cn |= candMore
 	}
 	s.candN[selfK] = cn
 	return total
+}
+
+// admitsMore reports whether segs hold more than candK neighbors that tk
+// admits (self excluded): the candMore test of a full row. It stops at the
+// (candK+1)-th, so on crowded input it reads a few dozen visit times, not
+// the whole neighborhood.
+func (s *spatial[G]) admitsMore(self int32, segs [][2]int32, tk int32) bool {
+	n := 0
+	for _, sg := range segs {
+		for j, t := range s.mate[sg[0]:sg[1]] {
+			if t < tk && sg[0]+int32(j) != self {
+				if n++; n > candK {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 const (

@@ -733,16 +733,19 @@ func TestNewSpatialValidation(t *testing.T) {
 
 // TestSelectionKernelMatchesStableSort is the property test of phase 3's
 // rank-selection kernel: over random neighborhoods of 0 to 4·candK points
-// (crossing the selector's batch size), split into segments scanned out of
-// slot order, with injected duplicate positions and exact distance ties,
-// the stored candidates are the first candK entries of a stable sort by
-// (squared distance, scan order), and the "more" bit says whether the
-// neighborhood held more than candK candidates.
+// (crossing the selector's batch size) with random visit times, split into
+// segments scanned out of slot order, with injected duplicate positions and
+// exact distance ties, the stored candidates are the first candK entries of
+// a stable sort by (squared distance, scan order) of the neighbors visited
+// after the agent, and the "more" bit says whether there were more than
+// candK of them. In the rewrite-installed mode (tk = 0) every neighbor is
+// admitted, visit times notwithstanding.
 func TestSelectionKernelMatchesStableSort(t *testing.T) {
 	src := prng.New(99)
 	var sel selector
-	for trial := 0; trial < 4000; trial++ {
+	for trial := 0; trial < 8000; trial++ {
 		total := trial % (4*candK + 1)
+		keepAll := trial%2 == 1
 		m := total + 1 // the neighborhood plus the agent itself
 		pts := make([]population.Point, m)
 		for i := range pts {
@@ -757,6 +760,16 @@ func TestSelectionKernelMatchesStableSort(t *testing.T) {
 			}
 		}
 		self := src.Intn(m)
+		// Visit times as the pipeline stores them: slot k visited t-th
+		// holds -(t+1).
+		mate := make([]int32, m)
+		for t, k := range src.Perm(m) {
+			mate[k] = int32(-1 - t)
+		}
+		tk := mate[self]
+		if keepAll {
+			tk = 0
+		}
 		// Split the slots into up to 4 segments and scan them in a random
 		// order, so scan order differs from slot order.
 		var cuts []int32
@@ -775,10 +788,14 @@ func TestSelectionKernelMatchesStableSort(t *testing.T) {
 		var want []int32
 		for _, sg := range segs {
 			for k := sg[0]; k < sg[1]; k++ {
-				if int(k) != self {
+				if int(k) != self && mate[k] < tk {
 					want = append(want, k)
 				}
 			}
+		}
+		admitted := len(want)
+		if keepAll && admitted != total {
+			t.Fatalf("trial %d: keep-all mode admits %d of %d neighbors", trial, admitted, total)
 		}
 		dist := func(k int32) float64 { return TorusDist2(pts[self], pts[k]) }
 		sort.SliceStable(want, func(a, b int) bool { return dist(want[a]) < dist(want[b]) })
@@ -786,12 +803,14 @@ func TestSelectionKernelMatchesStableSort(t *testing.T) {
 			want = want[:candK]
 		}
 
-		s := &spatial[torusGeom]{posByCell: pts, cand: make([]int32, candK*m), candN: make([]uint8, m)}
-		s.nearestCandidates(torusGeom{}, &sel, self, segs)
+		s := &spatial[torusGeom]{posByCell: pts, mate: mate, cand: make([]int32, candK*m), candN: make([]uint8, m)}
+		if evals := s.nearestCandidates(torusGeom{}, &sel, self, segs, tk); evals != total {
+			t.Fatalf("trial %d: %d distance evaluations, want %d", trial, evals, total)
+		}
 		cn := s.candN[self]
 		got := s.cand[self*candK:][:cn&^candMore]
-		if (cn&candMore != 0) != (total > candK) {
-			t.Fatalf("trial %d: more bit %v with %d candidates", trial, cn&candMore != 0, total)
+		if (cn&candMore != 0) != (admitted > candK) {
+			t.Fatalf("trial %d: more bit %v with %d admitted candidates", trial, cn&candMore != 0, admitted)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: stored %d candidates, want %d", trial, len(got), len(want))

@@ -3,6 +3,7 @@ package population
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"popstab/internal/pool"
 	"popstab/internal/wire"
@@ -116,11 +117,10 @@ func (ps *Positions) QueuePlacement(pt Point) {
 // then the pluggable Place seam.
 func (ps *Positions) place() Point {
 	if len(ps.queued) > 0 {
+		// Shift rather than reslice, so the queue keeps its storage: the
+		// engine queues one placement per placed insertion, every turn.
 		pt := ps.queued[0]
-		ps.queued = ps.queued[1:]
-		if len(ps.queued) == 0 {
-			ps.queued = nil
-		}
+		ps.queued = slices.Delete(ps.queued, 0, 1)
 		return pt
 	}
 	return ps.Place.Place()

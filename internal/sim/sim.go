@@ -211,6 +211,11 @@ type Engine struct {
 	// so positions are adversary-visible state, per the model.
 	space match.Space
 	adv   adversary.Adversary
+	// budget is the adversary's Mutator, Reset at every turn, and
+	// spaceDist2 the space's metric as a method value; both are built once
+	// so a turn allocates nothing.
+	budget     *adversary.Budget
+	spaceDist2 func(a, b population.Point) float64
 	// pool is the persistent worker pool behind every sharded phase
 	// (compose/step, the spatial matching pipeline, snapshot encoding) and
 	// the compose∥match overlap, where its workers claim compose chunks
@@ -380,6 +385,12 @@ func buildEngine(cfg Config, pop *population.Population) (*Engine, error) {
 	// wiring — no randomness is consumed, so position-blind configurations
 	// are bit-identical to the pre-seam engine.
 	e.space, _ = matcher.(match.Space)
+	if e.space != nil {
+		e.spaceDist2 = e.space.Dist2
+	}
+	if e.cfg.K > 0 {
+		e.budget = adversary.NewBudget(e.cfg.K, 0, e.epochLen)
+	}
 	adversary.BindMatcherTo(e.adv, matcher)
 	e.initAllocSamples()
 	return e, nil
@@ -431,21 +442,23 @@ func (e *Engine) Census() population.Census {
 	return e.pop.TakeCensus(e.epochLen-1, e.cfg.Params.HalfLogN)
 }
 
-// adversaryTurn gives the adversary its budgeted turn: it builds the round's
-// Budget (bound to the matcher's positions and metric on a spatial
-// topology), lets the adversary stage up to K alterations into it, and
-// applies them — deletions first, then insertions, with insertions staged at
-// an explicit position (InsertAt) routed through the Positions placement
-// queue so the agent appears exactly where the adversary chose. Everything
-// here runs serially, so adversary-chosen placement is deterministic and
-// worker-count-invariant like the rest of the turn.
+// adversaryTurn gives the adversary its budgeted turn: it resets the
+// engine's Budget for the round (bound to the matcher's positions and
+// metric on a spatial topology), lets the adversary stage up to K
+// alterations into it, and applies them — deletions first, then
+// insertions, with insertions staged at an explicit position (InsertAt)
+// routed through the Positions placement queue so the agent appears exactly
+// where the adversary chose. Everything here runs serially, so
+// adversary-chosen placement is deterministic and worker-count-invariant
+// like the rest of the turn.
 func (e *Engine) adversaryTurn(rep *RoundReport) {
 	if e.cfg.K <= 0 {
 		return
 	}
-	budget := adversary.NewBudget(e.cfg.K, e.pop.Len(), e.epochLen)
+	budget := e.budget
+	budget.Reset(e.cfg.K, e.pop.Len(), e.epochLen)
 	if e.space != nil {
-		budget.BindSpace(e.space.Positions().Slice(), e.space.Dist2)
+		budget.BindSpace(e.space.Positions().Slice(), e.spaceDist2)
 	}
 	e.adv.Act(engineView{e}, budget, e.advSrc)
 	rep.AdvDeleted += e.pop.DeleteDescending(budget.Deletions())
