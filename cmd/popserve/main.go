@@ -94,7 +94,6 @@ func run(args []string) error {
 		pprofOn       = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the listen address")
 
 		coordinator   = fs.Bool("coordinator", false, "run as a fleet coordinator instead of a worker (routes to -join'ed popserves)")
-		routerName    = fs.String("router", "affinity", "coordinator routing policy: affinity, round-robin, or least-loaded")
 		workerTTL     = fs.Duration("worker-ttl", 10*time.Second, "coordinator: expire workers whose heartbeat is older than this (sessions fail over)")
 		sweepInterval = fs.Duration("sweep-interval", 2*time.Second, "coordinator: expiry/failover pass cadence")
 		join          = fs.String("join", "", "worker: coordinator base URL to register with (http://host:port)")
@@ -119,13 +118,7 @@ func run(args []string) error {
 	defer stop()
 
 	if *coordinator {
-		router, err := cluster.NewRouter(*routerName)
-		if err != nil {
-			ln.Close()
-			return err
-		}
 		co := cluster.NewCoordinator(cluster.Config{
-			Router:        router,
 			WorkerTTL:     *workerTTL,
 			SweepInterval: *sweepInterval,
 			SubmitRate:    *submitRate,
@@ -134,7 +127,7 @@ func run(args []string) error {
 		srv := &http.Server{Handler: withPprof(cluster.NewHandler(co), *pprofOn), ReadHeaderTimeout: 10 * time.Second}
 		errCh := make(chan error, 1)
 		go func() { errCh <- srv.Serve(ln) }()
-		log.Printf("popserve coordinating on %s (router %s, worker TTL %s, pprof %v)", ln.Addr(), router.Name(), *workerTTL, *pprofOn)
+		log.Printf("popserve coordinating on %s (worker TTL %s, pprof %v)", ln.Addr(), *workerTTL, *pprofOn)
 		select {
 		case err := <-errCh:
 			co.Close()

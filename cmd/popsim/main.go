@@ -13,13 +13,14 @@
 package main
 
 import (
+	"encoding/csv"
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"popstab"
-	"popstab/internal/trace"
 )
 
 func main() {
@@ -114,16 +115,14 @@ func run(args []string) error {
 			sp.Rogue.ReplicateEvery, sp.Rogue.DetectProb)
 	}
 
-	rec := trace.NewRecorder()
+	reps := make([]popstab.EpochReport, 0, *epochs)
 	if !*quietRun {
 		fmt.Printf("%6s  %7s  %7s  %7s  %7s  %6s  %6s  %6s  %6s\n",
 			"epoch", "start", "end", "min", "max", "births", "deaths", "advIns", "advDel")
 	}
 	for i := 0; i < *epochs; i++ {
 		rep := s.RunEpoch()
-		rec.Record("population", float64(rep.Epoch), float64(rep.EndSize))
-		rec.Record("births", float64(rep.Epoch), float64(rep.Births))
-		rec.Record("deaths", float64(rep.Epoch), float64(rep.Deaths))
+		reps = append(reps, rep)
 		if !*quietRun {
 			fmt.Printf("%6d  %7d  %7d  %7d  %7d  %6d  %6d  %6d  %6d\n",
 				rep.Epoch, rep.StartSize, rep.EndSize, rep.MinSize, rep.MaxSize,
@@ -151,18 +150,47 @@ func run(args []string) error {
 	}
 
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rec.WriteCSV(f); err != nil {
+		if err := writeCSV(*csvPath, reps); err != nil {
 			return err
 		}
 		fmt.Printf("# wrote %s\n", *csvPath)
 	}
 	return nil
 }
+
+// writeCSV writes the per-epoch trace in long format, one series,x,y row
+// per point: every epoch's end population, then its births, then its
+// deaths, keyed by epoch index. Values print as shortest floats, so a
+// population of a million or more appears as 1.048576e+06.
+func writeCSV(path string, reps []popstab.EpochReport) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := csv.NewWriter(f)
+	w.Write([]string{"series", "x", "y"})
+	for _, series := range []struct {
+		name string
+		y    func(popstab.EpochReport) int
+	}{
+		{"population", func(r popstab.EpochReport) int { return r.EndSize }},
+		{"births", func(r popstab.EpochReport) int { return r.Births }},
+		{"deaths", func(r popstab.EpochReport) int { return r.Deaths }},
+	} {
+		for _, r := range reps {
+			w.Write([]string{series.name, formatValue(r.Epoch), formatValue(series.y(r))})
+		}
+	}
+	w.Flush()
+	if err := w.Error(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// formatValue renders v as the shortest float representation.
+func formatValue(v int) string { return strconv.FormatFloat(float64(v), 'g', -1, 64) }
 
 func budgetString(b int) string {
 	if b == 0 {

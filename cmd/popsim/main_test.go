@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"popstab"
 )
 
 func TestRunMinimal(t *testing.T) {
@@ -16,9 +18,12 @@ func TestRunMinimal(t *testing.T) {
 	}
 }
 
+// TestRunWithAdversaryAndCSV pins the -csv trace byte for byte: long
+// format, grouped by series, keyed by epoch. The rows are the seed-1
+// trajectory's.
 func TestRunWithAdversaryAndCSV(t *testing.T) {
 	csv := filepath.Join(t.TempDir(), "trace.csv")
-	err := run([]string{"-n", "4096", "-tinner", "24", "-epochs", "1", "-q",
+	err := run([]string{"-n", "4096", "-tinner", "24", "-epochs", "2", "-q",
 		"-adv", "greedy", "-budget", "4", "-csv", csv})
 	if err != nil {
 		t.Fatal(err)
@@ -27,8 +32,41 @@ func TestRunWithAdversaryAndCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) == 0 {
-		t.Error("empty CSV trace")
+	const want = "series,x,y\n" +
+		"population,0,4097\npopulation,1,4098\n" +
+		"births,0,13\nbirths,1,9\n" +
+		"deaths,0,16\ndeaths,1,12\n"
+	if string(data) != want {
+		t.Errorf("CSV trace:\n%s\nwant:\n%s", data, want)
+	}
+}
+
+// TestWriteCSV pins writeCSV's long format on hand-made reports: the
+// header, then every epoch's population, births and deaths in series order,
+// with values as shortest floats (a million-agent population prints as
+// 1.048576e+06).
+func TestWriteCSV(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.csv")
+	reps := []popstab.EpochReport{
+		{Epoch: 0, EndSize: 4096, Births: 3, Deaths: 0},
+		{Epoch: 1, EndSize: 1 << 20, Births: 0, Deaths: 12},
+	}
+	if err := writeCSV(path, reps); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "series,x,y\n" +
+		"population,0,4096\npopulation,1,1.048576e+06\n" +
+		"births,0,3\nbirths,1,0\n" +
+		"deaths,0,0\ndeaths,1,12\n"
+	if string(data) != want {
+		t.Errorf("CSV trace:\n%s\nwant:\n%s", data, want)
+	}
+	if err := writeCSV(filepath.Join(path, "missing", "x.csv"), reps); err == nil {
+		t.Error("writeCSV into a missing directory returned no error")
 	}
 }
 

@@ -196,9 +196,11 @@ type Budget struct {
 var _ Mutator = (*Budget)(nil)
 
 // NewBudget prepares a budget of k alterations against a population of
-// popLen agents with epoch length epochLen.
+// popLen agents with epoch length epochLen. The deletion set is sized for
+// the min(k, popLen) deletions a turn can stage, not for k: k comes from
+// the spec, and a huge one must not allocate before a single agent exists.
 func NewBudget(k, popLen, epochLen int) *Budget {
-	b := &Budget{deletions: make(map[int]struct{}, k)}
+	b := &Budget{deletions: make(map[int]struct{}, min(k, popLen))}
 	b.Reset(k, popLen, epochLen)
 	return b
 }

@@ -394,17 +394,9 @@ func isCode(err error, code string) bool {
 	return err != nil && serve.ErrorCode(err) == code
 }
 
-// TestRouterPolicies pins each routing policy's contract.
+// TestRouterPolicies pins the routing contract: affinity by spec hash, and
+// the least-loaded choice it falls back to for hashless restores.
 func TestRouterPolicies(t *testing.T) {
-	if _, err := NewRouter("bogus"); err == nil {
-		t.Error("NewRouter accepted an unknown policy")
-	}
-	for _, name := range []string{"", "affinity", "round-robin", "least-loaded"} {
-		if _, err := NewRouter(name); err != nil {
-			t.Errorf("NewRouter(%q): %v", name, err)
-		}
-	}
-
 	cands := []Candidate{
 		{ID: "w-001", SlotsInUse: 4, Slots: 4, Ready: true},
 		{ID: "w-002", SlotsInUse: 1, Slots: 4, Ready: true},
@@ -412,30 +404,15 @@ func TestRouterPolicies(t *testing.T) {
 	}
 
 	t.Run("least-loaded", func(t *testing.T) {
-		var r LeastLoaded
-		if got := r.Pick(cands, ""); cands[got].ID != "w-002" {
+		if got := leastLoaded(cands); cands[got].ID != "w-002" {
 			t.Errorf("picked %s, want w-002 (lowest occupancy among ready)", cands[got].ID)
 		}
-		if got := r.Pick(nil, ""); got != -1 {
+		if got := leastLoaded(nil); got != -1 {
 			t.Errorf("empty pick = %d, want -1", got)
 		}
 	})
 
-	t.Run("round-robin", func(t *testing.T) {
-		var r RoundRobin
-		seen := map[string]int{}
-		for i := 0; i < 6; i++ {
-			seen[cands[r.Pick(cands, "")].ID]++
-		}
-		// Unready w-003 is never picked (its turn falls through to the next
-		// ready worker); both ready workers share the rotation.
-		if seen["w-003"] != 0 || seen["w-001"] == 0 || seen["w-002"] == 0 {
-			t.Errorf("distribution %v, want both ready workers and never w-003", seen)
-		}
-	})
-
 	t.Run("affinity", func(t *testing.T) {
-		r := &Affinity{}
 		hashes := make([]string, 64)
 		for i := range hashes {
 			hashes[i] = fmt.Sprintf("hash-%02d", i)
@@ -443,14 +420,14 @@ func TestRouterPolicies(t *testing.T) {
 		picks := map[string]string{}
 		spread := map[string]int{}
 		for _, h := range hashes {
-			id := cands[r.Pick(cands, h)].ID
+			id := cands[affinity(cands, h)].ID
 			picks[h] = id
 			spread[id]++
 		}
 		// Stable: same hash, same worker, every time and in any order.
 		rev := []Candidate{cands[2], cands[0], cands[1]}
 		for _, h := range hashes {
-			if got := rev[r.Pick(rev, h)].ID; got != picks[h] {
+			if got := rev[affinity(rev, h)].ID; got != picks[h] {
 				t.Fatalf("hash %s remapped to %s under reordering, was %s", h, got, picks[h])
 			}
 		}
@@ -463,13 +440,16 @@ func TestRouterPolicies(t *testing.T) {
 			if picks[h] == "w-003" {
 				continue
 			}
-			if got := two[r.Pick(two, h)].ID; got != picks[h] {
+			if got := two[affinity(two, h)].ID; got != picks[h] {
 				t.Errorf("hash %s moved from %s to %s though its worker survived", h, picks[h], got)
 			}
 		}
 		// Hashless restores fall back to least-loaded.
-		if got := cands[r.Pick(cands, "")].ID; got != "w-002" {
+		if got := cands[affinity(cands, "")].ID; got != "w-002" {
 			t.Errorf("hashless pick %s, want least-loaded w-002", got)
+		}
+		if got := affinity(nil, hashes[0]); got != -1 {
+			t.Errorf("empty pick = %d, want -1", got)
 		}
 	})
 }

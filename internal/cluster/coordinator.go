@@ -19,8 +19,6 @@ import (
 
 // Config parameterizes a Coordinator.
 type Config struct {
-	// Router picks the worker for each submission (nil = Affinity).
-	Router Router
 	// WorkerTTL expires a worker whose heartbeat has gone quiet; its
 	// sessions fail over to the rest of the fleet (0 = 10s).
 	WorkerTTL time.Duration
@@ -157,7 +155,6 @@ type FleetReadiness struct {
 // Safe for concurrent use.
 type Coordinator struct {
 	cfg    Config
-	router Router
 	gate   *serve.TokenBucket
 	client *http.Client
 
@@ -183,9 +180,6 @@ type Coordinator struct {
 // NewCoordinator starts a coordinator (and its sweep loop unless
 // SweepInterval < 0).
 func NewCoordinator(cfg Config) *Coordinator {
-	if cfg.Router == nil {
-		cfg.Router = &Affinity{}
-	}
 	if cfg.WorkerTTL <= 0 {
 		cfg.WorkerTTL = 10 * time.Second
 	}
@@ -203,7 +197,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 	}
 	c := &Coordinator{
 		cfg:      cfg,
-		router:   cfg.Router,
 		client:   cfg.Client,
 		workers:  make(map[string]*worker),
 		byURL:    make(map[string]*worker),
@@ -298,7 +291,7 @@ func (c *Coordinator) ownedLocked(workerID string) int {
 	return n
 }
 
-// candidatesLocked builds the router's view of the routable fleet (caller
+// candidatesLocked builds the routing view of the routable fleet (caller
 // holds c.mu). Draining workers take no new sessions.
 func (c *Coordinator) candidatesLocked() []Candidate {
 	cands := make([]Candidate, 0, len(c.workers))
@@ -314,7 +307,7 @@ func (c *Coordinator) candidatesLocked() []Candidate {
 			Ready:      w.ready.Ready,
 		})
 	}
-	// Deterministic base order so router policies are reproducible.
+	// Deterministic base order.
 	sort.Slice(cands, func(i, k int) bool { return cands[i].ID < cands[k].ID })
 	return cands
 }
@@ -382,7 +375,7 @@ func (c *Coordinator) Submit(ctx context.Context, req serve.SubmitRequest) (serv
 		err  error
 	)
 	for len(cands) > 0 {
-		i := c.router.Pick(cands, hash)
+		i := affinity(cands, hash)
 		if i < 0 {
 			break
 		}

@@ -13,7 +13,7 @@ import (
 // Session movement. Two paths, one correctness argument (DESIGN.md §11):
 //
 //   - Migration (planned, Drain): pause the session on the old worker, cut
-//     a snapshot at a quantum boundary, restore it on a router-picked peer
+//     a snapshot at a quantum boundary, restore it on an affinity-picked peer
 //     with the outstanding rounds, and resume if it was running. The wire
 //     codec round-trips engine state bit-identically (§8), so the migrated
 //     run is byte-for-byte the run that would have happened in place.
@@ -194,7 +194,7 @@ func (c *Coordinator) placeRestore(ctx context.Context, s *session, req serve.Su
 	}
 	var lastErr error
 	for len(cands) > 0 {
-		i := c.router.Pick(cands, hash)
+		i := affinity(cands, hash)
 		if i < 0 {
 			break
 		}

@@ -1,20 +1,16 @@
 // Package cluster is the federation layer: a coordinator that registers
-// remote popserve workers, routes session submissions to them through a
-// pluggable Router, proxies per-session control calls to the owning worker,
-// migrates sessions between workers over the wire-codec snapshot path, and
-// aggregates the fleet's dedupe cache into a content-addressed result store
-// keyed by Spec.Hash. The coordinator speaks the same /v1 contract as a
-// worker (internal/serve), so clients cannot tell one popserve from a
-// fleet. See DESIGN.md §11.
+// remote popserve workers, routes session submissions to them by
+// rendezvous affinity, proxies per-session control calls to the owning
+// worker, migrates sessions between workers over the wire-codec snapshot
+// path, and aggregates the fleet's dedupe cache into a content-addressed
+// result store keyed by Spec.Hash. The coordinator speaks the same /v1
+// contract as a worker (internal/serve), so clients cannot tell one
+// popserve from a fleet. See DESIGN.md §11.
 package cluster
 
-import (
-	"fmt"
-	"hash/fnv"
-	"sync/atomic"
-)
+import "hash/fnv"
 
-// Candidate is the router's view of one live worker at pick time.
+// Candidate is the routing view of one live worker at pick time.
 type Candidate struct {
 	// ID is the coordinator-assigned worker ID.
 	ID string
@@ -28,68 +24,35 @@ type Candidate struct {
 	Ready bool
 }
 
-// Router decides which worker receives a new submission. Pick returns an
-// index into cands, or -1 to refuse (no candidate will do). specHash is the
-// submission's canonical Spec.Hash — empty for snapshot restores, whose
-// state is not content-addressed. Routers must tolerate cands arriving in
-// any order and changing between calls (workers join and die freely).
-type Router interface {
-	// Name identifies the policy (the -router flag value).
-	Name() string
-	// Pick chooses a candidate index, -1 if none is acceptable.
-	Pick(cands []Candidate, specHash string) int
-}
-
-// NewRouter resolves a -router flag value. Empty selects affinity, the
-// default: it is the policy that makes fleet-wide dedupe exact, because
-// concurrent identical submissions land on the same worker and collapse in
-// its cache instead of running twice on two hosts.
-func NewRouter(name string) (Router, error) {
-	switch name {
-	case "", "affinity":
-		return &Affinity{}, nil
-	case "round-robin":
-		return &RoundRobin{}, nil
-	case "least-loaded":
-		return &LeastLoaded{}, nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown router %q (want affinity, round-robin, or least-loaded)", name)
+// affinity decides which worker receives a new submission: an index into
+// cands, or -1 when cands is empty. It routes by rendezvous
+// (highest-random-weight) hashing of (workerID, specHash): every worker
+// scores the hash, the top score wins. The same spec always lands on the
+// same live worker, so a dedupe hit finds the worker already holding the
+// result, concurrent identical submissions collapse in one worker's cache
+// instead of running twice on two hosts, and membership changes only remap
+// the specs whose top scorer changed — no ring to rebalance. specHash is
+// the submission's canonical Spec.Hash; without one (snapshot restores,
+// whose state is not content-addressed) the least-loaded worker wins. cands
+// may arrive in any order and change between calls.
+func affinity(cands []Candidate, specHash string) int {
+	if specHash == "" {
+		return leastLoaded(cands)
 	}
-}
-
-// RoundRobin rotates through candidates, preferring ready ones.
-type RoundRobin struct {
-	n atomic.Uint64
-}
-
-// Name implements Router.
-func (r *RoundRobin) Name() string { return "round-robin" }
-
-// Pick implements Router.
-func (r *RoundRobin) Pick(cands []Candidate, _ string) int {
-	if len(cands) == 0 {
-		return -1
-	}
-	start := int(r.n.Add(1)-1) % len(cands)
-	for i := range cands {
-		k := (start + i) % len(cands)
-		if cands[k].Ready {
-			return k
+	best, bestScore := -1, uint64(0)
+	for i, c := range cands {
+		s := rendezvousScore(c.ID, specHash)
+		if best == -1 || s > bestScore || (s == bestScore && c.ID < cands[best].ID) {
+			best, bestScore = i, s
 		}
 	}
-	return start
+	return best
 }
 
-// LeastLoaded picks the worker with the lowest step-pool occupancy
-// (SlotsInUse/Slots), breaking ties by fewest resident sessions. Ready
-// workers always beat unready ones.
-type LeastLoaded struct{}
-
-// Name implements Router.
-func (LeastLoaded) Name() string { return "least-loaded" }
-
-// Pick implements Router.
-func (LeastLoaded) Pick(cands []Candidate, _ string) int {
+// leastLoaded picks the worker with the lowest step-pool occupancy
+// (SlotsInUse/Slots), breaking ties by fewest resident sessions, or -1 when
+// cands is empty. Ready workers always beat unready ones.
+func leastLoaded(cands []Candidate) int {
 	best := -1
 	for i, c := range cands {
 		if best == -1 || lessLoaded(c, cands[best]) {
@@ -105,10 +68,7 @@ func lessLoaded(a, b Candidate) bool {
 	if a.Ready != b.Ready {
 		return a.Ready
 	}
-	// Cross-multiplied occupancy comparison avoids division (Slots can be
-	// 0 before the first heartbeat carries pool sizes; treat as full).
-	ao, bo := occupancy(a), occupancy(b)
-	if ao != bo {
+	if ao, bo := occupancy(a), occupancy(b); ao != bo {
 		return ao < bo
 	}
 	if a.Sessions != b.Sessions {
@@ -118,43 +78,13 @@ func lessLoaded(a, b Candidate) bool {
 }
 
 // occupancy is the candidate's slot saturation in [0,1]; slotless
-// candidates count as saturated.
+// candidates (Slots is 0 before the first heartbeat carries pool sizes)
+// count as saturated.
 func occupancy(c Candidate) float64 {
 	if c.Slots <= 0 {
 		return 1
 	}
 	return float64(c.SlotsInUse) / float64(c.Slots)
-}
-
-// Affinity routes by rendezvous (highest-random-weight) hashing of
-// (workerID, specHash): every worker scores the hash, the top score wins.
-// The same spec always lands on the same live worker, so a dedupe hit finds
-// the worker already holding the result, and membership changes only remap
-// the specs whose top scorer changed — no ring to rebalance. Submissions
-// without a hash (snapshot restores) fall back to least-loaded.
-type Affinity struct {
-	fallback LeastLoaded
-}
-
-// Name implements Router.
-func (a *Affinity) Name() string { return "affinity" }
-
-// Pick implements Router.
-func (a *Affinity) Pick(cands []Candidate, specHash string) int {
-	if len(cands) == 0 {
-		return -1
-	}
-	if specHash == "" {
-		return a.fallback.Pick(cands, specHash)
-	}
-	best, bestScore := -1, uint64(0)
-	for i, c := range cands {
-		s := rendezvousScore(c.ID, specHash)
-		if best == -1 || s > bestScore || (s == bestScore && c.ID < cands[best].ID) {
-			best, bestScore = i, s
-		}
-	}
-	return best
 }
 
 // rendezvousScore is the HRW weight of (worker, hash). The raw FNV sum is

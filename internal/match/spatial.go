@@ -2,6 +2,7 @@ package match
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"time"
 
@@ -168,8 +169,8 @@ type geometry[G any] interface {
 type spatial[G geometry[G]] struct {
 	geo G
 	// pool, when set (SetPool), runs the sharded phases on the engine's
-	// persistent worker pool; without one (standalone use) every phase runs
-	// inline. Same output either way.
+	// persistent worker pool; nil (standalone use) is the serial pool, and
+	// every phase runs inline. Same output either way.
 	pool *pool.Pool
 
 	pos *population.Positions
@@ -212,7 +213,7 @@ type spatial[G geometry[G]] struct {
 	candN      []uint8            // stored candidate count per slot, | candMore
 	mate       []int32            // slot -> partner slot in the walk; -(t+1) while unmatched, t its visit time
 	order      []int32            // agent -> slot after the scatter; visit order of slots after the shuffle
-	candShards []candShard        // one candidate-phase scratch per shard (shardCount)
+	candShards []candShard        // one candidate-phase scratch per shard (pool.Shards)
 }
 
 // candShard is one candidate shard's scratch. It lives in the matcher
@@ -268,37 +269,6 @@ func (s *spatial[G]) SetPool(p *pool.Pool) { s.pool = p }
 // of the matching pipeline since construction.
 func (s *spatial[G]) PipelineStats() PipelineStats { return s.stats }
 
-// run executes fn over [0, n) in contiguous shards on the pool, inline when
-// no pool is attached.
-func (s *spatial[G]) run(n int, fn func(lo, hi int)) {
-	if s.pool == nil {
-		fn(0, n)
-		return
-	}
-	s.pool.Run(n, minSpatialShard, fn)
-}
-
-// shardCount reports how many contiguous shards run() would split n items
-// into — the partition the scatter sizes its per-shard histograms by.
-func (s *spatial[G]) shardCount(n int) int {
-	if s.pool == nil {
-		return 1
-	}
-	return max(s.pool.Shards(n, minSpatialShard), 1)
-}
-
-// runN fans fn out over shard indices 0..w-1 on the pool, inline when no
-// pool is attached.
-func (s *spatial[G]) runN(w int, fn func(k int)) {
-	if s.pool == nil {
-		for k := 0; k < w; k++ {
-			fn(k)
-		}
-		return
-	}
-	s.pool.RunN(w, fn)
-}
-
 // SampleMatch implements the Matcher sampling method with sharded
 // nearest-available matching over the bound positions, drawing the visit
 // order from src.
@@ -342,7 +312,11 @@ func (s *spatial[G]) EncodeState(e *wire.Enc) {
 	s.pos.EncodeState(e)
 }
 
-// DecodeState implements Stateful; the matcher must already be bound.
+// DecodeState implements Stateful; the matcher must already be bound. Every
+// restored position, live or still queued, must lie on the closed unit
+// square, the domain every geometry's placement, spawn and patch seams map
+// into (closed because wrap can round up to exactly 1): a position off it is
+// not a state of the model, and the bucketing would index outside the grid.
 func (s *spatial[G]) DecodeState(d *wire.Dec) error {
 	if s.pos == nil {
 		return errDecodeUnbound
@@ -362,11 +336,27 @@ func (s *spatial[G]) DecodeState(d *wire.Dec) error {
 	if err := s.pos.DecodeState(d); err != nil {
 		return err
 	}
+	for i, pt := range s.pos.Slice() {
+		if !onSquare(pt) {
+			return fmt.Errorf("match: snapshot position %d at (%v, %v) is off the unit square", i, pt.X, pt.Y)
+		}
+	}
+	for i, pt := range s.pos.Queued() {
+		if !onSquare(pt) {
+			return fmt.Errorf("match: snapshot queued placement %d at (%v, %v) is off the unit square", i, pt.X, pt.Y)
+		}
+	}
 	s.src.SetState(st)
 	s.probeSrc.SetState(pst)
 	s.calls = calls
 	s.probeCalls = probeCalls
 	return nil
+}
+
+// onSquare reports whether pt lies on the closed unit square; NaN
+// coordinates fail every comparison and so are off it.
+func onSquare(pt population.Point) bool {
+	return pt.X >= 0 && pt.X <= 1 && pt.Y >= 0 && pt.Y <= 1
 }
 
 // errDecodeUnbound reports DecodeState on an unbound matcher.
@@ -418,7 +408,7 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 
 	// Phase 1 (sharded): bucket every agent.
 	t0 := time.Now()
-	s.run(n, func(lo, hi int) {
+	s.pool.Run(n, minSpatialShard, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s.cellIdx[i] = g.cell(pos[i])
 		}
@@ -452,15 +442,15 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 	// segments are maximal runs of consecutive cell ids in the geometry's
 	// neighborhood order — so tie-breaking is unchanged. Rows keep only the
 	// neighbors visited after their slot unless a rewrite hook is installed
-	// (see "Visit-order pruning"). The shards are run()'s partition, each
+	// (see "Visit-order pruning"). The shards are pool.Run's partition, each
 	// with its own reused scratch.
 	t0 = time.Now()
 	rewrite := s.rewrite
-	w := s.shardCount(n)
+	w := s.pool.Shards(n, minSpatialShard)
 	if len(s.candShards) < w {
 		s.candShards = make([]candShard, w)
 	}
-	s.runN(w, func(sh int) {
+	s.pool.RunN(w, func(sh int) {
 		lo, hi := sh*n/w, (sh+1)*n/w
 		scr := &s.candShards[sh]
 		dists := 0
@@ -524,7 +514,7 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 	t0 = time.Now()
 	s.walk(g)
 	cellAgents, nbr := s.cellAgents, p.Nbr
-	s.run(n, func(lo, hi int) {
+	s.pool.Run(n, minSpatialShard, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			j := Unmatched
 			if m := mate[k]; m >= 0 {
@@ -568,7 +558,7 @@ const (
 // cursor scatter at every shard count; with one shard the passes ARE that
 // serial scatter (histogram, prefix, cursor walk), inline on the caller.
 func (s *spatial[G]) scatter(pos []population.Point, n, ncells int) {
-	w := min(s.shardCount(n), maxScatterShards)
+	w := min(s.pool.Shards(n, minSpatialShard), maxScatterShards)
 	if ncells > 0 {
 		w = min(w, maxScatterCnt/ncells)
 	}
@@ -584,7 +574,7 @@ func (s *spatial[G]) scatter(pos []population.Point, n, ncells int) {
 	}
 
 	// Pass 1: per-shard histograms (each shard zeroes its own row).
-	s.runN(w, func(k int) {
+	s.pool.RunN(w, func(k int) {
 		row := cnt[k*ncells : (k+1)*ncells]
 		for i := range row {
 			row[i] = 0
@@ -598,7 +588,7 @@ func (s *spatial[G]) scatter(pos []population.Point, n, ncells int) {
 	// cellStart[c+1]; per-shard sums fold out.
 	start := s.cellStart
 	var shardSum [maxScatterShards]int32
-	s.runN(w, func(k int) {
+	s.pool.RunN(w, func(k int) {
 		sum := int32(0)
 		for c := cb[k]; c < cb[k+1]; c++ {
 			t := int32(0)
@@ -620,7 +610,7 @@ func (s *spatial[G]) scatter(pos []population.Point, n, ncells int) {
 
 	// Pass 3: finish the prefix sum over cell totals.
 	start[0] = 0
-	s.runN(w, func(k int) {
+	s.pool.RunN(w, func(k int) {
 		run := shardSum[k]
 		for c := cb[k]; c < cb[k+1]; c++ {
 			run += start[c+1]
@@ -630,7 +620,7 @@ func (s *spatial[G]) scatter(pos []population.Point, n, ncells int) {
 
 	// Pass 4: scatter into precomputed disjoint slots.
 	cellIdx, cellAgents, posByCell, order := s.cellIdx, s.cellAgents, s.posByCell, s.order
-	s.runN(w, func(k int) {
+	s.pool.RunN(w, func(k int) {
 		row := cnt[k*ncells:]
 		for i := ab[k]; i < ab[k+1]; i++ {
 			c := cellIdx[i]

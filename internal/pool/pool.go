@@ -1,12 +1,12 @@
 // Package pool provides the engine's persistent worker pool: a fixed set of
-// parked goroutines that data-parallel phases (compose/step sharding, the
-// spatial matching pipeline, snapshot encoding) wake
-// per task instead of spawning fresh goroutines every round. At high round
-// rates the per-round spawn + WaitGroup-barrier cost of the old scheme was a
-// measurable serial tail (DESIGN.md §10); the pool replaces it with one
-// channel send per helping worker. Every call — Run, RunN and Share — splits
-// its work into parts that the caller and the workers claim off one atomic
-// counter, so a caller never waits for a part that no worker has started.
+// parked goroutines that data-parallel phases (compose/step sharding and
+// the spatial matching pipeline) wake per task instead of spawning fresh
+// goroutines every round. At high round rates the per-round spawn +
+// WaitGroup-barrier cost of the old scheme was a measurable serial tail
+// (DESIGN.md §10); the pool replaces it with one channel send per helping
+// worker. Every call — Run, RunN and Share — splits its work into parts
+// that the caller and the workers claim off one atomic counter, so a caller
+// never waits for a part that no worker has started.
 // Share overlaps one serial task on the caller with chunked work the
 // workers claim — the engine runs compose that way while the caller samples
 // the matching.
@@ -17,6 +17,10 @@
 // randomness or reorders outputs, so — exactly as with the old per-round
 // goroutines — simulation output is bit-identical for every worker count.
 // Workers is purely a throughput knob.
+//
+// A nil *Pool is the serial pool: Shards reports 1 and Run and RunN execute
+// inline, so a component that shards only when handed a pool needs no
+// fallback of its own.
 //
 // Lifecycle: workers are spawned lazily on first use and park on a shared
 // task channel between rounds. Close releases them; a closed pool degrades
@@ -133,15 +137,12 @@ func New(workers int) *Pool {
 // Workers reports the pool's total parallelism (≥ 1).
 func (p *Pool) Workers() int { return p.workers }
 
-// Closed reports whether Close has been called.
-func (p *Pool) Closed() bool { return p.closed.Load() }
-
 // Shards reports how many shards Run would split n items into at the given
 // minimum grain: min(Workers, n/grain), at least 1. Callers that need the
 // shard count up front (per-shard accumulators, prefix sums) use it so their
-// partition matches Run's.
+// partition matches Run's. A nil or closed pool reports 1.
 func (p *Pool) Shards(n, grain int) int {
-	if p.closed.Load() {
+	if p == nil || p.closed.Load() {
 		return 1
 	}
 	w := p.workers
@@ -159,10 +160,10 @@ func (p *Pool) Shards(n, grain int) int {
 // Run executes fn over up to Workers contiguous shards of [0, n), blocking
 // until all shards complete. grain bounds how finely the range splits (at
 // least grain items per shard); with one effective shard — small n,
-// Workers 1, or a closed pool — fn runs inline with no synchronization.
-// Otherwise the caller claims shards alongside the workers it wakes and
-// waits only for shards a worker has started. fn must be safe to call
-// concurrently on disjoint ranges.
+// Workers 1, or a nil or closed pool — fn runs inline with no
+// synchronization. Otherwise the caller claims shards alongside the workers
+// it wakes and waits only for shards a worker has started. fn must be safe
+// to call concurrently on disjoint ranges.
 func (p *Pool) Run(n, grain int, fn func(lo, hi int)) {
 	w := p.Shards(n, grain)
 	if w <= 1 {
@@ -175,10 +176,10 @@ func (p *Pool) Run(n, grain int, fn func(lo, hi int)) {
 // RunN fans fn out over shard indices 0..w-1, blocking until all complete.
 // It is Run for callers that partition work themselves (per-shard counters,
 // cell ranges). w may exceed Workers: min(w, Workers)-1 workers help, and
-// every participant claims indices until none is left. On a pool of 1 or a
-// closed pool every index runs inline, in order.
+// every participant claims indices until none is left. On a nil pool, a
+// pool of 1 or a closed pool every index runs inline, in order.
 func (p *Pool) RunN(w int, fn func(k int)) {
-	if w <= 1 || p.workers <= 1 || p.closed.Load() {
+	if w <= 1 || p == nil || p.workers <= 1 || p.closed.Load() {
 		for k := 0; k < w; k++ {
 			fn(k)
 		}

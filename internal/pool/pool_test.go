@@ -3,6 +3,7 @@ package pool
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -198,6 +199,25 @@ func TestClosedPoolRunsInline(t *testing.T) {
 	p.RunN(3, func(k int) { hits++ })
 	if hits != 3 {
 		t.Fatalf("closed-pool RunN ran %d of 3 shards", hits)
+	}
+}
+
+// TestNilPoolRunsInline checks the nil pool is the serial pool: one shard,
+// Run over the whole range and RunN's indices in order, all on the caller.
+func TestNilPoolRunsInline(t *testing.T) {
+	var p *Pool
+	if w := p.Shards(1<<20, 1); w != 1 {
+		t.Fatalf("nil-pool Shards = %d, want 1", w)
+	}
+	var ranges [][2]int
+	p.Run(100, 1, func(lo, hi int) { ranges = append(ranges, [2]int{lo, hi}) })
+	if len(ranges) != 1 || ranges[0] != [2]int{0, 100} {
+		t.Fatalf("nil-pool Run ranges %v, want [[0 100]]", ranges)
+	}
+	var order []int
+	p.RunN(3, func(k int) { order = append(order, k) })
+	if !slices.Equal(order, []int{0, 1, 2}) {
+		t.Fatalf("nil-pool RunN order %v, want [0 1 2]", order)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"popstab/internal/agent"
-	"popstab/internal/pool"
 	"popstab/internal/prng"
 )
 
@@ -118,13 +117,11 @@ func distinctStates(n int) []agent.State {
 	return s
 }
 
-// checkApplyMatchesReplay applies one action array to a fresh fixture,
-// with pl set as its worker pool (nil for none), and compares the result
-// with ReplayApply.
-func checkApplyMatchesReplay(t *testing.T, actions []Action, pl *pool.Pool) {
+// checkApplyMatchesReplay applies one action array to a fresh fixture and
+// compares the result with ReplayApply.
+func checkApplyMatchesReplay(t *testing.T, actions []Action) {
 	t.Helper()
 	f := newApplyFixture(distinctStates(len(actions)), 42)
-	f.pop.SetPool(pl)
 	if err := f.apply(actions); err != nil {
 		t.Fatalf("n=%d: %v", len(actions), err)
 	}
@@ -152,46 +149,50 @@ func TestApplyMatchesReplayApply(t *testing.T) {
 					actions[i] = ActKeep
 				}
 			}
-			checkApplyMatchesReplay(t, actions, nil)
+			checkApplyMatchesReplay(t, actions)
 		}
 	}
 }
 
 // TestApplyPlanExtremes pins the all-die, all-split, and all-keep rounds —
-// the boundary layouts (empty output, doubled output, identity) — with
-// worker pools of 1, 2, 3 and 8 attached: Apply is serial, so the pool
-// size must not show in the layout. The test keeps the name and case names
-// it had when it checked the sharded apply plan, so its history stays
-// comparable across the change.
+// the boundary layouts (empty output, doubled output, identity) — applied
+// w times in a row, so later rounds run on the arrays the earlier ones
+// compacted or grew (an emptied population takes empty rounds). The start
+// size halves as w grows, so an all-split run ends at 40000 agents. The
+// test and its case names are kept from when w counted the workers of the
+// sharded apply plan.
 func TestApplyPlanExtremes(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
+	for _, w := range []int{1, 2, 3, 8} {
 		for _, tc := range []struct {
 			name string
 			act  Action
 		}{{"all-die", ActDie}, {"all-split", ActSplit}, {"all-keep", ActKeep}} {
-			t.Run(fmt.Sprintf("%s/w%d", tc.name, workers), func(t *testing.T) {
-				actions := make([]Action, 20000)
-				for i := range actions {
-					actions[i] = tc.act
+			t.Run(fmt.Sprintf("%s/w%d", tc.name, w), func(t *testing.T) {
+				f := newApplyFixture(distinctStates(20000>>(w-1)), 42)
+				for round := 0; round < w; round++ {
+					actions := make([]Action, f.pop.Len())
+					for i := range actions {
+						actions[i] = tc.act
+					}
+					if err := f.apply(actions); err != nil {
+						t.Fatalf("round %d: %v", round, err)
+					}
+					if err := f.check(); err != nil {
+						t.Fatalf("round %d: %v", round, err)
+					}
 				}
-				p := pool.New(workers)
-				defer p.Close()
-				checkApplyMatchesReplay(t, actions, p)
 			})
 		}
 	}
 }
 
 // TestApplyWithInterleavedTrackers evolves a population with both trackers
-// attached and a worker pool set, over rounds of Apply interleaved with
-// insertions and swap-deletions, and checks every tracker stays aligned
-// with the ReplayApply reference after each step.
+// attached, over rounds of Apply interleaved with insertions and
+// swap-deletions, and checks every tracker stays aligned with the
+// ReplayApply reference after each step.
 func TestApplyWithInterleavedTrackers(t *testing.T) {
 	const n = 9000
-	p := pool.New(2)
-	defer p.Close()
 	f := newApplyFixture(distinctStates(n), 99)
-	f.pop.SetPool(p)
 
 	actSrc := prng.New(5)
 	for round := 0; round < 20; round++ {
@@ -220,14 +221,11 @@ func TestApplyWithInterleavedTrackers(t *testing.T) {
 }
 
 // TestApplyAllocatesNothing gates Apply's steady state exactly: on a warmed
-// population of 2¹⁵ with a worker pool, Positions and an int side-array
-// attached, a round with one death and one split allocates nothing.
+// population of 2¹⁵ with Positions and an int side-array attached, a round
+// with one death and one split allocates nothing.
 func TestApplyAllocatesNothing(t *testing.T) {
 	const n = 1 << 15
-	p := pool.New(2)
-	defer p.Close()
 	f := newApplyFixture(make([]agent.State, n), 1)
-	f.pop.SetPool(p)
 	actions := make([]Action, n)
 	actions[n/3] = ActDie
 	actions[2*n/3] = ActSplit

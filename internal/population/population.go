@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"popstab/internal/agent"
-	"popstab/internal/pool"
 	"popstab/internal/wire"
 )
 
@@ -66,24 +65,11 @@ type Tracker interface {
 	Applied(actions []Action)
 }
 
-// PoolUser is an optional Tracker refinement: trackers that shard their
-// snapshot encode and decode receive the population's worker pool when one
-// is attached (Population.SetPool).
-type PoolUser interface {
-	SetPool(p *pool.Pool)
-}
-
 // Population is the mutable set of living agents. It is not safe for
-// concurrent use; the simulator owns it on a single goroutine (the sharded
-// snapshot encode and decode fan out through the attached pool but are
-// fully joined before any method returns).
+// concurrent use; the simulator owns it on a single goroutine.
 type Population struct {
 	states   []agent.State
 	trackers []Tracker
-
-	// pool, when set, shards EncodeState and DecodeState; nil runs them
-	// serially. Purely a throughput knob: the bytes are pool-invariant.
-	pool *pool.Pool
 }
 
 // New returns a population of n agents in the all-zero initial state, as at
@@ -107,22 +93,6 @@ func FromStates(states []agent.State) *Population {
 func (p *Population) Attach(t Tracker) {
 	p.trackers = append(p.trackers, t)
 	t.Attached(len(p.states))
-	if pu, ok := t.(PoolUser); ok && p.pool != nil {
-		pu.SetPool(p.pool)
-	}
-}
-
-// SetPool attaches a worker pool sharding the snapshot encode and decode,
-// propagating it to every attached tracker that can use one. The engine
-// calls it once at construction; nil (the default) keeps everything serial.
-// Output is pool-invariant.
-func (p *Population) SetPool(pl *pool.Pool) {
-	p.pool = pl
-	for _, t := range p.trackers {
-		if pu, ok := t.(PoolUser); ok {
-			pu.SetPool(pl)
-		}
-	}
 }
 
 // States exposes the backing agent-state array for bulk streaming on hot
@@ -284,9 +254,6 @@ func ReplayApply[T any](arr []T, actions []Action, spawn func(parent T) T) []T {
 	return arr
 }
 
-// minEncodeShard bounds how finely the bulk snapshot encode/decode shards.
-const minEncodeShard = 16384
-
 // agentRecordSize is the fixed snapshot payload per agent: Round u32 plus
 // four single-byte fields, little-endian — the exact byte stream the
 // historical per-field encoder produced, now written as one block so
@@ -304,27 +271,20 @@ func boolByte(v bool) byte {
 // EncodeState writes the agent-state array into a snapshot section payload
 // (see internal/wire). Trackers serialize their own side-arrays; the
 // engine's snapshot layout keeps them adjacent so restore re-aligns them.
-// The records are written into one bulk block, sharded across the attached
-// pool; the byte stream is identical to the historical per-field encoding.
+// The records are written into one bulk block; the byte stream is identical
+// to the historical per-field encoding.
 func (p *Population) EncodeState(e *wire.Enc) {
 	n := len(p.states)
 	e.U64(uint64(n))
 	b := e.Block(n * agentRecordSize)
-	fill := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := &p.states[i]
-			r := b[i*agentRecordSize : i*agentRecordSize+agentRecordSize]
-			binary.LittleEndian.PutUint32(r[0:4], s.Round)
-			r[4] = boolByte(s.Active)
-			r[5] = s.Color
-			r[6] = boolByte(s.Recruiting)
-			r[7] = uint8(s.ToRecruit)
-		}
-	}
-	if p.pool != nil {
-		p.pool.Run(n, minEncodeShard, fill)
-	} else {
-		fill(0, n)
+	for i := range p.states {
+		s := &p.states[i]
+		r := b[i*agentRecordSize : i*agentRecordSize+agentRecordSize]
+		binary.LittleEndian.PutUint32(r[0:4], s.Round)
+		r[4] = boolByte(s.Active)
+		r[5] = s.Color
+		r[6] = boolByte(s.Recruiting)
+		r[7] = uint8(s.ToRecruit)
 	}
 }
 
@@ -344,38 +304,18 @@ func (p *Population) DecodeState(d *wire.Dec) error {
 		return err
 	}
 	states := make([]agent.State, n, n+n/2)
-	// Parse sharded; boolean strictness (a non-0/1 byte is corruption, as
-	// with Dec.Bool) is preserved via a per-shard flag folded after the join.
-	w := 1
-	if p.pool != nil {
-		w = p.pool.Shards(n, minEncodeShard)
-	}
-	bad := make([]bool, w)
-	parse := func(k int) {
-		lo, hi := k*n/w, (k+1)*n/w
-		for i := lo; i < hi; i++ {
-			r := raw[i*agentRecordSize : i*agentRecordSize+agentRecordSize]
-			if r[4] > 1 || r[6] > 1 {
-				bad[k] = true
-				return
-			}
-			states[i] = agent.State{
-				Round:      binary.LittleEndian.Uint32(r[0:4]),
-				Active:     r[4] == 1,
-				Color:      r[5],
-				Recruiting: r[6] == 1,
-				ToRecruit:  int8(r[7]),
-			}
-		}
-	}
-	if p.pool != nil && w > 1 {
-		p.pool.RunN(w, parse)
-	} else {
-		parse(0)
-	}
-	for _, b := range bad {
-		if b {
+	for i := range states {
+		r := raw[i*agentRecordSize : i*agentRecordSize+agentRecordSize]
+		// A non-0/1 boolean byte is corruption, as with Dec.Bool.
+		if r[4] > 1 || r[6] > 1 {
 			return fmt.Errorf("wire: snapshot bool out of range")
+		}
+		states[i] = agent.State{
+			Round:      binary.LittleEndian.Uint32(r[0:4]),
+			Active:     r[4] == 1,
+			Color:      r[5],
+			Recruiting: r[6] == 1,
+			ToRecruit:  int8(r[7]),
 		}
 	}
 	p.states = states

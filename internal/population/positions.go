@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"popstab/internal/pool"
 	"popstab/internal/wire"
 )
 
@@ -69,17 +68,9 @@ type Positions struct {
 	// insertions, ahead of the Place seam (the engine queues the adversary's
 	// InsertAt positions here, immediately before the matching insert).
 	queued []Point
-	// pool, when set, shards EncodeState and DecodeState.
-	pool *pool.Pool
 }
 
-var (
-	_ Tracker  = (*Positions)(nil)
-	_ PoolUser = (*Positions)(nil)
-)
-
-// SetPool implements PoolUser (wired through Population.SetPool).
-func (ps *Positions) SetPool(p *pool.Pool) { ps.pool = p }
+var _ Tracker = (*Positions)(nil)
 
 // Len reports the number of tracked positions.
 func (ps *Positions) Len() int { return len(ps.pos) }
@@ -95,6 +86,10 @@ func (ps *Positions) SetAt(i int, pt Point) { ps.pos[i] = pt }
 // Slice exposes the underlying position array for read access on hot paths
 // (grid bucketing). The slice is invalidated by any structural mutation.
 func (ps *Positions) Slice() []Point { return ps.pos }
+
+// Queued exposes the staged one-shot placements (QueuePlacement) for read
+// access, oldest first.
+func (ps *Positions) Queued() []Point { return ps.queued }
 
 // SetPlacer swaps the Place seam and returns the previous Placer, so a
 // caller that takes placement ownership (clustered infiltration) can restore
@@ -134,22 +129,15 @@ func (ps *Positions) place() Point {
 // insert after restore.
 func (ps *Positions) EncodeState(e *wire.Enc) {
 	// Bulk form of the historical per-field encode — identical bytes
-	// (16 per point, X then Y as IEEE-754 bits), one Block reservation and a
-	// sharded fill instead of 2n appends.
+	// (16 per point, X then Y as IEEE-754 bits), one Block reservation
+	// instead of 2n appends.
 	n := len(ps.pos)
 	e.U64(uint64(n))
 	blk := e.Block(n * pointRecordSize)
-	fill := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r := blk[i*pointRecordSize:]
-			binary.LittleEndian.PutUint64(r[0:8], math.Float64bits(ps.pos[i].X))
-			binary.LittleEndian.PutUint64(r[8:16], math.Float64bits(ps.pos[i].Y))
-		}
-	}
-	if ps.pool != nil {
-		ps.pool.Run(n, minEncodeShard, fill)
-	} else {
-		fill(0, n)
+	for i, pt := range ps.pos {
+		r := blk[i*pointRecordSize:]
+		binary.LittleEndian.PutUint64(r[0:8], math.Float64bits(pt.X))
+		binary.LittleEndian.PutUint64(r[8:16], math.Float64bits(pt.Y))
 	}
 	// The placement queue is a handful of staged points at most; per-field.
 	e.U64(uint64(len(ps.queued)))
@@ -177,19 +165,12 @@ func (ps *Positions) DecodeState(d *wire.Dec) error {
 			return nil, err
 		}
 		out := make([]Point, n, n+n/2)
-		parse := func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				r := raw[i*pointRecordSize:]
-				out[i] = Point{
-					X: math.Float64frombits(binary.LittleEndian.Uint64(r[0:8])),
-					Y: math.Float64frombits(binary.LittleEndian.Uint64(r[8:16])),
-				}
+		for i := range out {
+			r := raw[i*pointRecordSize:]
+			out[i] = Point{
+				X: math.Float64frombits(binary.LittleEndian.Uint64(r[0:8])),
+				Y: math.Float64frombits(binary.LittleEndian.Uint64(r[8:16])),
 			}
-		}
-		if ps.pool != nil {
-			ps.pool.Run(n, minEncodeShard, parse)
-		} else {
-			parse(0, n)
 		}
 		return out, nil
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -123,6 +124,22 @@ func TestCrashRecoveryGoldenBitIdentical(t *testing.T) {
 	}
 }
 
+// armAfterFirstCut is an FSStore that arms its CheckpointWrite fault the
+// moment the first mid-run checkpoint is durable, so every later write
+// crashes mid-rename whatever the scheduling of the test goroutine.
+type armAfterFirstCut struct {
+	*FSStore
+	once sync.Once
+}
+
+func (s *armAfterFirstCut) Put(cp Checkpoint) error {
+	err := s.FSStore.Put(cp)
+	if err == nil && cp.Pending > 0 && cp.Pending < cp.Target {
+		s.once.Do(func() { s.Faults.Arm(fault.CheckpointWrite, -1, nil) })
+	}
+	return err
+}
+
 // TestRecoveryUnderCheckpointWriteFaults pins the degraded-write invariant:
 // with checkpoint writes failing (crash mid-write after the first durable
 // cut), recovery falls back to an OLDER checkpoint and the continuation is
@@ -132,14 +149,13 @@ func TestRecoveryUnderCheckpointWriteFaults(t *testing.T) {
 	spec := popstab.Spec{N: 4096, Tinner: 24, Seed: 43}
 	refStats, refSnap := referenceRun(t, spec, rounds)
 
-	store, err := NewFSStore(t.TempDir())
+	fs, err := NewFSStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Attached unarmed up front: the set itself is concurrency-safe, so
-	// arming mid-run (below) needs no store mutation.
 	faults := fault.NewSet()
-	store.Faults = faults
+	fs.Faults = faults
+	store := &armAfterFirstCut{FSStore: fs}
 	a := NewManager(Config{
 		MaxConcurrent: 1, StepQuantum: 16, Store: store, CheckpointEvery: 32,
 	})
@@ -150,10 +166,9 @@ func TestRecoveryUnderCheckpointWriteFaults(t *testing.T) {
 	waitCheckpointProgress(t, store, j.ID())
 	cp, _, _ := store.Get(j.ID())
 
-	// Every further durable write crashes mid-rename.
-	faults.Arm(fault.CheckpointWrite, -1, nil)
-	// Let the run progress past the surviving checkpoint, then kill.
-	if !eventually(func() bool { return j.Info().Stats.Round > cp.Target-cp.Pending }) {
+	// Let the run progress past the surviving checkpoint until a further
+	// durable write has crashed, then kill.
+	if !eventually(func() bool { return faults.Fired(fault.CheckpointWrite) > 0 }) {
 		t.Fatal("run made no progress past the surviving checkpoint")
 	}
 	killManager(t, a)

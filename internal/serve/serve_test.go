@@ -297,27 +297,32 @@ func TestSessionWorkersOverrideSpec(t *testing.T) {
 }
 
 // TestSubmitRejectsUnbuildableSpec pins the admission half of the spec
-// contract: a spec that cannot build (here a rogue extension without a
-// replication period) never becomes a job and is answered with 422.
+// contract: a spec that cannot build (a rogue extension without a
+// replication period, or a patch ball off the unit square) never becomes a
+// job and is answered with 422.
 func TestSubmitRejectsUnbuildableSpec(t *testing.T) {
 	m := NewManager(Config{})
 	defer m.Close()
-	bad := popstab.Spec{N: 4096, Tinner: 24, Seed: 31, Rogue: &popstab.RogueSpec{DetectProb: 1}}
-	if _, _, err := m.Submit(context.Background(), bad, 10); !errors.Is(err, ErrInvalidSpec) {
-		t.Fatalf("Submit error %v, want ErrInvalidSpec", err)
-	}
-	if n := len(m.List()); n != 0 {
-		t.Errorf("%d jobs registered for a rejected spec", n)
-	}
-
 	ts := httptest.NewServer(NewHandler(m))
 	defer ts.Close()
-	var e ErrorBody
-	if resp := post(t, ts, "/v1/sessions", SubmitRequest{Spec: bad, Rounds: 10}, &e); resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("unbuildable spec: status %d, want 422", resp.StatusCode)
-	}
-	if e.Error.Code != CodeInvalidSpec {
-		t.Errorf("unbuildable spec envelope code %q, want %q", e.Error.Code, CodeInvalidSpec)
+	for _, bad := range []popstab.Spec{
+		{N: 4096, Tinner: 24, Seed: 31, Rogue: &popstab.RogueSpec{DetectProb: 1}},
+		{N: 4096, Tinner: 24, Seed: 31, Topology: "torus", Adversary: "cluster-leader0",
+			Patch: &popstab.BallSpec{X: -1}, K: 4, PerEpochBudget: 64},
+	} {
+		if _, _, err := m.Submit(context.Background(), bad, 10); !errors.Is(err, ErrInvalidSpec) {
+			t.Fatalf("Submit error %v, want ErrInvalidSpec", err)
+		}
+		if n := len(m.List()); n != 0 {
+			t.Errorf("%d jobs registered for a rejected spec", n)
+		}
+		var e ErrorBody
+		if resp := post(t, ts, "/v1/sessions", SubmitRequest{Spec: bad, Rounds: 10}, &e); resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("unbuildable spec: status %d, want 422", resp.StatusCode)
+		}
+		if e.Error.Code != CodeInvalidSpec {
+			t.Errorf("unbuildable spec envelope code %q, want %q", e.Error.Code, CodeInvalidSpec)
+		}
 	}
 }
 

@@ -217,7 +217,7 @@ type Engine struct {
 	budget     *adversary.Budget
 	spaceDist2 func(a, b population.Point) float64
 	// pool is the persistent worker pool behind every sharded phase
-	// (compose/step, the spatial matching pipeline, snapshot encoding) and
+	// (compose/step and the spatial matching pipeline) and
 	// the compose∥match overlap, where its workers claim compose chunks
 	// while the engine goroutine samples the matching (pool.Share). Owned
 	// by the engine: Close releases it, and a runtime cleanup releases it
@@ -352,14 +352,12 @@ func buildEngine(cfg Config, pop *population.Population) (*Engine, error) {
 		return nil, fmt.Errorf("sim: program epoch length %d < 1", e.epochLen)
 	}
 
-	// The persistent worker pool behind every sharded phase. It is threaded
-	// to the population (bulk snapshot encode and decode), to every
-	// pool-aware tracker side-array, and to matchers that shard their
-	// matching phase. The cleanup releases the pool's parked
-	// goroutines when an engine is dropped without Close — internal/serve
-	// hibernates and reaps sessions by unreferencing them.
+	// The persistent worker pool behind every sharded phase: the engine's
+	// compose and step, and matchers that shard their matching phase. The
+	// cleanup releases the pool's parked goroutines when an engine is
+	// dropped without Close — internal/serve hibernates and reaps sessions
+	// by unreferencing them.
 	e.pool = pool.New(workers)
-	e.pop.SetPool(e.pool)
 	if ps, ok := matcher.(match.PoolSetter); ok {
 		ps.SetPool(e.pool)
 	}

@@ -124,9 +124,9 @@ func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 
 // Block appends n bytes and returns the appended region for the caller to
 // fill directly (e.g. with binary.LittleEndian writes). The bulk seam of the
-// sharded snapshot encoders: one Block per record array instead of a
-// per-field append per record, so large-N state capture is one grow plus
-// streaming stores — and the fill itself can fan out across a worker pool.
+// snapshot encoders: one Block per record array instead of a per-field
+// append per record, so large-N state capture is one grow plus streaming
+// stores.
 // The caller must overwrite every byte of the returned slice (the region is
 // not cleared) before the next Enc call; the slice is invalidated by any
 // subsequent append.
@@ -329,8 +329,7 @@ func (d *Dec) Count(recordSize int, what string) int {
 }
 
 // Raw consumes n raw payload bytes and returns them WITHOUT copying — the
-// decode twin of Enc.Block for bulk record arrays (the caller typically
-// parses the region sharded across a worker pool). The slice aliases the
+// decode twin of Enc.Block for bulk record arrays. The slice aliases the
 // snapshot document; callers must not retain it past decoding. Returns nil
 // (with the decoder failed) on underflow.
 func (d *Dec) Raw(n int) []byte { return d.take(n) }

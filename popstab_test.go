@@ -198,29 +198,6 @@ func TestCensus(t *testing.T) {
 	}
 }
 
-func TestRecordEpochs(t *testing.T) {
-	s, err := popstab.New(popstab.Spec{N: 4096, Tinner: 24, Seed: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := popstab.NewTraceRecorder()
-	reps := popstab.RecordEpochs(s, 3, rec)
-	if len(reps) != 3 {
-		t.Fatalf("got %d reports", len(reps))
-	}
-	names := rec.Names()
-	if len(names) != 3 {
-		t.Fatalf("series %v", names)
-	}
-	if rec.Series("population").Len() != 3 {
-		t.Error("population series incomplete")
-	}
-	_, last := rec.Series("population").Last()
-	if int(last) != reps[2].EndSize {
-		t.Errorf("last recorded %v != report %d", last, reps[2].EndSize)
-	}
-}
-
 // TestParallelWorkersEquivalence is the public-surface determinism
 // guarantee of the parallel round engine: for every protocol kind, and for
 // an adversarial run, the full RoundReport trajectory and final Census are

@@ -33,6 +33,24 @@ type BallSpec struct {
 // center returns the ball's center as a topology point.
 func (b BallSpec) center() population.Point { return population.Point{X: b.X, Y: b.Y} }
 
+// check rejects a ball (nil passes) whose center is off the closed unit
+// square or whose radius is negative or infinite; NaN fails both. Patch
+// draws wrap or reflect into the square, but a radius-0 ball places agents
+// exactly at its center and an infinite radius at NaN. With the check,
+// every position a valid spec produces lies on the square, the domain
+// restore holds snapshots to (DESIGN.md §8).
+func (b *BallSpec) check(field string) error {
+	switch {
+	case b == nil:
+		return nil
+	case !(b.X >= 0 && b.X <= 1 && b.Y >= 0 && b.Y <= 1):
+		return fmt.Errorf("popstab: %s center (%v, %v) outside the unit square", field, b.X, b.Y)
+	case !(b.R >= 0) || math.IsInf(b.R, 1):
+		return fmt.Errorf("popstab: %s radius %v is not finite and non-negative", field, b.R)
+	}
+	return nil
+}
+
 // RogueSpec enables the §1.2 malicious-program extension: rogue agents that
 // ignore the protocol and replicate at a bounded rate, with honest agents
 // detecting and removing foreign programs on contact.
@@ -194,6 +212,14 @@ func (sp Spec) resolve() (*plan, error) {
 		return nil, fmt.Errorf("popstab: RewireProb %v outside [0, 1]", sp.RewireProb)
 	case !spatialTopo && sp.Rogue != nil && sp.Rogue.Cluster != nil:
 		return nil, fmt.Errorf("popstab: Rogue.Cluster requires a spatial topology")
+	}
+	if err := sp.Patch.check("Patch"); err != nil {
+		return nil, err
+	}
+	if sp.Rogue != nil {
+		if err := sp.Rogue.Cluster.check("Rogue.Cluster"); err != nil {
+			return nil, err
+		}
 	}
 
 	out := sp

@@ -1,6 +1,7 @@
 package popstab_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -60,6 +61,9 @@ func TestSpecNormalizeAcceptsResolvedConflicts(t *testing.T) {
 		{N: 4096, Tinner: 24, Seed: 7, Topology: "smallworld", RewireProb: 0.2},
 		{N: 4096, Tinner: 24, Seed: 7, Topology: "grid",
 			Rogue: &popstab.RogueSpec{ReplicateEvery: 4, DetectProb: 1, Cluster: &popstab.BallSpec{X: 0.5, Y: 0.5, R: 0.1}}},
+		// The unit square is closed: a ball on its corner is on it.
+		{N: 4096, Tinner: 24, Seed: 7, Topology: "torus", Adversary: "patch-combo", K: 1,
+			Patch: &popstab.BallSpec{X: 1, Y: 0}},
 	}
 	for _, sp := range cases {
 		if _, err := sp.Normalize(); err != nil {
@@ -76,6 +80,17 @@ func TestSpecRejectsUnbuildable(t *testing.T) {
 	base := popstab.Spec{N: 4096, Tinner: 24, Seed: 7, Workers: 1}
 	rogue := func(rs popstab.RogueSpec) func(*popstab.Spec) {
 		return func(s *popstab.Spec) { s.Rogue = &rs }
+	}
+	patch := func(topo, adv string, b popstab.BallSpec) func(*popstab.Spec) {
+		return func(s *popstab.Spec) {
+			s.Topology, s.Adversary, s.Patch, s.K, s.PerEpochBudget = topo, adv, &b, 4, 64
+		}
+	}
+	cluster := func(b popstab.BallSpec) func(*popstab.Spec) {
+		return func(s *popstab.Spec) {
+			s.Topology = "torus"
+			s.Rogue = &popstab.RogueSpec{ReplicateEvery: 4, DetectProb: 1, InitialRogues: 16, Cluster: &b}
+		}
 	}
 	cases := []struct {
 		name string
@@ -98,6 +113,20 @@ func TestSpecRejectsUnbuildable(t *testing.T) {
 		}, "radius"},
 		// Builds the same unpaced run as 0 but would hash differently.
 		{"negative PerEpochBudget", func(s *popstab.Spec) { s.Adversary = "greedy"; s.K = 1; s.PerEpochBudget = -8 }, "PerEpochBudget"},
+		// Balls off the unit square: a radius-0 ball places agents exactly
+		// at its center, and an infinite radius places them at NaN.
+		{"patch center off square", patch("torus", "cluster-leader0", popstab.BallSpec{X: -1}), "Patch"},
+		{"patch center off square on grid", patch("grid", "patch-combo", popstab.BallSpec{X: 0.5, Y: 1.5}), "Patch"},
+		{"patch center off ring", patch("ring", "patch-combo", popstab.BallSpec{X: -1}), "Patch"},
+		{"patch center off smallworld", patch("smallworld", "cluster-leader0", popstab.BallSpec{X: 2}), "Patch"},
+		{"patch center NaN", patch("torus", "patch-combo", popstab.BallSpec{X: math.NaN(), Y: 0.5, R: 0.1}), "Patch"},
+		{"patch radius infinite", patch("torus", "patch-combo", popstab.BallSpec{X: 0.5, Y: 0.5, R: math.Inf(1)}), "radius"},
+		{"patch radius NaN", patch("torus", "cluster-leader0", popstab.BallSpec{X: 0.5, Y: 0.5, R: math.NaN()}), "radius"},
+		{"patch radius negative", patch("torus", "patch-combo", popstab.BallSpec{X: 0.5, Y: 0.5, R: -0.1}), "radius"},
+		{"stray patch off square", patch("mixed", "greedy", popstab.BallSpec{X: -1}), "Patch"},
+		{"rogue cluster off square", cluster(popstab.BallSpec{X: -1}), "Rogue.Cluster"},
+		{"rogue cluster center infinite", cluster(popstab.BallSpec{X: 0.5, Y: math.Inf(-1)}), "Rogue.Cluster"},
+		{"rogue cluster radius infinite", cluster(popstab.BallSpec{X: 0.5, Y: 0.5, R: math.Inf(1)}), "radius"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
