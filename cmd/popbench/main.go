@@ -158,14 +158,16 @@ func run(args []string) error {
 		GoVersion:     runtime.Version(),
 	}
 	suiteStart := time.Now()
+	stop := make(chan struct{})
+	defer close(stop)
+	outs := runConcurrently(exps, cfg, *workers, stop)
 	failures := 0
-	for _, e := range exps {
-		start := time.Now()
-		res, err := e.Execute(cfg)
-		if err != nil {
-			return err
+	for _, out := range outs {
+		o := <-out
+		if o.err != nil {
+			return o.err
 		}
-		elapsed := time.Since(start).Round(time.Millisecond)
+		res, elapsed := o.res, o.elapsed
 		reproduced := strings.HasPrefix(res.Verdict, "REPRODUCED")
 		switch {
 		case *asJSON:
@@ -239,6 +241,44 @@ func run(args []string) error {
 		return fmt.Errorf("%d experiment(s) did not reproduce", failures)
 	}
 	return nil
+}
+
+// outcome is one experiment's result and wall time.
+type outcome struct {
+	res     *experiment.Result
+	err     error
+	elapsed time.Duration
+}
+
+// runConcurrently executes up to workers experiments at once (at least
+// one), starting them in order, and returns one channel per experiment that
+// delivers its outcome, so the caller reports in the given order whatever
+// order they finish in. Experiments share no state; each still runs its
+// own trials on cfg.Workers goroutines. Closing stop starts no further
+// experiment (a caller that gives up after an error); the ones running
+// finish and deliver into their buffered channels unread.
+func runConcurrently(exps []*experiment.Experiment, cfg experiment.Config, workers int, stop <-chan struct{}) []chan outcome {
+	outs := make([]chan outcome, len(exps))
+	for i := range outs {
+		outs[i] = make(chan outcome, 1)
+	}
+	slots := make(chan struct{}, max(workers, 1))
+	go func() {
+		for i, e := range exps {
+			select {
+			case slots <- struct{}{}:
+			case <-stop:
+				return
+			}
+			go func() {
+				defer func() { <-slots }()
+				start := time.Now()
+				res, err := e.Execute(cfg)
+				outs[i] <- outcome{res, err, time.Since(start).Round(time.Millisecond)}
+			}()
+		}
+	}()
+	return outs
 }
 
 // printMarkdown renders a result as a markdown section with pipe tables.

@@ -6,10 +6,44 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"popstab/internal/experiment"
 )
+
+// TestRunConcurrentlyKeepsOrder pins the suite's concurrency: up to
+// workers experiments run at once, and outcomes come back in the given
+// order whatever order they finish in. A and B each wait for the other to
+// have started, so both are running before either returns.
+func TestRunConcurrentlyKeepsOrder(t *testing.T) {
+	var running, peak atomic.Int32
+	started, release := make(chan struct{}), make(chan struct{})
+	mk := func(id string, body func()) *experiment.Experiment {
+		return &experiment.Experiment{ID: id, Run: func(experiment.Config) (*experiment.Result, error) {
+			n := running.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			body()
+			running.Add(-1)
+			return &experiment.Result{}, nil
+		}}
+	}
+	exps := []*experiment.Experiment{
+		mk("A", func() { close(started); <-release }),
+		mk("B", func() { <-started; close(release) }),
+		mk("C", func() {}),
+		mk("D", func() {}),
+	}
+	for i, out := range runConcurrently(exps, experiment.Config{}, 2, nil) {
+		if o := <-out; o.err != nil || o.res.ID != exps[i].ID {
+			t.Fatalf("outcome %d: %+v, want experiment %s", i, o, exps[i].ID)
+		}
+	}
+	if p := peak.Load(); p != 2 {
+		t.Errorf("peak concurrency %d, want 2", p)
+	}
+}
 
 func TestRunList(t *testing.T) {
 	if err := run([]string{"-list"}); err != nil {

@@ -20,10 +20,10 @@ import (
 // and only if it builds, that a spec and its normalized form build sessions
 // with byte-identical snapshots at round 0, and that a built session steps
 // specRounds rounds without panicking. The build half runs only on specs
-// small enough to build in milliseconds (N ≤ 16384, InitialSize and
-// InitialRogues ≤ 4·N, Tinner ≤ 1024, at most 2 workers), and steps only
-// those whose K and RoguesPerEpoch are at most 4·N, so the fuzzer never
-// allocates a large population, epoch table or worker pool.
+// with N ≤ 16384, clamped to at most 2 workers; resolve bounds everything
+// else that sizes memory by N (T ≤ N; K, InitialSize and the rogue
+// cohorts ≤ 4·N), so every spec that builds is small enough to build and
+// step in milliseconds.
 //
 // The seed corpus lives in testdata/fuzz/FuzzSpec; plain go test runs it.
 // Explore with: go test -run '^$' -fuzz '^FuzzSpec$' -fuzztime 30s .
@@ -61,11 +61,7 @@ func FuzzSpec(f *testing.F) {
 			}
 		}
 
-		rogues, rogueRate := 0, 0
-		if sp.Rogue != nil {
-			rogues, rogueRate = sp.Rogue.InitialRogues, sp.Rogue.RoguesPerEpoch
-		}
-		if sp.N > 16384 || sp.InitialSize > 4*sp.N || rogues > 4*sp.N || sp.Tinner > 1024 {
+		if sp.N > 16384 {
 			return
 		}
 		if sp.Workers > 2 {
@@ -88,11 +84,7 @@ func FuzzSpec(f *testing.F) {
 		if !bytes.Equal(s.Snapshot(), ns.Snapshot()) {
 			t.Fatalf("spec and its normalized form build different sessions: %+v vs %+v", sp, norm)
 		}
-		// Each round may insert up to K agents and each epoch boundary
-		// RoguesPerEpoch more; step only the specs whose rounds stay small.
-		if norm.K <= 4*sp.N && rogueRate <= 4*sp.N {
-			s.Step(specRounds)
-		}
+		s.Step(specRounds)
 	})
 }
 

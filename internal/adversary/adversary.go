@@ -28,18 +28,16 @@ import (
 
 // View is the adversary's read access to the system: the full memory of
 // every agent plus the global clock, per the model — and, on a spatial
-// communication topology, the agents' positions and the topology's metric
-// (the paper's adversary observes the entire system state; on the §1.2
-// geometric models the geometry is part of that state, not an
-// implementation detail). Position-blind View implementations embed
-// Flatland for the spatial methods.
+// communication topology, the agents' positions and the topology's
+// geometry (the paper's adversary observes the entire system state; on the
+// §1.2 geometric models the geometry is part of that state, not an
+// implementation detail).
 type View interface {
 	// Len reports the current population size.
 	Len() int
-	// State returns a copy of agent i's full memory.
+	// State returns a copy of agent i's full memory: the model's
+	// full-information read of memory.
 	State(i int) agent.State
-	// Census returns an aggregate snapshot (computed on demand).
-	Census() population.Census
 	// GlobalRound reports the number of completed rounds since the system
 	// started.
 	GlobalRound() uint64
@@ -54,55 +52,15 @@ type View interface {
 	Find(dst []int, limit int, pred func(agent.State) bool) []int
 
 	// HasSpace reports whether the communication model carries agent
-	// positions. The remaining spatial methods degrade gracefully when it
-	// is false.
+	// positions. Pos and PatchPoint degrade gracefully when it is false.
 	HasSpace() bool
-	// Pos returns agent i's position (the zero Point without space).
+	// Pos returns agent i's position (the zero Point without space): the
+	// model's full-information read of where an agent is.
 	Pos(i int) population.Point
-	// Dist2 is the squared distance between two positions under the
-	// topology's metric (0 without space).
-	Dist2(a, b population.Point) float64
-	// FindNear appends to dst the indices of up to limit agents within
-	// distance r of center, in container order, returning the extended
-	// slice. limit < 0 means unlimited. Without space it returns dst
-	// unchanged.
-	FindNear(dst []int, limit int, center population.Point, r float64) []int
-	// CountNear reports the number of agents within distance r of center
-	// under the topology's metric — the density query adaptive patch
-	// strategies re-center on (an O(n) scan, fine for the computationally
-	// unbounded model adversary). Without space it reports −1, which is
-	// distinguishable from an empty ball.
-	CountNear(center population.Point, r float64) int
 	// PatchPoint draws a position uniformly within distance r of center
 	// under the topology's geometry, consuming src (center itself without
 	// space).
 	PatchPoint(center population.Point, r float64, src *prng.Source) population.Point
-}
-
-// Flatland provides the position-blind defaults of View's spatial methods;
-// View implementations over non-spatial systems embed it.
-type Flatland struct{}
-
-// HasSpace reports false.
-func (Flatland) HasSpace() bool { return false }
-
-// Pos returns the zero Point.
-func (Flatland) Pos(int) population.Point { return population.Point{} }
-
-// Dist2 reports 0 (there is no metric).
-func (Flatland) Dist2(a, b population.Point) float64 { return 0 }
-
-// FindNear returns dst unchanged (no agent has a position).
-func (Flatland) FindNear(dst []int, limit int, center population.Point, r float64) []int {
-	return dst
-}
-
-// CountNear reports −1: there is no geometry to count in.
-func (Flatland) CountNear(center population.Point, r float64) int { return -1 }
-
-// PatchPoint returns center, consuming nothing.
-func (Flatland) PatchPoint(center population.Point, r float64, src *prng.Source) population.Point {
-	return center
 }
 
 // Mutator is the adversary's write access, with the per-round budget K

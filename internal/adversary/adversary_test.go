@@ -11,10 +11,9 @@ import (
 	"popstab/internal/prng"
 )
 
-// fakeView implements View over a plain state slice for strategy tests;
-// Flatland supplies the position-blind spatial methods.
+// fakeView implements View over a plain state slice for strategy tests,
+// without space.
 type fakeView struct {
-	Flatland
 	states []agent.State
 	round  uint64
 	p      params.Params
@@ -24,12 +23,9 @@ var _ View = (*fakeView)(nil)
 
 func (f *fakeView) Len() int                { return len(f.states) }
 func (f *fakeView) State(i int) agent.State { return f.states[i] }
-func (f *fakeView) Census() population.Census {
-	return population.FromStates(f.states).TakeCensus(f.p.T-1, f.p.HalfLogN)
-}
-func (f *fakeView) GlobalRound() uint64   { return f.round }
-func (f *fakeView) EpochRound() int       { return int(f.round % uint64(f.p.T)) }
-func (f *fakeView) Params() params.Params { return f.p }
+func (f *fakeView) GlobalRound() uint64     { return f.round }
+func (f *fakeView) EpochRound() int         { return int(f.round % uint64(f.p.T)) }
+func (f *fakeView) Params() params.Params   { return f.p }
 func (f *fakeView) Find(dst []int, limit int, pred func(agent.State) bool) []int {
 	for i, s := range f.states {
 		if limit >= 0 && len(dst) >= limit {
@@ -40,6 +36,11 @@ func (f *fakeView) Find(dst []int, limit int, pred func(agent.State) bool) []int
 		}
 	}
 	return dst
+}
+func (f *fakeView) HasSpace() bool           { return false }
+func (f *fakeView) Pos(int) population.Point { return population.Point{} }
+func (f *fakeView) PatchPoint(center population.Point, r float64, src *prng.Source) population.Point {
+	return center
 }
 
 func testView(t *testing.T, n int) *fakeView {
@@ -264,43 +265,6 @@ func TestSingletonInserter(t *testing.T) {
 	}
 }
 
-func TestCompositeSharesBudget(t *testing.T) {
-	v := testView(t, 10)
-	c := NewComposite("combo", NewBenignInserter(), NewBenignInserter())
-	b := NewBudget(3, 10, v.p.T)
-	c.Act(v, b, prng.New(12))
-	if len(b.Inserts()) != 3 {
-		t.Errorf("composite inserted %d, want exactly budget 3", len(b.Inserts()))
-	}
-	if c.Name() != "combo" {
-		t.Errorf("Name = %q", c.Name())
-	}
-	unnamed := NewComposite("", NewBenignInserter(), NewRandomDeleter())
-	if !strings.Contains(unnamed.Name(), "+") {
-		t.Errorf("derived name = %q", unnamed.Name())
-	}
-}
-
-func TestAlternatorSwitchesPhases(t *testing.T) {
-	v := testView(t, 10)
-	a := &Alternator{Period: 10, A: NewBenignInserter(), B: NewRandomDeleter()}
-	src := prng.New(13)
-
-	v.round = 5 // phase 0
-	b := NewBudget(2, 10, v.p.T)
-	a.Act(v, b, src)
-	if len(b.Inserts()) != 2 || len(b.Deletions()) != 0 {
-		t.Errorf("phase A: ins=%d del=%d", len(b.Inserts()), len(b.Deletions()))
-	}
-
-	v.round = 15 // phase 1
-	b = NewBudget(2, 10, v.p.T)
-	a.Act(v, b, src)
-	if len(b.Deletions()) != 2 || len(b.Inserts()) != 0 {
-		t.Errorf("phase B: ins=%d del=%d", len(b.Inserts()), len(b.Deletions()))
-	}
-}
-
 func TestColorSkewerUp(t *testing.T) {
 	v := testView(t, 20)
 	for i := 0; i < 6; i++ {
@@ -333,33 +297,6 @@ func TestColorSkewerDown(t *testing.T) {
 	}
 	if cs.Name() != "skew-down" {
 		t.Error("name")
-	}
-}
-
-func TestTraumaWindow(t *testing.T) {
-	v := testView(t, 50)
-	tr := NewTrauma(10, 5)
-	src := prng.New(16)
-
-	v.round = 9
-	b := NewBudget(3, 50, v.p.T)
-	tr.Act(v, b, src)
-	if b.Used() != 0 {
-		t.Error("trauma acted before window")
-	}
-
-	v.round = 12
-	b = NewBudget(3, 50, v.p.T)
-	tr.Act(v, b, src)
-	if len(b.Deletions()) != 3 {
-		t.Errorf("trauma deleted %d in window, want 3", len(b.Deletions()))
-	}
-
-	v.round = 15
-	b = NewBudget(3, 50, v.p.T)
-	tr.Act(v, b, src)
-	if b.Used() != 0 {
-		t.Error("trauma acted after window")
 	}
 }
 

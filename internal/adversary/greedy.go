@@ -1,101 +1,10 @@
 package adversary
 
 import (
-	"strings"
-
 	"popstab/internal/agent"
-	"popstab/internal/match"
 	"popstab/internal/population"
 	"popstab/internal/prng"
 )
-
-// Composite runs several strategies in order against the shared budget; the
-// first strategies get priority. This models an adversary that combines
-// attacks (e.g. delete color-1 leaders AND insert color-0 leaders).
-type Composite struct {
-	// Label names the combination; empty derives one from the parts.
-	Label string
-	// Parts are invoked in order.
-	Parts []Adversary
-}
-
-var _ Adversary = (*Composite)(nil)
-
-// NewComposite combines strategies under a shared budget.
-func NewComposite(label string, parts ...Adversary) *Composite {
-	return &Composite{Label: label, Parts: parts}
-}
-
-// Name implements Adversary.
-func (c *Composite) Name() string {
-	if c.Label != "" {
-		return c.Label
-	}
-	names := make([]string, len(c.Parts))
-	for i, p := range c.Parts {
-		names[i] = p.Name()
-	}
-	return strings.Join(names, "+")
-}
-
-// Act implements Adversary.
-func (c *Composite) Act(v View, m Mutator, src *prng.Source) {
-	for _, p := range c.Parts {
-		if m.Remaining() == 0 {
-			return
-		}
-		p.Act(v, m, src)
-	}
-}
-
-// BindMatcher implements MatcherBinder by delegation to every part.
-func (c *Composite) BindMatcher(m match.Matcher) {
-	for _, p := range c.Parts {
-		bindMatcher(p, m)
-	}
-}
-
-// Alternator switches between two strategies every Period rounds, modeling
-// an adversary that altenately inflates and deflates to resonate with the
-// protocol's correction dynamics.
-type Alternator struct {
-	// Label names the strategy.
-	Label string
-	// Period is the number of rounds each phase lasts; 0 means one epoch.
-	Period int
-	// A and B are the two phases.
-	A, B Adversary
-}
-
-var _ Adversary = (*Alternator)(nil)
-
-// Name implements Adversary.
-func (a *Alternator) Name() string {
-	if a.Label != "" {
-		return a.Label
-	}
-	return "alternate(" + a.A.Name() + "," + a.B.Name() + ")"
-}
-
-// BindMatcher implements MatcherBinder by delegation to both phases.
-func (a *Alternator) BindMatcher(m match.Matcher) {
-	bindMatcher(a.A, m)
-	bindMatcher(a.B, m)
-}
-
-// Act implements Adversary.
-func (a *Alternator) Act(v View, m Mutator, src *prng.Source) {
-	period := a.Period
-	if period <= 0 {
-		period = v.Params().T
-	}
-	phase := (v.GlobalRound() / uint64(period)) % 2
-	if phase == 0 {
-		a.A.Act(v, m, src)
-	} else {
-		a.B.Act(v, m, src)
-	}
-}
 
 // ColorSkewer is the strongest color-distribution attack within budget: it
 // splits its budget between deleting cluster roots of one color and
@@ -156,38 +65,6 @@ func (cs *ColorSkewer) Act(v View, m Mutator, src *prng.Source) {
 		return
 	}
 	cs.inserter.Act(v, m, src)
-}
-
-// Trauma deletes at full budget for a fixed window of rounds and is
-// otherwise dormant — the acute-injury scenario from the paper's biological
-// motivation (an organ losing a fraction of its cells at once, up to the
-// model's per-round rate bound).
-type Trauma struct {
-	// StartRound is the first round of the injury window.
-	StartRound uint64
-	// Rounds is the window length.
-	Rounds uint64
-
-	deleter *Deleter
-}
-
-var _ Adversary = (*Trauma)(nil)
-
-// NewTrauma builds an injury of the given window.
-func NewTrauma(startRound, rounds uint64) *Trauma {
-	return &Trauma{StartRound: startRound, Rounds: rounds, deleter: NewRandomDeleter()}
-}
-
-// Name implements Adversary.
-func (tr *Trauma) Name() string { return "trauma" }
-
-// Act implements Adversary.
-func (tr *Trauma) Act(v View, m Mutator, src *prng.Source) {
-	r := v.GlobalRound()
-	if r < tr.StartRound || r >= tr.StartRound+tr.Rounds {
-		return
-	}
-	tr.deleter.Act(v, m, src)
 }
 
 // Greedy estimates the population's displacement from N each round and

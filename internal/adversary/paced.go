@@ -48,7 +48,11 @@ func (p *Paced) Act(v View, m Mutator, src *prng.Source) {
 
 // BindMatcher implements MatcherBinder by delegation, so pacing a
 // matcher-bound strategy (RewireAdversary) keeps its binding.
-func (p *Paced) BindMatcher(m match.Matcher) { bindMatcher(p.Inner, m) }
+func (p *Paced) BindMatcher(m match.Matcher) {
+	if mb, ok := p.Inner.(MatcherBinder); ok {
+		mb.BindMatcher(m)
+	}
+}
 
 // PerEpoch distributes a per-epoch alteration budget across an epoch: given
 // the epoch length T and a desired budget of perEpoch alterations per epoch

@@ -1,6 +1,6 @@
 // Spatial (position-aware) attack strategies. On the §1.2 geometric
 // communication models the adversary observes positions along with state
-// (View's spatial methods) and may choose where its insertions appear
+// (View.Pos, View.PatchPoint) and may choose where its insertions appear
 // (Mutator.InsertAt) — so the natural worst-case attacks concentrate the
 // budget in one ball of the topology: a patch. Experiments A7/A8 showed
 // patch shielding is the governing phenomenon of spatial containment (a
@@ -21,23 +21,10 @@ import (
 // MatcherBinder is implemented by strategies that act on the communication
 // model itself rather than on agents (RewireAdversary). The engine invokes
 // BindMatcher exactly once at construction, after the matcher is bound to
-// the population; wrapper strategies (Paced, Composite, Alternator) delegate
-// to their parts.
+// the population; Paced, the one wrapper, delegates to its inner strategy.
 type MatcherBinder interface {
 	BindMatcher(m match.Matcher)
 }
-
-// bindMatcher hands the matcher to adv if it (or, through the wrappers'
-// delegation, anything it contains) implements MatcherBinder. The engine
-// calls this once at construction.
-func bindMatcher(adv Adversary, m match.Matcher) {
-	if mb, ok := adv.(MatcherBinder); ok {
-		mb.BindMatcher(m)
-	}
-}
-
-// BindMatcherTo is bindMatcher for callers outside the package (the engine).
-func BindMatcherTo(adv Adversary, m match.Matcher) { bindMatcher(adv, m) }
 
 // PatchDeleter concentrates every deletion it can afford inside one ball of
 // the topology: up to its per-round quota of the agents nearest Center
@@ -87,10 +74,10 @@ func (d *PatchDeleter) Act(v View, m Mutator, src *prng.Source) {
 
 // ClusterInserter seeds a patch: up to its per-round quota of generated
 // agents appear at adversary-chosen points within Radius of Center — fake
-// cluster roots grown into a monochrome patch, or (through the rogue
-// extension's Placer seam, which reuses the same geometry) a clustered
-// hostile cohort. Without a spatial topology the positions are ignored and
-// the strategy is a plain Inserter.
+// cluster roots grown into a monochrome patch. (The rogue extension's
+// clustered infiltration queues placements drawn from the same PatchPoint
+// geometry.) Without a spatial topology the positions are ignored and the
+// strategy is a plain Inserter.
 type ClusterInserter struct {
 	// Label names the strategy.
 	Label string
@@ -134,10 +121,10 @@ func (in *ClusterInserter) Act(v View, m Mutator, src *prng.Source) {
 }
 
 // PatchCombo is the combined patch attack: dig the hole and refill it with
-// hostile insertions, both in the same ball. A plain Composite of the two
-// halves starves the second — PatchDeleter's budget-bounded DeleteNear
-// consumes everything whenever the ball is non-empty — so PatchCombo splits
-// each turn explicitly: the favored half acts first under a cap of half the
+// hostile insertions, both in the same ball. Running the two halves in
+// turn against one budget would starve the second — PatchDeleter's
+// budget-bounded DeleteNear consumes everything whenever the ball is
+// non-empty — so PatchCombo splits each turn explicitly: the favored half acts first under a cap of half the
 // remaining budget (rounded up), the other half takes the rest, and the
 // favor alternates on every activation so a paced K = 1 budget (one
 // alteration per action) still serves both halves over time.

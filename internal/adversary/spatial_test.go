@@ -19,29 +19,8 @@ type spatialView struct {
 
 var _ View = (*spatialView)(nil)
 
-func (f *spatialView) HasSpace() bool                      { return true }
-func (f *spatialView) Pos(i int) population.Point          { return f.pos[i] }
-func (f *spatialView) Dist2(a, b population.Point) float64 { return match.RingDist2(a, b) }
-func (f *spatialView) FindNear(dst []int, limit int, center population.Point, r float64) []int {
-	for i, pt := range f.pos {
-		if limit >= 0 && len(dst) >= limit {
-			break
-		}
-		if match.RingDist2(center, pt) <= r*r {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
-func (f *spatialView) CountNear(center population.Point, r float64) int {
-	n := 0
-	for _, pt := range f.pos {
-		if match.RingDist2(center, pt) <= r*r {
-			n++
-		}
-	}
-	return n
-}
+func (f *spatialView) HasSpace() bool             { return true }
+func (f *spatialView) Pos(i int) population.Point { return f.pos[i] }
 func (f *spatialView) PatchPoint(center population.Point, r float64, src *prng.Source) population.Point {
 	x := center.X + (2*src.Float64()-1)*r
 	x = math.Mod(x, 1)
@@ -64,7 +43,7 @@ func ringView(t *testing.T, n int) *spatialView {
 // spatialBudget binds a Budget to the view's space.
 func spatialBudget(k int, v *spatialView) *Budget {
 	b := NewBudget(k, len(v.pos), v.p.T)
-	b.BindSpace(v.pos, v.Dist2)
+	b.BindSpace(v.pos, match.RingDist2)
 	return b
 }
 

@@ -2,13 +2,12 @@ package adversary
 
 import (
 	"fmt"
-	"strings"
 
 	"popstab/internal/wire"
 )
 
 // Fingerprinted is implemented by strategies whose Name() does not expose
-// their full configuration (patch centers, attack windows): Fingerprint
+// their full configuration (patch centers, rewiring regions): Fingerprint
 // renders every behavior-determining parameter. The engine's snapshot
 // identity uses FingerprintOf, so a snapshot cannot silently restore into
 // a strategy aimed at a different point.
@@ -48,64 +47,28 @@ func (ra *RewireAdversary) Fingerprint() string {
 		ra.TargetCenter.X, ra.TargetCenter.Y, ra.TargetRadius, ra.Directive)
 }
 
-// Fingerprint implements Fingerprinted (Name omits the injury window).
-func (tr *Trauma) Fingerprint() string {
-	return fmt.Sprintf("%s@[%d,+%d)", tr.Name(), tr.StartRound, tr.Rounds)
-}
-
 // Fingerprint implements Fingerprinted by delegation.
 func (p *Paced) Fingerprint() string {
 	return fmt.Sprintf("%s/every%d", FingerprintOf(p.Inner), p.Every)
 }
 
-// Fingerprint implements Fingerprinted by delegation to every part.
-func (c *Composite) Fingerprint() string {
-	parts := make([]string, len(c.Parts))
-	for i, p := range c.Parts {
-		parts[i] = FingerprintOf(p)
-	}
-	return fmt.Sprintf("composite[%s]", strings.Join(parts, "+"))
-}
-
-// Fingerprint implements Fingerprinted by delegation to both phases.
-func (a *Alternator) Fingerprint() string {
-	return fmt.Sprintf("alternate%d[%s,%s]", a.Period, FingerprintOf(a.A), FingerprintOf(a.B))
-}
-
 // Stateful is implemented by strategies that carry mutable per-run state
 // beyond what the engine's round counter determines — PatchCombo's
 // alternation parity is the canonical case. The engine snapshot captures it
-// so a restored run continues the attack mid-stride; purely
-// round-clocked strategies (Paced, Trauma, Alternator's phase) derive their
-// behavior from View.GlobalRound and need nothing here.
+// so a restored run continues the attack mid-stride; purely round-clocked
+// strategies (Paced's period) derive their behavior from View.GlobalRound
+// and need nothing here.
 //
-// Wrapper strategies implement Stateful by delegating to their parts in a
-// fixed structural order, so presence and layout are pure functions of the
-// configuration — a snapshot and the configuration it restores into always
-// agree on the encoding.
+// Paced, the one wrapper, implements Stateful by delegating to its inner
+// strategy, so presence and layout are pure functions of the configuration
+// — a snapshot and the configuration it restores into always agree on the
+// encoding.
 type Stateful interface {
 	// EncodeState appends the strategy's mutable state to a snapshot.
 	EncodeState(e *wire.Enc)
 	// DecodeState reinstates state captured by EncodeState on a strategy
 	// built from the same configuration.
 	DecodeState(d *wire.Dec) error
-}
-
-// encodeStateOf appends adv's state if it is Stateful (wrappers use it for
-// delegation; a stateless part contributes nothing, keeping the layout a
-// pure function of the configuration tree).
-func encodeStateOf(adv Adversary, e *wire.Enc) {
-	if s, ok := adv.(Stateful); ok {
-		s.EncodeState(e)
-	}
-}
-
-// decodeStateOf mirrors encodeStateOf.
-func decodeStateOf(adv Adversary, d *wire.Dec) error {
-	if s, ok := adv.(Stateful); ok {
-		return s.DecodeState(d)
-	}
-	return nil
 }
 
 // EncodeState implements Stateful: the alternation parity that decides
@@ -118,47 +81,25 @@ func (pc *PatchCombo) DecodeState(d *wire.Dec) error {
 	return d.Err()
 }
 
-// EncodeState implements Stateful by delegation to the throttled strategy.
-func (p *Paced) EncodeState(e *wire.Enc) { encodeStateOf(p.Inner, e) }
-
-// DecodeState implements Stateful.
-func (p *Paced) DecodeState(d *wire.Dec) error { return decodeStateOf(p.Inner, d) }
-
-// EncodeState implements Stateful by delegation to every part, in order.
-func (c *Composite) EncodeState(e *wire.Enc) {
-	for _, p := range c.Parts {
-		encodeStateOf(p, e)
+// EncodeState implements Stateful by delegation to the throttled strategy;
+// a stateless inner strategy contributes nothing, so the layout is a pure
+// function of the configuration.
+func (p *Paced) EncodeState(e *wire.Enc) {
+	if s, ok := p.Inner.(Stateful); ok {
+		s.EncodeState(e)
 	}
 }
 
 // DecodeState implements Stateful.
-func (c *Composite) DecodeState(d *wire.Dec) error {
-	for _, p := range c.Parts {
-		if err := decodeStateOf(p, d); err != nil {
-			return err
-		}
+func (p *Paced) DecodeState(d *wire.Dec) error {
+	if s, ok := p.Inner.(Stateful); ok {
+		return s.DecodeState(d)
 	}
 	return nil
 }
 
-// EncodeState implements Stateful by delegation to both phases.
-func (a *Alternator) EncodeState(e *wire.Enc) {
-	encodeStateOf(a.A, e)
-	encodeStateOf(a.B, e)
-}
-
-// DecodeState implements Stateful.
-func (a *Alternator) DecodeState(d *wire.Dec) error {
-	if err := decodeStateOf(a.A, d); err != nil {
-		return err
-	}
-	return decodeStateOf(a.B, d)
-}
-
-// Compile-time checks that the wrappers delegate.
+// Compile-time checks that the combo carries its state and Paced delegates.
 var (
 	_ Stateful = (*PatchCombo)(nil)
 	_ Stateful = (*Paced)(nil)
-	_ Stateful = (*Composite)(nil)
-	_ Stateful = (*Alternator)(nil)
 )

@@ -20,8 +20,6 @@ var (
 	// prospective cluster of up to √N agents, the strongest deletion
 	// leverage the paper's accounting allows (Lemma 6).
 	TargetActive Target = func(s agent.State) bool { return s.Active }
-	// TargetRecruiting matches agents currently recruiting.
-	TargetRecruiting Target = func(s agent.State) bool { return s.Recruiting }
 )
 
 // TargetColor matches active agents of the given color — the color-skew

@@ -258,7 +258,7 @@ func runA4(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng, err := sim.New(sim.Config{Params: p, Protocol: pr, Seed: cfg.Seed, Scheduler: sched, Workers: 1})
+		eng, err := sim.New(sim.Config{Params: p, Protocol: pr, Seed: cfg.Seed, Matcher: match.FromScheduler(sched), Workers: 1})
 		if err != nil {
 			return nil, err
 		}

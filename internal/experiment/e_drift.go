@@ -23,11 +23,11 @@ func evalDriftAt(p params.Params, m int, gamma float64, trials int, cfg Config) 
 		pop := PreparedEvalRandomColors(p, m, leaders, src)
 		pr := protocol.MustNew(p)
 		eng, err := sim.NewFromPopulation(sim.Config{
-			Workers:   1,
-			Params:    p,
-			Protocol:  pr,
-			Seed:      src.Uint64(),
-			Scheduler: match.Uniform{Gamma: gamma},
+			Workers:  1,
+			Params:   p,
+			Protocol: pr,
+			Seed:     src.Uint64(),
+			Matcher:  match.FromScheduler(match.Uniform{Gamma: gamma}),
 		}, pop)
 		if err != nil {
 			panic(err) // static configuration; cannot fail after validation

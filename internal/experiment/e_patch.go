@@ -118,7 +118,8 @@ func runA9(cfg Config) (*Result, error) {
 
 	// Table 2: clustered rogue cohort (64 rogues, R = 3, detect = 1) across
 	// patch radius × topology. radius "uniform" is A8's oblivious seeding;
-	// the others place the cohort in one ball through the Placer seam.
+	// the others queue the cohort's placements in one ball (rogue's
+	// clustered infiltration).
 	radii := []float64{0.002, 0.02, 0.1, -1} // -1 = uniform
 	radLabel := func(r float64) string {
 		if r < 0 {

@@ -242,7 +242,7 @@ func (s *spatial[G]) bind(pop *population.Population, src *prng.Source, place fu
 	}
 	s.src = src
 	s.probeSrc = src.Split()
-	s.pos = &population.Positions{Place: population.PlaceFunc(place), Spawn: spawn}
+	s.pos = &population.Positions{Place: place, Spawn: spawn}
 	pop.Attach(s.pos)
 }
 

@@ -155,6 +155,12 @@ func (p Params) Validate() error {
 	case !p.UnsafeTinner && p.Tinner < 2*p.LogN:
 		return fmt.Errorf("params: Tinner = %d below 2·log N = %d (paper requires ω(log N); use WithUnsafeTinner for ablations)",
 			p.Tinner, 2*p.LogN)
+	case p.Tinner > p.N/p.HalfLogN:
+		// Compared without multiplying, so a huge Tinner cannot overflow
+		// T past the check. T ≤ N keeps the per-round tables O(N); the
+		// paper's T = ½log³N is far below N for every N ≥ MinN.
+		return fmt.Errorf("params: Tinner = %d above N/½logN = %d (epoch length T would exceed N)",
+			p.Tinner, p.N/p.HalfLogN)
 	case p.T != p.Tinner*p.HalfLogN:
 		return fmt.Errorf("params: T = %d != Tinner·½logN = %d", p.T, p.Tinner*p.HalfLogN)
 	case p.LeaderBiasExp <= 0 || p.SplitBiasExp <= 0:

@@ -47,6 +47,8 @@ func TestDeriveRejections(t *testing.T) {
 		{"not power of two", 5000, nil},
 		{"odd log", 8192, nil}, // 2^13
 		{"tinner too small", 4096, []Option{WithTinner(10)}},
+		{"tinner above N/halfLogN", 4096, []Option{WithTinner(4096/6 + 1)}},
+		{"tinner overflowing T", 4096, []Option{WithTinner(1 << 62)}},
 		{"gamma zero", 4096, []Option{WithGamma(0)}},
 		{"gamma above one", 4096, []Option{WithGamma(1.5)}},
 		{"alpha zero", 4096, []Option{WithAlpha(0)}},

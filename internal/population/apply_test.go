@@ -35,7 +35,7 @@ func newApplyFixture(states []agent.State, seed uint64) *applyFixture {
 		pop:  FromStates(states),
 		ints: &intTracker{},
 		pos: &Positions{
-			Place: PlaceFunc(func() Point { return Point{X: posSrc.Float64(), Y: posSrc.Float64()} }),
+			Place: func() Point { return Point{X: posSrc.Float64(), Y: posSrc.Float64()} },
 			Spawn: func(parent Point) Point { return Point{X: parent.X + posSrc.Float64(), Y: parent.Y} },
 		},
 		states: slices.Clone(states),

@@ -20,27 +20,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Placer chooses the position of a non-daughter agent: the initial
-// population, insertions, and ForceResize padding. The model says "inserted
-// agents appear wherever the adversary chooses"; a matcher's default Placer
-// is oblivious (uniform), and the seam is pluggable so an adversary — or the
-// rogue extension's clustered infiltration — can own placement instead
-// (SetPlacer, QueuePlacement).
-//
-// Place is only ever invoked from the serial phases of a round (apply,
-// adversary turn, construction), so implementations may consume randomness
-// from a non-concurrent stream.
-type Placer interface {
-	// Place returns the position for one newly inserted agent.
-	Place() Point
-}
-
-// PlaceFunc adapts a closure to Placer.
-type PlaceFunc func() Point
-
-// Place implements Placer.
-func (f PlaceFunc) Place() Point { return f() }
-
 // Positions is a per-agent position side-array kept index-aligned with a
 // Population via the Tracker hooks. Spatial matchers (match.Torus) own one
 // and register it with Population.Attach; the placement seams encode the
@@ -57,9 +36,9 @@ func (f PlaceFunc) Place() Point { return f() }
 // independent of the engine's worker count.
 type Positions struct {
 	// Place returns a fresh position for a non-daughter agent. Required.
-	// Replaceable at runtime through SetPlacer; one-shot adversary-chosen
-	// positions go through QueuePlacement instead.
-	Place Placer
+	// Explicitly chosen positions (the adversary's InsertAt, the rogue
+	// extension's clustered cohort) go through QueuePlacement instead.
+	Place func() Point
 	// Spawn places a daughter given its parent's position. Required.
 	Spawn func(parent Point) Point
 
@@ -91,15 +70,6 @@ func (ps *Positions) Slice() []Point { return ps.pos }
 // access, oldest first.
 func (ps *Positions) Queued() []Point { return ps.queued }
 
-// SetPlacer swaps the Place seam and returns the previous Placer, so a
-// caller that takes placement ownership (clustered infiltration) can restore
-// the ambient placement afterwards.
-func (ps *Positions) SetPlacer(p Placer) Placer {
-	old := ps.Place
-	ps.Place = p
-	return old
-}
-
 // QueuePlacement stages an explicit position for the next inserted agent.
 // Queued positions are consumed FIFO, ahead of the Place seam, and must be
 // paired one-to-one with immediately following insertions: a stale queued
@@ -109,7 +79,7 @@ func (ps *Positions) QueuePlacement(pt Point) {
 }
 
 // place resolves the next insertion's position: queued placements first,
-// then the pluggable Place seam.
+// then the Place seam.
 func (ps *Positions) place() Point {
 	if len(ps.queued) > 0 {
 		// Shift rather than reslice, so the queue keeps its storage: the
@@ -118,7 +88,7 @@ func (ps *Positions) place() Point {
 		ps.queued = slices.Delete(ps.queued, 0, 1)
 		return pt
 	}
-	return ps.Place.Place()
+	return ps.Place()
 }
 
 // EncodeState writes the position side-array — the live positions AND any

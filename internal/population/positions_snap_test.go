@@ -29,7 +29,7 @@ func TestPositionsSnapshotRoundTrip(t *testing.T) {
 			place := prng.New(uint64(1000 + trial)) // deterministic per trial
 			pop := New(0)
 			ps := &Positions{
-				Place: PlaceFunc(func() Point { return Point{X: place.Float64(), Y: place.Float64()} }),
+				Place: func() Point { return Point{X: place.Float64(), Y: place.Float64()} },
 				Spawn: func(parent Point) Point { return parent },
 			}
 			pop.Attach(ps)

@@ -11,7 +11,7 @@ import (
 // placement: Place draws uniformly from src, Spawn copies the parent.
 func newTestPositions(p *Population, src *prng.Source) *Positions {
 	ps := &Positions{
-		Place: PlaceFunc(func() Point { return Point{X: src.Float64(), Y: src.Float64()} }),
+		Place: func() Point { return Point{X: src.Float64(), Y: src.Float64()} },
 		Spawn: func(parent Point) Point { return parent },
 	}
 	p.Attach(ps)
@@ -64,7 +64,7 @@ func TestPositionsApplyMirrorsStates(t *testing.T) {
 	marks := []Point{{0.0, 0}, {0.1, 0}, {0.2, 0}, {0.3, 0}, {0.4, 0}}
 	i := 0
 	ps := &Positions{
-		Place: PlaceFunc(func() Point { pt := marks[i]; i++; return pt }),
+		Place: func() Point { pt := marks[i]; i++; return pt },
 		Spawn: func(parent Point) Point { return Point{parent.X, parent.Y + 1} },
 	}
 	p.Attach(ps)
@@ -196,7 +196,7 @@ func TestPositionsReplayApplyInterleaved(t *testing.T) {
 				// Fresh agents land at distinct dyadic X (multiples of
 				// 2⁻²⁰, so adding the power-of-two σ = 0.5 and wrapping
 				// stay exact in float64; Y marks them as roots).
-				Place: PlaceFunc(func() Point { return Point{X: float64(placeSrc.Intn(1<<20)) / (1 << 20), Y: 0} }),
+				Place: func() Point { return Point{X: float64(placeSrc.Intn(1<<20)) / (1 << 20), Y: 0} },
 				// Daughters sit exactly half the torus width from their
 				// parent; Y counts generations.
 				Spawn: func(parent Point) Point {
@@ -287,7 +287,7 @@ func TestPositionsReplayApplyInterleaved(t *testing.T) {
 		placeSrc := prng.New(100)
 		p := New(16)
 		ps := &Positions{
-			Place: PlaceFunc(func() Point { return Point{X: float64(placeSrc.Intn(1<<20)) / (1 << 20), Y: 0} }),
+			Place: func() Point { return Point{X: float64(placeSrc.Intn(1<<20)) / (1 << 20), Y: 0} },
 			Spawn: func(parent Point) Point {
 				x := parent.X + half
 				if x >= 1 {
@@ -338,13 +338,13 @@ func TestPositionsReplayApplyInterleaved(t *testing.T) {
 	})
 }
 
-// TestPlacementQueueAndSetPlacer pins the pluggable Placer seam: queued
-// one-shot placements win over the ambient Placer (FIFO), SetPlacer swaps
-// ownership and returns the previous placer, and SetAt re-places in place.
-func TestPlacementQueueAndSetPlacer(t *testing.T) {
+// TestPlacementQueueAndSetAt pins the placement seams: queued one-shot
+// placements win over the ambient Place func (FIFO), and SetAt re-places in
+// place.
+func TestPlacementQueueAndSetAt(t *testing.T) {
 	ambient := Point{X: 0.111}
 	ps := &Positions{
-		Place: PlaceFunc(func() Point { return ambient }),
+		Place: func() Point { return ambient },
 		Spawn: func(parent Point) Point { return parent },
 	}
 	p := New(3)
@@ -355,7 +355,7 @@ func TestPlacementQueueAndSetPlacer(t *testing.T) {
 		}
 	}
 
-	// Queued placements are consumed FIFO ahead of the ambient placer.
+	// Queued placements are consumed FIFO ahead of the ambient Place.
 	a, b := Point{X: 0.25}, Point{X: 0.75}
 	ps.QueuePlacement(a)
 	ps.QueuePlacement(b)
@@ -367,19 +367,6 @@ func TestPlacementQueueAndSetPlacer(t *testing.T) {
 	}
 	if ps.At(i3) != ambient {
 		t.Errorf("post-queue insert %v, want ambient", ps.At(i3))
-	}
-
-	// SetPlacer hands ownership over and returns the previous placer.
-	clustered := Point{X: 0.5}
-	old := ps.SetPlacer(PlaceFunc(func() Point { return clustered }))
-	i4 := p.Insert(agent.State{})
-	if ps.At(i4) != clustered {
-		t.Errorf("owned placement %v, want %v", ps.At(i4), clustered)
-	}
-	ps.SetPlacer(old)
-	i5 := p.Insert(agent.State{})
-	if ps.At(i5) != ambient {
-		t.Errorf("restored placement %v, want ambient", ps.At(i5))
 	}
 
 	// SetAt re-places an existing agent.

@@ -298,8 +298,8 @@ func TestSessionWorkersOverrideSpec(t *testing.T) {
 
 // TestSubmitRejectsUnbuildableSpec pins the admission half of the spec
 // contract: a spec that cannot build (a rogue extension without a
-// replication period, or a patch ball off the unit square) never becomes a
-// job and is answered with 422.
+// replication period, a patch ball off the unit square, or a budget K
+// above 4·N) never becomes a job and is answered with 422.
 func TestSubmitRejectsUnbuildableSpec(t *testing.T) {
 	m := NewManager(Config{})
 	defer m.Close()
@@ -309,6 +309,7 @@ func TestSubmitRejectsUnbuildableSpec(t *testing.T) {
 		{N: 4096, Tinner: 24, Seed: 31, Rogue: &popstab.RogueSpec{DetectProb: 1}},
 		{N: 4096, Tinner: 24, Seed: 31, Topology: "torus", Adversary: "cluster-leader0",
 			Patch: &popstab.BallSpec{X: -1}, K: 4, PerEpochBudget: 64},
+		{N: 4096, Tinner: 24, Seed: 31, Adversary: "greedy", K: 4*4096 + 1},
 	} {
 		if _, _, err := m.Submit(context.Background(), bad, 10); !errors.Is(err, ErrInvalidSpec) {
 			t.Fatalf("Submit error %v, want ErrInvalidSpec", err)

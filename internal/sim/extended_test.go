@@ -37,7 +37,7 @@ func TestExtendedKillOverridesSplit(t *testing.T) {
 	e, err := New(Config{
 		Params:      p,
 		Extended:    killerProgram{},
-		Scheduler:   match.Full{},
+		Matcher:     match.FromScheduler(match.Full{}),
 		InitialSize: 2,
 		Seed:        1,
 		Workers:     1,
@@ -60,7 +60,7 @@ func TestExtendedKillOverridesSplit(t *testing.T) {
 	}
 }
 
-// TestConfigSeamValidation pins the exactly-one rules of the two seams.
+// TestConfigSeamValidation pins the exactly-one rule of the program seam.
 func TestConfigSeamValidation(t *testing.T) {
 	p := fastParams(t)
 	pr := protocol.MustNew(p)
@@ -69,13 +69,6 @@ func TestConfigSeamValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Params: p, Protocol: pr, Extended: killerProgram{}}); err == nil {
 		t.Error("accepted both Protocol and Extended")
-	}
-	tor, err := match.NewTorus(1.0 / 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Config{Params: p, Protocol: pr, Scheduler: match.Full{}, Matcher: tor}); err == nil {
-		t.Error("accepted both Scheduler and Matcher")
 	}
 }
 

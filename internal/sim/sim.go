@@ -23,10 +23,12 @@
 // extensions share one round loop instead of forking it (they used to be
 // three separate engines):
 //
-//   - the communication model is a match.Matcher — plain schedulers adapt
-//     via match.FromScheduler; spatial matchers (match.Torus) attach a
+//   - the communication model is Config.Matcher, a match.Matcher — plain
+//     schedulers adapt via match.FromScheduler, and a nil Matcher is the
+//     well-mixed match.Uniform{γ}; spatial matchers (match.Torus) attach a
 //     population.Positions side-array at Bind time so daughter placement and
-//     adversarial insertion stay aligned with the agent states;
+//     adversarial insertion stay aligned with the agent states, and the
+//     adversary's View reads those positions (Pos, PatchPoint);
 //   - the agent program is a Stepper, or an ExtendedStepper for programs
 //     that carry per-slot side state and use the neighbor-removal power
 //     (internal/rogue's honest/rogue overlay).
@@ -139,13 +141,11 @@ type Config struct {
 	// neighbor-removal channel (see ExtendedStepper). Exactly one of
 	// Protocol and Extended must be set.
 	Extended ExtendedStepper
-	// Scheduler samples each round's matching from the population size
-	// alone. Defaults to match.Uniform{Gamma: Params.Gamma}. At most one of
-	// Scheduler and Matcher may be set.
-	Scheduler match.Scheduler
-	// Matcher is the population-state-aware communication model (e.g.
-	// match.Torus); it overrides Scheduler. Matchers implementing
-	// match.Binder are bound to the population at construction.
+	// Matcher is the communication model: a population-state-aware
+	// matcher (e.g. match.Torus), or a plain scheduler adapted by
+	// match.FromScheduler. Defaults to match.Uniform{Gamma: Params.Gamma}.
+	// Matchers implementing match.Binder are bound to the population at
+	// construction.
 	Matcher match.Matcher
 	// Adversary attacks each round. Defaults to adversary.None.
 	Adversary adversary.Adversary
@@ -297,20 +297,13 @@ func buildEngine(cfg Config, pop *population.Population) (*Engine, error) {
 	if cfg.K < 0 {
 		return nil, fmt.Errorf("sim: negative adversary budget %d", cfg.K)
 	}
-	if cfg.Scheduler != nil && cfg.Matcher != nil {
-		return nil, errors.New("sim: at most one of Config.Scheduler and Config.Matcher may be set")
-	}
 	matcher := cfg.Matcher
 	if matcher == nil {
-		sched := cfg.Scheduler
-		if sched == nil {
-			u, err := match.NewUniform(cfg.Params.Gamma)
-			if err != nil {
-				return nil, fmt.Errorf("sim: %w", err)
-			}
-			sched = u
+		u, err := match.NewUniform(cfg.Params.Gamma)
+		if err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
 		}
-		matcher = match.FromScheduler(sched)
+		matcher = match.FromScheduler(u)
 	}
 	if cfg.Adversary == nil {
 		cfg.Adversary = adversary.None{}
@@ -389,7 +382,9 @@ func buildEngine(cfg Config, pop *population.Population) (*Engine, error) {
 	if e.cfg.K > 0 {
 		e.budget = adversary.NewBudget(e.cfg.K, 0, e.epochLen)
 	}
-	adversary.BindMatcherTo(e.adv, matcher)
+	if mb, ok := e.adv.(adversary.MatcherBinder); ok {
+		mb.BindMatcher(matcher)
+	}
 	e.initAllocSamples()
 	return e, nil
 }
@@ -698,10 +693,9 @@ type engineView struct{ e *Engine }
 
 var _ adversary.View = engineView{}
 
-func (v engineView) Len() int                  { return v.e.pop.Len() }
-func (v engineView) State(i int) agent.State   { return v.e.pop.State(i) }
-func (v engineView) Census() population.Census { return v.e.Census() }
-func (v engineView) GlobalRound() uint64       { return v.e.round }
+func (v engineView) Len() int                { return v.e.pop.Len() }
+func (v engineView) State(i int) agent.State { return v.e.pop.State(i) }
+func (v engineView) GlobalRound() uint64     { return v.e.round }
 func (v engineView) EpochRound() int {
 	return int(v.e.round % uint64(v.e.epochLen))
 }
@@ -710,8 +704,8 @@ func (v engineView) Find(dst []int, limit int, pred func(agent.State) bool) []in
 	return v.e.pop.FindIf(dst, limit, pred)
 }
 
-// The spatial View methods surface the matcher's positions and metric; on a
-// non-spatial matcher they are the Flatland defaults.
+// The spatial View methods surface the matcher's positions and geometry; on
+// a non-spatial matcher Pos is the zero Point and PatchPoint the center.
 
 func (v engineView) HasSpace() bool { return v.e.space != nil }
 
@@ -720,43 +714,6 @@ func (v engineView) Pos(i int) population.Point {
 		return population.Point{}
 	}
 	return v.e.space.Positions().At(i)
-}
-
-func (v engineView) Dist2(a, b population.Point) float64 {
-	if v.e.space == nil {
-		return 0
-	}
-	return v.e.space.Dist2(a, b)
-}
-
-func (v engineView) FindNear(dst []int, limit int, center population.Point, r float64) []int {
-	if v.e.space == nil {
-		return dst
-	}
-	r2 := r * r
-	for i, pt := range v.e.space.Positions().Slice() {
-		if limit >= 0 && len(dst) >= limit {
-			break
-		}
-		if v.e.space.Dist2(center, pt) <= r2 {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
-
-func (v engineView) CountNear(center population.Point, r float64) int {
-	if v.e.space == nil {
-		return -1
-	}
-	n := 0
-	r2 := r * r
-	for _, pt := range v.e.space.Positions().Slice() {
-		if v.e.space.Dist2(center, pt) <= r2 {
-			n++
-		}
-	}
-	return n
 }
 
 func (v engineView) PatchPoint(center population.Point, r float64, src *prng.Source) population.Point {

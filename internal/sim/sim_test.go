@@ -414,7 +414,7 @@ func TestTorusGoldenTrajectory(t *testing.T) {
 
 func TestSchedulerOverride(t *testing.T) {
 	p := fastParams(t)
-	e, _ := newEngine(t, p, Config{Seed: 13, Scheduler: match.Full{}})
+	e, _ := newEngine(t, p, Config{Seed: 13, Matcher: match.FromScheduler(match.Full{})})
 	rep := e.RunEpoch()
 	if rep.EndSize == 0 {
 		t.Fatal("population collapsed under full scheduler")

@@ -8,6 +8,7 @@ import (
 	"popstab/internal/adversary"
 	"popstab/internal/match"
 	"popstab/internal/population"
+	"popstab/internal/prng"
 	"popstab/internal/protocol"
 )
 
@@ -86,6 +87,21 @@ func TestAdversaryDeleteNearEmptiesBall(t *testing.T) {
 	}
 }
 
+// rewiredPatch binds a rewire denier to the matcher and acts with a patch
+// combo: the denier's Act is a no-op, so the combo's turn is the whole turn.
+type rewiredPatch struct {
+	deny  *adversary.RewireAdversary
+	patch *adversary.PatchCombo
+}
+
+func (a rewiredPatch) Name() string { return "patch-combo+rewire" }
+
+func (a rewiredPatch) Act(v adversary.View, m adversary.Mutator, src *prng.Source) {
+	a.patch.Act(v, m, src)
+}
+
+func (a rewiredPatch) BindMatcher(m match.Matcher) { a.deny.BindMatcher(m) }
+
 // TestSpatialAdversaryParallelDeterminism is the golden determinism
 // guarantee with the spatial adversary seam active: identical RoundReport
 // and Census trajectories for Workers ∈ {1, 2, NumCPU} under a patch
@@ -112,8 +128,7 @@ func TestSpatialAdversaryParallelDeterminism(t *testing.T) {
 	mkAdv := func(topo string) adversary.Adversary {
 		patch := adversary.NewPatchCombo(center, 0.05, nil)
 		if topo == "smallworld" {
-			return adversary.NewComposite("patch-combo+rewire",
-				adversary.NewRewireDenier(center, 0.1), patch)
+			return rewiredPatch{deny: adversary.NewRewireDenier(center, 0.1), patch: patch}
 		}
 		return patch
 	}
@@ -175,4 +190,8 @@ func TestRewireDenyAllMatchesBetaZero(t *testing.T) {
 	// budget) but consumes no randomness and stages nothing, so the
 	// trajectories must agree exactly.
 	assertTrajectoriesEqual(t, want, got, "deny-all vs beta=0")
+	// Pacing must not unbind the denier: Paced hands the matcher on to its
+	// inner strategy, or the β coin would run and the trajectory drift.
+	paced := run(0.7, adversary.NewPaced(9, adversary.NewRewireDenier(population.Point{}, -1)))
+	assertTrajectoriesEqual(t, want, paced, "paced deny-all vs beta=0")
 }

@@ -196,10 +196,14 @@ func (sp Spec) resolve() (*plan, error) {
 		return nil, fmt.Errorf("popstab: unsupported MessageBits %d (3 or 4)", sp.MessageBits)
 	case sp.K < 0:
 		return nil, fmt.Errorf("popstab: negative adversary budget K %d", sp.K)
+	case exceeds4N(sp.K, p.N):
+		return nil, fmt.Errorf("popstab: adversary budget K %d above 4·N", sp.K)
 	case sp.PerEpochBudget < 0:
 		return nil, fmt.Errorf("popstab: negative PerEpochBudget %d", sp.PerEpochBudget)
 	case sp.InitialSize < 0:
 		return nil, fmt.Errorf("popstab: negative InitialSize %d", sp.InitialSize)
+	case exceeds4N(sp.InitialSize, p.N):
+		return nil, fmt.Errorf("popstab: InitialSize %d above 4·N", sp.InitialSize)
 	case sp.Workers < 0:
 		return nil, fmt.Errorf("popstab: negative Workers %d", sp.Workers)
 	case !spatialTopo && sp.DaughterSpread != 0:
@@ -216,8 +220,14 @@ func (sp Spec) resolve() (*plan, error) {
 	if err := sp.Patch.check("Patch"); err != nil {
 		return nil, err
 	}
-	if sp.Rogue != nil {
-		if err := sp.Rogue.Cluster.check("Rogue.Cluster"); err != nil {
+	if rs := sp.Rogue; rs != nil {
+		switch {
+		case exceeds4N(rs.InitialRogues, p.N):
+			return nil, fmt.Errorf("popstab: Rogue.InitialRogues %d above 4·N", rs.InitialRogues)
+		case exceeds4N(rs.RoguesPerEpoch, p.N):
+			return nil, fmt.Errorf("popstab: Rogue.RoguesPerEpoch %d above 4·N", rs.RoguesPerEpoch)
+		}
+		if err := rs.Cluster.check("Rogue.Cluster"); err != nil {
 			return nil, err
 		}
 	}
@@ -301,6 +311,13 @@ func (sp Spec) resolve() (*plan, error) {
 	pl.spec = out
 	return pl, nil
 }
+
+// exceeds4N reports v > 4·n without forming 4·n, which overflows at the
+// largest power-of-four N. Every count a spec sizes memory with (the
+// per-round budget K, the starting population, the rogue cohorts) is
+// bounded by 4·N, so a hostile spec gets an error instead of an
+// allocation without bound.
+func exceeds4N(v, n int) bool { return v > 0 && (v-1)/4 >= n }
 
 // newMatcher builds a spatial topology's matcher; resolve has already
 // rejected unknown names, so smallworld is the default case. The daughter

@@ -64,6 +64,9 @@ func TestSpecNormalizeAcceptsResolvedConflicts(t *testing.T) {
 		// The unit square is closed: a ball on its corner is on it.
 		{N: 4096, Tinner: 24, Seed: 7, Topology: "torus", Adversary: "patch-combo", K: 1,
 			Patch: &popstab.BallSpec{X: 1, Y: 0}},
+		// The N bounds are inclusive: T = N/½log N·½log N ≤ N, counts ≤ 4·N.
+		{N: 4096, Tinner: 4096 / 6, Seed: 7, Adversary: "greedy", K: 4 * 4096, InitialSize: 4 * 4096,
+			Rogue: &popstab.RogueSpec{ReplicateEvery: 4, DetectProb: 1, InitialRogues: 4 * 4096, RoguesPerEpoch: 4 * 4096}},
 	}
 	for _, sp := range cases {
 		if _, err := sp.Normalize(); err != nil {
@@ -127,6 +130,16 @@ func TestSpecRejectsUnbuildable(t *testing.T) {
 		{"rogue cluster off square", cluster(popstab.BallSpec{X: -1}), "Rogue.Cluster"},
 		{"rogue cluster center infinite", cluster(popstab.BallSpec{X: 0.5, Y: math.Inf(-1)}), "Rogue.Cluster"},
 		{"rogue cluster radius infinite", cluster(popstab.BallSpec{X: 0.5, Y: 0.5, R: math.Inf(1)}), "radius"},
+		// Fields that size memory are bounded by N. T = Tinner·½log N used
+		// to overflow past Validate and panic the build in makeslice.
+		{"Tinner overflowing T", func(s *popstab.Spec) { s.Tinner = 1 << 62 }, "Tinner"},
+		{"Tinner overflowing T odd", func(s *popstab.Spec) { s.Tinner = 1<<61 + 3 }, "Tinner"},
+		{"Tinner above N/halfLogN", func(s *popstab.Spec) { s.Tinner = 4096/6 + 1 }, "Tinner"},
+		{"K above 4N", func(s *popstab.Spec) { s.Adversary = "greedy"; s.K = 4*4096 + 1 }, "K"},
+		{"K above 4N without adversary", func(s *popstab.Spec) { s.K = 4*4096 + 1 }, "K"},
+		{"InitialSize above 4N", func(s *popstab.Spec) { s.InitialSize = 4*4096 + 1 }, "InitialSize"},
+		{"InitialRogues above 4N", rogue(popstab.RogueSpec{ReplicateEvery: 4, DetectProb: 1, InitialRogues: 4*4096 + 1}), "InitialRogues"},
+		{"RoguesPerEpoch above 4N", rogue(popstab.RogueSpec{ReplicateEvery: 4, DetectProb: 1, RoguesPerEpoch: 4*4096 + 1}), "RoguesPerEpoch"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,6 +157,9 @@ func TestSpecRejectsUnbuildable(t *testing.T) {
 			}
 			if _, err := popstab.NewSessionFromSpec(sp); err == nil {
 				t.Error("NewSessionFromSpec built a spec that does not normalize")
+			}
+			if _, err := popstab.New(sp); err == nil {
+				t.Error("New built a spec that does not normalize")
 			}
 		})
 	}
