@@ -132,10 +132,11 @@ func BenchmarkRoundN262144Workers1(b *testing.B)  { benchRounds(b, 262144, 1, "m
 func BenchmarkRoundN1048576Workers1(b *testing.B) { benchRounds(b, 1048576, 1, "mixed") }
 
 // benchTorusMatch measures the sharded spatial matching phase alone —
-// grid bucketing + candidate search + greedy walk over a static uniform
-// population — reporting matched-over agents per second. Compare default
-// workers against the Workers1 variant for the pipeline's parallel
-// speedup.
+// grid bucketing + candidate search + greedy walk over a uniform
+// population — reporting matched-over agents per second. Each iteration
+// rewrites one position in place, so every sample builds its candidate rows
+// instead of reusing the last sample's. Compare default workers against the
+// Workers1 variant for the pipeline's parallel speedup.
 func benchTorusMatch(b *testing.B, n, workers int) {
 	b.Helper()
 	tor, err := match.NewTorus(1 / math.Sqrt(float64(n)))
@@ -151,10 +152,12 @@ func benchTorusMatch(b *testing.B, n, workers int) {
 	defer pl.Close()
 	tor.SetPool(pl)
 	src := prng.New(2)
+	ps := tor.Positions()
 	var p match.Pairing
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		ps.SetAt(0, ps.At(0))
 		tor.SampleMatch(pop, src, &p)
 	}
 	if sec := b.Elapsed().Seconds(); sec > 0 {
@@ -168,7 +171,9 @@ func BenchmarkTorusMatchN1048576Workers1(b *testing.B) { benchTorusMatch(b, 1048
 // BenchmarkTorusWalkClusteredN1048576 measures the matching phase when the
 // whole population crowds into one small patch — the stress case for the
 // candidate search and the exact fallback rescan, since every cell is
-// crowded and candidate lists overlap heavily.
+// crowded and candidate lists overlap heavily. Each iteration rewrites one
+// position in place, so every sample builds its candidate rows and
+// dists/agent stays the clustered input's per-build count.
 func BenchmarkTorusWalkClusteredN1048576(b *testing.B) {
 	const n = 1 << 20
 	tor, err := match.NewTorus(1 / math.Sqrt(float64(n)))
@@ -180,10 +185,10 @@ func BenchmarkTorusWalkClusteredN1048576(b *testing.B) {
 	// Pile everyone into a radius-0.05 patch around the center: ~100
 	// agents per grid cell, while the bounded candidate lists keep the
 	// serial walk linear.
-	pos := tor.Positions().Slice()
+	ps := tor.Positions()
 	mut := prng.New(9)
-	for i := range pos {
-		pos[i] = tor.PatchPoint(population.Point{X: 0.5, Y: 0.5}, 0.05, mut)
+	for i := range n {
+		ps.SetAt(i, tor.PatchPoint(population.Point{X: 0.5, Y: 0.5}, 0.05, mut))
 	}
 	pl := pool.New(runtime.NumCPU())
 	defer pl.Close()
@@ -193,12 +198,13 @@ func BenchmarkTorusWalkClusteredN1048576(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		ps.SetAt(0, ps.At(0))
 		tor.SampleMatch(pop, src, &p)
 	}
 	b.StopTimer()
 	st := tor.PipelineStats()
-	if st.SerialWalks != st.Samples {
-		b.Fatalf("%d of %d samples ran the serial walk", st.SerialWalks, st.Samples)
+	if st.SerialWalks != st.Samples || st.RowBuilds != st.Samples {
+		b.Fatalf("of %d samples, %d ran the serial walk and %d built their rows", st.Samples, st.SerialWalks, st.RowBuilds)
 	}
 	// Exact work, independent of the host: what pruning would cut.
 	b.ReportMetric(float64(st.DistEvals)/float64(st.Samples*n), "dists/agent")

@@ -80,16 +80,18 @@ type PipelineStats struct {
 	// greedy walk is serial (DESIGN.md §12). Both are kept for readers that
 	// still report the old speculative/serial split.
 	SpecWalks, SerialWalks uint64
+	// RowBuilds counts the samples that built their candidate rows (phases
+	// 1–3); the others reused the last build's, because the positions and
+	// n had not changed and no rewrite hook is installed (spatial.go, "Row
+	// reuse"). BucketNS, ScatterNS and CandNS accrue in row builds only.
+	RowBuilds uint64
 	// DistEvals counts the candidate phase's distance evaluations: every
 	// point of an agent's neighborhood other than itself, for every agent
-	// whose candidates come from the geometry; visit-order pruning drops
-	// points after their distance is computed, so it does not change
-	// DistEvals. Rescans counts the walk's exact fallback rescans, which
-	// fire only when an agent has more than candK neighbors visited after
-	// it (every neighbor counts while SmallWorld's rewrite hook is
-	// installed) and all stored ones are taken — so pruned rows rescan far
-	// less often than the unpruned rows did. Both are pure functions of the
-	// seed and the inputs, identical at every worker count.
+	// whose candidates come from the geometry, in the samples that built
+	// their rows; a reused sample adds none. Rescans counts the walk's
+	// exact fallback rescans, which fire when an agent has more than candK
+	// neighbors and all stored ones are taken. Both are pure functions of
+	// the seed and the inputs, identical at every worker count.
 	DistEvals, Rescans uint64
 }
 
@@ -102,6 +104,7 @@ func (s PipelineStats) ConflictRate() float64 { return 0 }
 func (s PipelineStats) Sub(prev PipelineStats) PipelineStats {
 	return PipelineStats{
 		Samples:     s.Samples - prev.Samples,
+		RowBuilds:   s.RowBuilds - prev.RowBuilds,
 		BucketNS:    s.BucketNS - prev.BucketNS,
 		ScatterNS:   s.ScatterNS - prev.ScatterNS,
 		CandNS:      s.CandNS - prev.CandNS,

@@ -33,56 +33,46 @@ import (
 //     and a scatter into precomputed disjoint slots. Within a cell, slots are laid out shard-major and
 //     shards cover ascending agent ranges, so the layout — ascending agent
 //     index within each cell — is bit-identical to the historical serial
-//     cursor scatter at every shard count. The scatter leaves order[i] and
-//     cellIdx[i] both = slot of agent i; cellIdx keeps that map for the
-//     rewrite hook once order is shuffled;
+//     cursor scatter at every shard count. The scatter leaves cellIdx[i] =
+//     slot of agent i, the map the walk's visit order and the rewrite hook
+//     start from;
 //  3. candidates (sharded): for every CSR slot k (an agent's position in
 //     the cell-sorted cellAgents/posByCell layout), scan the neighborhood
-//     cells and keep the candK nearest candidates VISITED AFTER k, sorted
-//     by (distance, scan order), as neighbor SLOTS in cand[k*candK:] —
-//     slots are visited in order, so the candidate rows are written
-//     sequentially, and each shard owns its slots (no shared writes);
+//     cells and keep the candK nearest candidates, sorted by (distance,
+//     scan order), as neighbor SLOTS in cand[k*candK:] — slots are visited
+//     in order, so the candidate rows are written sequentially, and each
+//     shard owns its slots (no shared writes);
 //  4. greedy walk (serial), in slot space: visit agents in a random order
 //     drawn from the matcher's stream; each unmatched agent takes the
 //     first unmatched entry of its precomputed candidate list, recording
 //     partners in the slot-indexed mate array. Because the list is the
-//     prefix of the stable ordering of every neighbor that can still be
-//     unmatched (see "Visit-order pruning"), "first unmatched stored
+//     prefix of the full stable ordering, "first unmatched stored
 //     candidate" IS the nearest unmatched candidate — unless all stored
-//     entries are taken while further later-visited candidates exist
-//     (candMore), in which case an exact fallback rescan of the whole
-//     neighborhood (same metric, same tie-breaking) recovers the answer.
-//     The walk is inherently sequential and stays serial: DESIGN.md §12
-//     records why parallelizing it did not pay. A final sharded pass
-//     translates mate back to agent indices in Pairing.Nbr, writing every
-//     entry (no separate Unmatched fill).
+//     entries are taken while further candidates exist (candMore), in
+//     which case an exact fallback rescan of the neighborhood (same
+//     metric, same tie-breaking) recovers the answer. The walk is
+//     inherently sequential and stays serial: DESIGN.md §12 records why
+//     parallelizing it did not pay. A final sharded pass translates mate
+//     back to agent indices in Pairing.Nbr, writing every entry (no
+//     separate Unmatched fill).
 //
-// Phase 4's visit order is drawn between phases 2 and 3, serially: the
-// shuffle, then one pass writing mate[order[t]] = -(t+1). Until the walk
-// pairs a slot, mate holds its visit time that way, so "j is visited after
-// k" is mate[j] < mate[k], while the walk, the rescan and the output pass
-// still read mate < 0 as unmatched. Both steps are timed as the walk's.
+// # Row reuse
 //
-// # Visit-order pruning
-//
-// Take slot k and a neighbor j visited earlier, t(j) < t(k). The torus,
-// grid and ring neighborhoods are symmetric — j ∈ N(k) ⇔ k ∈ N(j), also
-// for side < 3, where a neighborhood scans some cells more than once — so
-// k is a neighbor of j. k is still unmatched at its own visit and matches
-// are permanent, so k was unmatched at t(j): if j was unmatched then, it
-// had an unmatched neighbor and paired, through its stored prefix or the
-// exact rescan. Every earlier-visited neighbor is therefore matched when k
-// is visited, and dropping them from k's row leaves "the first unmatched
-// stored candidate" unchanged. candMore accordingly counts the
-// later-visited neighbors only, which is what makes the rescan rarer;
-// DistEvals still counts every neighbor, since each distance is computed
-// before the visit-time test.
-//
-// The argument needs symmetric candidate sets, and a rewired SmallWorld
-// agent's are not: a rewired j proposes to random agents, so an
-// earlier-visited ring neighbor of k may be left unmatched while k is
-// unvisited. So while a rewrite hook is installed, rows keep every
-// neighbor, earlier-visited or not.
+// Phases 1–3 read nothing but the positions, n and the geometry, so while
+// no rewrite hook is installed their output — cellStart, cellAgents,
+// posByCell, the candidate rows and the agent -> slot map in cellIdx — is a
+// pure function of those. Every write to the position array bumps
+// Positions.Version, so a sample whose (Version, n) equals the last build's
+// skips phases 1–3 and walks the rows it already has; phase 4 reads the
+// rows and never writes them. In the protocol an agent splits or dies only
+// in its epoch's evaluation round or on a failed consistency check, and the
+// adversary makes at most K alterations per round, so on the geometric
+// models most rounds leave the positions alone. SmallWorld's rewrite hook
+// draws fresh counter streams every sample, so while a hook is installed
+// the rows are rebuilt every sample. Rows are therefore never pruned by the
+// sample's visit order: such a row would be wrong for the next sample's.
+// The cache is not state: a restored matcher builds its rows on its first
+// sample.
 //
 // # Tie-breaking rule
 //
@@ -97,25 +87,21 @@ import (
 // bit-identical across every worker count.
 //
 // The pipeline itself consumes randomness only for the visit permutation.
-// The scatter leaves order[i] = slot of agent i, and the visit-order step
-// shuffles that buffer with src.ShuffleInt32, whose variates are those of
-// shuffling an identity-filled permutation of the agents: the swaps depend
-// only on positions and variates, so order[t] is the slot of the agent that
-// permutation would visit t-th. Drawing it before the candidate phase
-// rather than after leaves the variates unchanged: nothing else in a sample
-// draws from src (prematch may not, and rewrite uses counter streams).
-// Matchers that need per-agent coins inside the sharded candidate phase
-// (SmallWorld's rewiring) draw them from counter-based streams keyed on
-// (matcher key, sample counter, agent index) — see prng.SeedCounter — so
-// shard boundaries cannot perturb them.
+// Phase 4 copies the agent -> slot map into order and shuffles that buffer
+// with src.ShuffleInt32, whose variates are those of shuffling an
+// identity-filled permutation of the agents: the swaps depend only on
+// positions and variates, so order[t] is the slot of the agent that
+// permutation would visit t-th. Matchers that need per-agent coins inside
+// the sharded candidate phase (SmallWorld's rewiring) draw them from
+// counter-based streams keyed on (matcher key, sample counter, agent index)
+// — see prng.SeedCounter — so shard boundaries cannot perturb them.
 
 // candK is the number of nearest candidates precomputed per slot. Larger
 // values make the exact fallback rescan rarer but cost memory bandwidth in
 // the sharded candidate phase. The rescan runs inside the serial greedy
-// walk, and only for an agent with more than candK later-visited neighbors
-// whose stored ones are all taken: at ~1 agent per cell that is a handful
-// of agents per 2¹⁸, which keeps the rescan time negligible against the
-// sharded phases.
+// walk, and only for an agent with more than candK neighbors whose stored
+// ones are all taken: on the uniform torus, at ~1 agent per cell, that is
+// about 3% of visits, and each rescan reads one neighborhood.
 const candK = 8
 
 // maxNbrCells bounds a geometry's neighborhood size (3×3 cells in 2-D,
@@ -186,8 +172,7 @@ type spatial[G geometry[G]] struct {
 	// their slots. It runs concurrently from shards and must be a pure
 	// function of (i, n, call) — per-agent randomness comes from
 	// counter-based streams, never from a shared Source. While it is
-	// installed, geometric rows are not pruned by visit order (see the file
-	// header).
+	// installed, the rows are rebuilt every sample (see "Row reuse").
 	rewrite func(i, n int, call uint64, dst []int32) int
 	// prematch, when non-nil, runs serially at the top of every sample,
 	// before the sharded phases — the hook SmallWorld uses to precompute
@@ -202,6 +187,12 @@ type spatial[G geometry[G]] struct {
 	// stats accumulates the per-phase pipeline counters (PhaseReporter).
 	stats PipelineStats
 
+	// rowsN and rowsVersion key the rows of the last build: n and the
+	// position array's Version (see "Row reuse"). rowsN = 0 before the
+	// first build, which no sample of n ≥ 2 matches.
+	rowsN       int
+	rowsVersion uint64
+
 	// Pipeline buffers, reused across rounds (1.5× growth slack). A slot
 	// is an index into the CSR layout (cellAgents/posByCell).
 	cellIdx    []int32            // agent -> bucket; agent -> slot after the scatter
@@ -211,8 +202,8 @@ type spatial[G geometry[G]] struct {
 	cnt        []int32            // scatter histograms, one row of ncells per shard
 	cand       []int32            // candK nearest candidate slots per slot
 	candN      []uint8            // stored candidate count per slot, | candMore
-	mate       []int32            // slot -> partner slot in the walk; -(t+1) while unmatched, t its visit time
-	order      []int32            // agent -> slot after the scatter; visit order of slots after the shuffle
+	mate       []int32            // slot -> partner slot in the walk, -1 while unmatched
+	order      []int32            // visit order of slots: a shuffled copy of cellIdx
 	candShards []candShard        // one candidate-phase scratch per shard (pool.Shards)
 }
 
@@ -390,7 +381,8 @@ func (s *spatial[G]) ensure(n, ncells int) {
 	s.cellStart = s.cellStart[:ncells+1]
 }
 
-// sample runs the four-phase pipeline documented at the top of this file.
+// sample runs the pipeline documented at the top of this file: phases 1–3
+// (buildRows) unless the last build's rows still hold, then phase 4.
 func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 	if n < 2 {
 		p.Reset(n)
@@ -400,11 +392,47 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 	if s.prematch != nil {
 		s.prematch(n)
 	}
-	pos := s.pos.Slice()
 	g := s.geo.prepare(n)
+	s.stats.Samples++
+	if v := s.pos.Version(); s.rewrite != nil || n != s.rowsN || v != s.rowsVersion {
+		s.buildRows(g, n, call)
+		s.rowsN, s.rowsVersion = n, v
+	}
+
+	// Phase 4: random-order greedy matching in slot space. Shuffling the
+	// agent -> slot map with the variates of an identity-filled shuffle
+	// turns it into the visit order of slots (see the file header), so the
+	// walk is bit-identical to the historical agent-space form; a sharded
+	// pass then writes every agent's partner into the pairing.
+	t0 := time.Now()
+	copy(s.order, s.cellIdx)
+	src.ShuffleInt32(s.order)
+	mate := s.mate
+	for k := range mate {
+		mate[k] = -1
+	}
+	s.walk(g)
+	cellAgents, nbr := s.cellAgents, p.Nbr
+	s.pool.Run(n, minSpatialShard, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			j := Unmatched
+			if m := mate[k]; m >= 0 {
+				j = cellAgents[m]
+			}
+			nbr[cellAgents[k]] = j
+		}
+	})
+	s.stats.SerialWalks++
+	s.stats.WalkNS += uint64(time.Since(t0))
+}
+
+// buildRows runs phases 1–3 over the bound positions: it buckets them,
+// scatters them into the CSR layout and fills every slot's candidate row.
+func (s *spatial[G]) buildRows(g G, n int, call uint64) {
+	pos := s.pos.Slice()
 	ncells := g.numCells()
 	s.ensure(n, ncells)
-	s.stats.Samples++
+	s.stats.RowBuilds++
 
 	// Phase 1 (sharded): bucket every agent.
 	t0 := time.Now()
@@ -416,23 +444,10 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 	s.stats.BucketNS += uint64(time.Since(t0))
 
 	// Phase 2 (sharded): stable counting-sort scatter into the CSR index;
-	// it also leaves order[i] = cellIdx[i] = slot of agent i.
+	// it also leaves cellIdx[i] = slot of agent i.
 	t0 = time.Now()
 	s.scatter(pos, n, ncells)
 	s.stats.ScatterNS += uint64(time.Since(t0))
-
-	// Phase 4's visit order (serial, timed as the walk's). Shuffling the
-	// agent -> slot map with the variates of an identity-filled shuffle
-	// turns it into the visit order of slots (see the file header), so the
-	// walk is bit-identical to the historical agent-space form. mate then
-	// records each slot's visit time as -(t+1) for phase 3's pruning.
-	t0 = time.Now()
-	src.ShuffleInt32(s.order)
-	mate := s.mate
-	for t, k := range s.order {
-		mate[k] = int32(-1 - t)
-	}
-	walkNS := time.Since(t0)
 
 	// Phase 3 (sharded): per-slot candK-nearest candidate selection,
 	// iterated in CSR order so slots of the same cell reuse each other's
@@ -440,10 +455,8 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 	// (posByCell) in contiguous segments and writing candidate rows
 	// sequentially. The scan ORDER over candidates is the per-agent one —
 	// segments are maximal runs of consecutive cell ids in the geometry's
-	// neighborhood order — so tie-breaking is unchanged. Rows keep only the
-	// neighbors visited after their slot unless a rewrite hook is installed
-	// (see "Visit-order pruning"). The shards are pool.Run's partition, each
-	// with its own reused scratch.
+	// neighborhood order — so tie-breaking is unchanged. The shards are
+	// pool.Run's partition, each with its own reused scratch.
 	t0 = time.Now()
 	rewrite := s.rewrite
 	w := s.pool.Shards(n, minSpatialShard)
@@ -475,7 +488,6 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 				c++
 				nseg = -1
 			}
-			tk := mate[k] // admit the neighbors visited after k
 			if rewrite != nil {
 				row := s.cand[k*candK : (k+1)*candK]
 				if kn := rewrite(int(s.cellAgents[k]), n, call, row); kn >= 0 {
@@ -485,7 +497,6 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 					s.candN[k] = uint8(kn)
 					continue
 				}
-				tk = 0 // admit every neighbor: rewired rows are not symmetric
 			}
 			if nseg < 0 {
 				cells := g.neighborhood(c, scr.nbuf[:0])
@@ -500,7 +511,7 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 					si = sj
 				}
 			}
-			dists += s.nearestCandidates(g, &scr.sel, k, segs[:nseg], tk)
+			dists += s.nearestCandidates(g, &scr.sel, k, segs[:nseg])
 		}
 		scr.dists = uint64(dists)
 	})
@@ -508,23 +519,6 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 		s.stats.DistEvals += scr.dists
 	}
 	s.stats.CandNS += uint64(time.Since(t0))
-
-	// Phase 4: random-order greedy matching in slot space; a sharded pass
-	// then writes every agent's partner into the pairing.
-	t0 = time.Now()
-	s.walk(g)
-	cellAgents, nbr := s.cellAgents, p.Nbr
-	s.pool.Run(n, minSpatialShard, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			j := Unmatched
-			if m := mate[k]; m >= 0 {
-				j = cellAgents[m]
-			}
-			nbr[cellAgents[k]] = j
-		}
-	})
-	s.stats.SerialWalks++
-	s.stats.WalkNS += uint64(walkNS + time.Since(t0))
 }
 
 // maxScatterShards caps the scatter fan-out: the count→scan→scatter passes
@@ -540,9 +534,9 @@ const (
 )
 
 // scatter is phase 2: it builds cellStart/cellAgents/posByCell — the stable
-// counting-sort CSR layout, ascending agent index within each cell — and
-// order (agent -> slot) with a sharded count→scan→scatter; pass 4 also
-// overwrites cellIdx[i], dead once read, with the same slot:
+// counting-sort CSR layout, ascending agent index within each cell — with a
+// sharded count→scan→scatter; pass 4 overwrites cellIdx[i], dead once read,
+// with agent i's slot:
 //
 //	pass 1 (sharded over agent ranges): per-shard histograms cnt[k][c];
 //	pass 2 (sharded over cell ranges): down-column exclusive scan turning
@@ -619,7 +613,7 @@ func (s *spatial[G]) scatter(pos []population.Point, n, ncells int) {
 	})
 
 	// Pass 4: scatter into precomputed disjoint slots.
-	cellIdx, cellAgents, posByCell, order := s.cellIdx, s.cellAgents, s.posByCell, s.order
+	cellIdx, cellAgents, posByCell := s.cellIdx, s.cellAgents, s.posByCell
 	s.pool.RunN(w, func(k int) {
 		row := cnt[k*ncells:]
 		for i := ab[k]; i < ab[k+1]; i++ {
@@ -628,7 +622,6 @@ func (s *spatial[G]) scatter(pos []population.Point, n, ncells int) {
 			row[c]++
 			cellAgents[at] = int32(i)
 			posByCell[at] = pos[i]
-			order[i] = at
 			cellIdx[i] = at
 		}
 	})
@@ -666,10 +659,8 @@ func (s *spatial[G]) walk(g G) {
 
 // rescan is the exact nearest-unmatched search over slot k's neighborhood
 // — the historical serial algorithm in slot space, used only when the
-// precomputed candidate prefix is exhausted. It scans every neighbor, not
-// only the later-visited ones: earlier-visited neighbors are matched and
-// skipped. Slots within a cell ascend with agent index, so the strict `<`
-// minimum breaks ties as before.
+// precomputed candidate prefix is exhausted. Slots within a cell ascend
+// with agent index, so the strict `<` minimum breaks ties as before.
 func (s *spatial[G]) rescan(g G, k int32, nbuf []int32) int32 {
 	best := int32(-1)
 	bestD := math.Inf(1)
@@ -688,31 +679,21 @@ func (s *spatial[G]) rescan(g G, k int32, nbuf []int32) int32 {
 	return best
 }
 
-// candMore is the candN bit saying the neighborhood holds more admitted
-// candidates — later-visited ones, or every one while a rewrite hook is
-// installed — than the stored ones (the walk's exact-rescan trigger); the
-// low bits hold the stored count.
+// candMore is the candN bit saying the neighborhood holds more candidates
+// than the stored ones (the walk's exact-rescan trigger); the low bits hold
+// the stored count.
 const candMore = 0x80
 
 // nearestCandidates fills slot selfK's candidate row with its candK nearest
-// admitted neighbor slots in (distance, scan order) — the prefix of the
-// stable ordering of the admitted ones. A neighbor j is admitted when
-// mate[j] < tk: tk = mate[selfK] admits the neighbors visited after selfK,
-// and tk = 0 admits every one. segs are [start, end) slot ranges covering
-// the neighborhood in exact scan order; selfK itself is skipped wherever it
-// appears. Distances are gathered a chunk at a time by one dist2Bits call,
-// and a point at or beyond the current candK-th best distance is dropped
-// before it reaches the selector's batch, which keeps crowded neighborhoods
-// linear. The visit-time test does not branch: every point under the bound
-// is written to the batch, and only an admitted one advances it — a branch
-// there would be a coin flip per point. sel is the calling shard's scratch
-// selector. It returns how many distances it evaluated: the neighborhood's
-// points other than selfK.
-//
-// Until candK points are kept the bound is MaxInt64 and every admitted
-// point enters, so a row with fewer than candK entries holds every admitted
-// neighbor; only a full row needs admitsMore for its candMore bit.
-func (s *spatial[G]) nearestCandidates(g G, sel *selector, selfK int, segs [][2]int32, tk int32) int {
+// neighbor slots in (distance, scan order) — the prefix of the full stable
+// ordering. segs are [start, end) slot ranges covering the neighborhood in
+// exact scan order; selfK itself is skipped wherever it appears. Distances
+// are gathered a chunk at a time by one dist2Bits call, and a point at or
+// beyond the current candK-th best distance is dropped before it reaches
+// the selector's batch, which keeps crowded neighborhoods linear. sel is
+// the calling shard's scratch selector. It returns how many distances it
+// evaluated: the neighborhood's points other than selfK.
+func (s *spatial[G]) nearestCandidates(g G, sel *selector, selfK int, segs [][2]int32) int {
 	sel.kept, sel.n, sel.bound = 0, 0, math.MaxInt64
 	pi := s.posByCell[selfK]
 	self := int32(selfK)
@@ -727,17 +708,13 @@ func (s *spatial[G]) nearestCandidates(g G, sel *selector, selfK int, segs [][2]
 				ds[self-lo] = math.MaxInt64 // never admitted: bound ≤ MaxInt64
 				total--
 			}
-			ts := s.mate[lo:hi]
-			ts = ts[:len(ds)] // one length, so ts[x] needs no bounds check
 			for x, d := range ds {
 				if d >= sel.bound {
 					continue
 				}
 				at := sel.n & (selCap - 1)
 				sel.d[at], sel.slot[at] = d, lo+int32(x)
-				// Admitted when mate[j] < tk, the sign bit of the
-				// difference: both lie in [-n, 0], so it cannot overflow.
-				if sel.n += int(uint32(ts[x]-tk) >> 31); sel.n == candK+candBatch {
+				if sel.n++; sel.n == candK+candBatch {
 					sel.flush()
 				}
 			}
@@ -749,29 +726,11 @@ func (s *spatial[G]) nearestCandidates(g G, sel *selector, selfK int, segs [][2]
 	// Whole-row copy: entries past the stored count are never read.
 	*(*[candK]int32)(s.cand[selfK*candK:]) = *(*[candK]int32)(sel.slot[:candK])
 	cn := uint8(sel.kept)
-	if sel.kept == candK && s.admitsMore(self, segs, tk) {
+	if total > candK {
 		cn |= candMore
 	}
 	s.candN[selfK] = cn
 	return total
-}
-
-// admitsMore reports whether segs hold more than candK neighbors that tk
-// admits (self excluded): the candMore test of a full row. It stops at the
-// (candK+1)-th, so on crowded input it reads a few dozen visit times, not
-// the whole neighborhood.
-func (s *spatial[G]) admitsMore(self int32, segs [][2]int32, tk int32) bool {
-	n := 0
-	for _, sg := range segs {
-		for j, t := range s.mate[sg[0]:sg[1]] {
-			if t < tk && sg[0]+int32(j) != self {
-				if n++; n > candK {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 const (

@@ -292,9 +292,11 @@ func TestSpatialShapesBitIdentical(t *testing.T) {
 }
 
 // checkWorkersBitIdentical matches n agents of the named gallery matcher,
-// laid out in the given density shape, inline and on pools of {1, 2, 4,
-// NumCPU} workers, and fails unless every pairing is the inline one and
-// every run did the inline run's exact work (DistEvals, Rescans).
+// laid out in the given density shape, twice (the second sample reuses the
+// first's rows unless a rewrite hook is installed), inline and on pools of
+// {1, 2, 4, NumCPU} workers, and fails unless every pairing is the inline
+// one and every run did the inline run's exact work (RowBuilds, DistEvals,
+// Rescans).
 func checkWorkersBitIdentical(t *testing.T, name string, n int, shape string) {
 	t.Helper()
 	run := func(workers int) ([]int32, PipelineStats) {
@@ -303,12 +305,17 @@ func checkWorkersBitIdentical(t *testing.T, name string, n int, shape string) {
 		if workers > 0 {
 			defer withPool(m, workers)()
 		}
-		var p Pairing
-		m.SampleMatch(pop, prng.New(777), &p)
-		if err := p.Validate(); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		src := prng.New(777)
+		var both []int32
+		for range 2 {
+			var p Pairing
+			m.SampleMatch(pop, src, &p)
+			if err := p.Validate(); err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			both = append(both, p.Nbr...)
 		}
-		return append([]int32(nil), p.Nbr...), m.(PhaseReporter).PipelineStats()
+		return both, m.(PhaseReporter).PipelineStats()
 	}
 	want, wantStats := run(0)
 	for k := 0; shape == "emptyball" && k < 9; k++ {
@@ -319,9 +326,9 @@ func checkWorkersBitIdentical(t *testing.T, name string, n int, shape string) {
 	for _, w := range []int{1, 2, 4, runtime.NumCPU()} {
 		got, st := run(w)
 		comparePairings(t, "workers="+strconv.Itoa(w), got, want)
-		if st.DistEvals != wantStats.DistEvals || st.Rescans != wantStats.Rescans {
-			t.Fatalf("workers=%d: DistEvals %d, Rescans %d; inline %d, %d",
-				w, st.DistEvals, st.Rescans, wantStats.DistEvals, wantStats.Rescans)
+		if st.RowBuilds != wantStats.RowBuilds || st.DistEvals != wantStats.DistEvals || st.Rescans != wantStats.Rescans {
+			t.Fatalf("workers=%d: RowBuilds %d, DistEvals %d, Rescans %d; inline %d, %d, %d",
+				w, st.RowBuilds, st.DistEvals, st.Rescans, wantStats.RowBuilds, wantStats.DistEvals, wantStats.Rescans)
 		}
 	}
 }
@@ -369,8 +376,10 @@ func comparePairings(t *testing.T, label string, got, want []int32) {
 
 // TestPipelineStatsAccumulate pins the PhaseReporter counters: samples and
 // per-phase times accumulate, every sample runs one serial walk, and Sub
-// yields deltas (the positions do not move, so every sample evaluates the
-// same distances).
+// yields deltas. The positions do not move between the first four samples,
+// so only the first builds its rows: the other three add no RowBuilds and
+// no DistEvals. One SetAt, even of an unchanged position, forces exactly
+// one build, which evaluates the first sample's distances again.
 func TestPipelineStatsAccumulate(t *testing.T) {
 	const n = 4096
 	m, pop := buildSpatial(t, "torus", n, 77)
@@ -380,14 +389,17 @@ func TestPipelineStatsAccumulate(t *testing.T) {
 	var p Pairing
 	m.SampleMatch(pop, src, &p)
 	first := rep.PipelineStats()
-	if first.Samples != 1 {
-		t.Fatalf("Samples = %d after one sample", first.Samples)
+	if first.Samples != 1 || first.RowBuilds != 1 {
+		t.Fatalf("after one sample: %+v", first)
 	}
 	if first.BucketNS == 0 || first.ScatterNS == 0 || first.CandNS == 0 || first.WalkNS == 0 {
 		t.Errorf("phase times did not accumulate: %+v", first)
 	}
 	if first.SerialWalks != first.Samples || first.SpecWalks != 0 {
 		t.Errorf("walk counters inconsistent: %+v", first)
+	}
+	if first.DistEvals == 0 {
+		t.Fatalf("a row build evaluated no distances: %+v", first)
 	}
 	for i := 0; i < 3; i++ {
 		m.SampleMatch(pop, src, &p)
@@ -396,8 +408,18 @@ func TestPipelineStatsAccumulate(t *testing.T) {
 	if cur.Samples != 4 || cur.SerialWalks != cur.Samples {
 		t.Fatalf("after four samples: %+v", cur)
 	}
-	if d := cur.Sub(first); d.Samples != 3 || d.SerialWalks != 3 || d.DistEvals != 3*first.DistEvals {
-		t.Errorf("Sub delta wrong: %+v", d)
+	d := cur.Sub(first)
+	if d.Samples != 3 || d.SerialWalks != 3 || d.RowBuilds != 0 || d.DistEvals != 0 {
+		t.Errorf("reused samples: Sub delta %+v, want 3 samples and walks, 0 row builds and distances", d)
+	}
+	if d.BucketNS != 0 || d.ScatterNS != 0 || d.CandNS != 0 || d.WalkNS == 0 {
+		t.Errorf("reused samples timed phases 1-3 or no walk: %+v", d)
+	}
+	ps := positionsOf(t, m)
+	ps.SetAt(0, ps.At(0))
+	m.SampleMatch(pop, src, &p)
+	if d := rep.PipelineStats().Sub(cur); d.Samples != 1 || d.RowBuilds != 1 || d.DistEvals != first.DistEvals {
+		t.Errorf("sample after SetAt: delta %+v, want 1 row build of %d distances", d, first.DistEvals)
 	}
 	if r := cur.ConflictRate(); r != 0 {
 		t.Errorf("conflict rate %v, want 0", r)
@@ -733,19 +755,17 @@ func TestNewSpatialValidation(t *testing.T) {
 
 // TestSelectionKernelMatchesStableSort is the property test of phase 3's
 // rank-selection kernel: over random neighborhoods of 0 to 4·candK points
-// (crossing the selector's batch size) with random visit times, split into
-// segments scanned out of slot order, with injected duplicate positions and
-// exact distance ties, the stored candidates are the first candK entries of
-// a stable sort by (squared distance, scan order) of the neighbors visited
-// after the agent, and the "more" bit says whether there were more than
-// candK of them. In the rewrite-installed mode (tk = 0) every neighbor is
-// admitted, visit times notwithstanding.
+// (crossing the selector's batch size), split into segments scanned out of
+// slot order, with injected duplicate positions and exact distance ties,
+// the stored candidates are the first candK entries of a stable sort by
+// (squared distance, scan order), the "more" bit says whether the
+// neighborhood held more than candK candidates, and the returned distance
+// count is the neighborhood's size.
 func TestSelectionKernelMatchesStableSort(t *testing.T) {
 	src := prng.New(99)
 	var sel selector
-	for trial := 0; trial < 8000; trial++ {
+	for trial := 0; trial < 4000; trial++ {
 		total := trial % (4*candK + 1)
-		keepAll := trial%2 == 1
 		m := total + 1 // the neighborhood plus the agent itself
 		pts := make([]population.Point, m)
 		for i := range pts {
@@ -760,16 +780,6 @@ func TestSelectionKernelMatchesStableSort(t *testing.T) {
 			}
 		}
 		self := src.Intn(m)
-		// Visit times as the pipeline stores them: slot k visited t-th
-		// holds -(t+1).
-		mate := make([]int32, m)
-		for t, k := range src.Perm(m) {
-			mate[k] = int32(-1 - t)
-		}
-		tk := mate[self]
-		if keepAll {
-			tk = 0
-		}
 		// Split the slots into up to 4 segments and scan them in a random
 		// order, so scan order differs from slot order.
 		var cuts []int32
@@ -788,14 +798,10 @@ func TestSelectionKernelMatchesStableSort(t *testing.T) {
 		var want []int32
 		for _, sg := range segs {
 			for k := sg[0]; k < sg[1]; k++ {
-				if int(k) != self && mate[k] < tk {
+				if int(k) != self {
 					want = append(want, k)
 				}
 			}
-		}
-		admitted := len(want)
-		if keepAll && admitted != total {
-			t.Fatalf("trial %d: keep-all mode admits %d of %d neighbors", trial, admitted, total)
 		}
 		dist := func(k int32) float64 { return TorusDist2(pts[self], pts[k]) }
 		sort.SliceStable(want, func(a, b int) bool { return dist(want[a]) < dist(want[b]) })
@@ -803,14 +809,14 @@ func TestSelectionKernelMatchesStableSort(t *testing.T) {
 			want = want[:candK]
 		}
 
-		s := &spatial[torusGeom]{posByCell: pts, mate: mate, cand: make([]int32, candK*m), candN: make([]uint8, m)}
-		if evals := s.nearestCandidates(torusGeom{}, &sel, self, segs, tk); evals != total {
+		s := &spatial[torusGeom]{posByCell: pts, cand: make([]int32, candK*m), candN: make([]uint8, m)}
+		if evals := s.nearestCandidates(torusGeom{}, &sel, self, segs); evals != total {
 			t.Fatalf("trial %d: %d distance evaluations, want %d", trial, evals, total)
 		}
 		cn := s.candN[self]
 		got := s.cand[self*candK:][:cn&^candMore]
-		if (cn&candMore != 0) != (admitted > candK) {
-			t.Fatalf("trial %d: more bit %v with %d admitted candidates", trial, cn&candMore != 0, admitted)
+		if (cn&candMore != 0) != (total > candK) {
+			t.Fatalf("trial %d: more bit %v with %d candidates", trial, cn&candMore != 0, total)
 		}
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: stored %d candidates, want %d", trial, len(got), len(want))

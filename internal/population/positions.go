@@ -43,6 +43,8 @@ type Positions struct {
 	Spawn func(parent Point) Point
 
 	pos []Point
+	// version counts the writes to pos (Version).
+	version uint64
 	// queued holds explicit one-shot placements consumed FIFO by the next
 	// insertions, ahead of the Place seam (the engine queues the adversary's
 	// InsertAt positions here, immediately before the matching insert).
@@ -60,11 +62,23 @@ func (ps *Positions) At(i int) Point { return ps.pos[i] }
 // SetAt overwrites agent i's position. Serial phases only; used to re-place
 // agents whose position was decided after their insertion (the rogue
 // extension's clustered initial cohort).
-func (ps *Positions) SetAt(i int, pt Point) { ps.pos[i] = pt }
+func (ps *Positions) SetAt(i int, pt Point) {
+	ps.pos[i] = pt
+	ps.version++
+}
 
 // Slice exposes the underlying position array for read access on hot paths
-// (grid bucketing). The slice is invalidated by any structural mutation.
+// (grid bucketing). It is read-only: every write goes through SetAt or the
+// population's Tracker hooks, which bump Version. The slice is invalidated
+// by any structural mutation.
 func (ps *Positions) Slice() []Point { return ps.pos }
+
+// Version counts the writes to the position array: SetAt, DecodeState and
+// every Tracker hook that changes it (Applied only when the compaction
+// moved, dropped or added an entry). Equal versions of one Positions mean
+// an unchanged array, which is what lets a spatial matcher reuse work
+// derived from it.
+func (ps *Positions) Version() uint64 { return ps.version }
 
 // Queued exposes the staged one-shot placements (QueuePlacement) for read
 // access, oldest first.
@@ -154,6 +168,7 @@ func (ps *Positions) DecodeState(d *wire.Dec) error {
 	}
 	ps.pos = pos
 	ps.queued = queued
+	ps.version++
 	return nil
 }
 
@@ -163,6 +178,7 @@ func (ps *Positions) Attached(n int) {
 	for i := 0; i < n; i++ {
 		ps.pos = append(ps.pos, ps.place())
 	}
+	ps.version++
 }
 
 // Inserted implements Tracker: inserted agents get a queued position if one
@@ -172,19 +188,27 @@ func (ps *Positions) Inserted(i int) {
 		panic("population: Positions out of sync with population on insert")
 	}
 	ps.pos = append(ps.pos, ps.place())
+	ps.version++
 }
 
 // DeletedSwap implements Tracker.
 func (ps *Positions) DeletedSwap(i, last int) {
 	ps.pos[i] = ps.pos[last]
 	ps.pos = ps.pos[:last]
+	ps.version++
 }
 
 // Applied implements Tracker: it replays Apply's compaction over the
 // position array, Spawning one daughter position per split in the order
 // Apply appends daughter states. Spawn consumes the matcher's serial
 // placement stream; Compact calls it in action order, the draw order of
-// ReplayApply.
+// ReplayApply. A round without births or deaths leaves the array as it
+// was and Version unchanged.
 func (ps *Positions) Applied(actions []Action) {
-	ps.pos, _ = Compact(ps.pos, actions, ps.Spawn)
+	n := len(ps.pos)
+	var births int
+	ps.pos, births = Compact(ps.pos, actions, ps.Spawn)
+	if births > 0 || len(ps.pos) != n {
+		ps.version++
+	}
 }

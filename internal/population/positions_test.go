@@ -5,6 +5,7 @@ import (
 
 	"popstab/internal/agent"
 	"popstab/internal/prng"
+	"popstab/internal/wire"
 )
 
 // newTestPositions attaches a Positions side-array with deterministic
@@ -374,4 +375,61 @@ func TestPlacementQueueAndSetAt(t *testing.T) {
 	if ps.At(0) != (Point{X: 0.9}) {
 		t.Error("SetAt did not overwrite")
 	}
+}
+
+// TestPositionsVersion pins which writes bump Version: attaching, inserting,
+// swap-deleting, SetAt (even of an unchanged point), restoring, and an Apply
+// with a birth or a death, but not an Apply in which every agent keeps, nor
+// a queued placement that has not been inserted yet.
+func TestPositionsVersion(t *testing.T) {
+	p := New(4)
+	ps := newTestPositions(p, prng.New(3))
+	v := ps.Version()
+	if v == 0 {
+		t.Fatal("Attach left Version at 0")
+	}
+	step := func(what string, bumps bool, op func()) {
+		t.Helper()
+		op()
+		if got := ps.Version(); (got != v) != bumps {
+			t.Fatalf("%s: Version %d -> %d, want a bump: %v", what, v, got, bumps)
+		}
+		v = ps.Version()
+	}
+	step("Insert", true, func() { p.Insert(agent.State{}) })
+	step("DeleteSwap", true, func() { p.DeleteSwap(1) })
+	step("SetAt", true, func() { ps.SetAt(0, ps.At(0)) })
+	step("QueuePlacement", false, func() { ps.QueuePlacement(Point{X: 0.5}) })
+	step("Insert of the queued point", true, func() { p.Insert(agent.State{}) })
+	step("Apply, all keep", false, func() { p.Apply(make([]Action, p.Len())) })
+	step("Apply, one split", true, func() {
+		acts := make([]Action, p.Len())
+		acts[2] = ActSplit
+		p.Apply(acts)
+	})
+	step("Apply, one death", true, func() {
+		acts := make([]Action, p.Len())
+		acts[0] = ActDie
+		p.Apply(acts)
+	})
+	step("Apply, one death and one split", true, func() {
+		acts := make([]Action, p.Len())
+		acts[0], acts[1] = ActDie, ActSplit
+		p.Apply(acts)
+	})
+	e := wire.NewEnc()
+	e.Begin(1)
+	ps.EncodeState(e)
+	e.End()
+	blob := e.Finish()
+	step("DecodeState", true, func() {
+		d, err := wire.NewDec(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Begin(1)
+		if err := ps.DecodeState(d); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
