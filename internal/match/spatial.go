@@ -64,13 +64,18 @@ import (
 // pure function of those. Every write to the position array bumps
 // Positions.Version, so a sample whose (Version, n) equals the last build's
 // skips phases 1–3 and walks the rows it already has; phase 4 reads the
-// rows and never writes them. In the protocol an agent splits or dies only
-// in its epoch's evaluation round or on a failed consistency check, and the
-// adversary makes at most K alterations per round, so on the geometric
-// models most rounds leave the positions alone. SmallWorld's rewrite hook
-// draws fresh counter streams every sample, so while a hook is installed
-// the rows are rebuilt every sample. Rows are therefore never pruned by the
+// rows and never writes them. Rows are therefore never pruned by the
 // sample's visit order: such a row would be wrong for the next sample's.
+// SmallWorld's rewrite hook draws fresh counter streams every sample, so
+// while a hook is installed the rows are rebuilt every sample.
+//
+// Reuse pays only in rounds that leave the positions alone. An honest agent
+// splits or dies only in its epoch's evaluation round or on a failed
+// consistency check, so that is most rounds when the adversary is paced
+// (Spec.PerEpochBudget) and acts in few of them. An unpaced adversary with
+// K ≥ 1 may insert or delete every round; then every sample rebuilds, and
+// a rebuilt round costs more than one with rows pruned by visit order did,
+// because the walk passes over more taken candidates (DESIGN.md §15).
 // The cache is not state: a restored matcher builds its rows on its first
 // sample.
 //

@@ -95,33 +95,39 @@ func TestTorusGoldenAgainstSerialReference(t *testing.T) {
 		}
 		for _, shape := range shapes {
 			tor, pop := boundTorus(t, n, uint64(n))
-			pos := tor.Positions().Slice()
+			ps := tor.Positions()
 			mut := prng.New(uint64(n) * 31)
 			switch shape {
 			case "clustered":
 				// Pile agents into a few tight clusters so cells overflow
 				// candK and the exact fallback rescan runs.
-				for i := range pos {
-					pos[i] = population.Point{
+				for i := 0; i < n; i++ {
+					ps.SetAt(i, population.Point{
 						X: wrap(float64(mut.Intn(3))/3 + 0.001*mut.Float64()),
 						Y: wrap(float64(mut.Intn(3))/3 + 0.001*mut.Float64()),
-					}
+					})
 				}
 			case "onepoint":
 				// Every distance ties: the outcome is decided purely by
 				// the scan-order tie-breaking rule.
-				for i := range pos {
-					pos[i] = population.Point{X: 0.25, Y: 0.25}
+				for i := 0; i < n; i++ {
+					ps.SetAt(i, population.Point{X: 0.25, Y: 0.25})
 				}
 			}
 			var want Pairing
-			referenceNearestSample(pos, prng.New(uint64(n)+7), &want)
-			for _, w := range workerCounts {
+			referenceNearestSample(ps.Slice(), prng.New(uint64(n)+7), &want)
+			for k, w := range workerCounts {
 				wp := pool.New(w)
 				tor.SetPool(wp)
+				// Rewrite a position with itself so this worker count
+				// builds its own rows instead of reusing the last ones.
+				ps.SetAt(0, ps.At(0))
 				var got Pairing
 				tor.SampleMatch(pop, prng.New(uint64(n)+7), &got)
 				wp.Close()
+				if st := tor.PipelineStats(); st.RowBuilds != uint64(k+1) {
+					t.Fatalf("n=%d %s workers=%d: %d row builds in %d samples", n, shape, w, st.RowBuilds, k+1)
+				}
 				if err := got.Validate(); err != nil {
 					t.Fatalf("n=%d %s workers=%d: %v", n, shape, w, err)
 				}
@@ -201,49 +207,50 @@ func withPool(m Matcher, w int) (closePool func()) {
 // zero candidates).
 func shapePositions(t *testing.T, m Matcher, shape string, seed uint64) {
 	t.Helper()
-	pos := positionsOf(t, m).Slice()
+	ps := positionsOf(t, m)
+	n := ps.Len()
 	mut := prng.New(seed)
 	switch shape {
 	case "uniform":
 	case "patchy":
-		nclumps := len(pos)/24 + 1
+		nclumps := n/24 + 1
 		centers := make([]population.Point, nclumps)
 		for i := range centers {
 			centers[i] = population.Point{X: mut.Float64(), Y: mut.Float64()}
 		}
-		for i := range pos {
+		for i := 0; i < n; i++ {
 			c := centers[mut.Intn(nclumps)]
-			pos[i] = population.Point{
+			ps.SetAt(i, population.Point{
 				X: wrap(c.X + 1e-6*mut.Float64()),
 				Y: wrap(c.Y + 1e-6*mut.Float64()),
-			}
+			})
 		}
 	case "clustered":
-		for i := range pos {
-			pos[i] = population.Point{
+		for i := 0; i < n; i++ {
+			ps.SetAt(i, population.Point{
 				X: wrap(float64(mut.Intn(3))/3 + 0.001*mut.Float64()),
 				Y: wrap(float64(mut.Intn(3))/3 + 0.001*mut.Float64()),
-			}
+			})
 		}
 	case "onepoint":
-		for i := range pos {
-			pos[i] = population.Point{X: 0.25, Y: 0.25}
+		for i := 0; i < n; i++ {
+			ps.SetAt(i, population.Point{X: 0.25, Y: 0.25})
 		}
 	case "emptyball":
 		// Nine hermits sit in cells whose neighborhoods are otherwise
 		// empty while the rest of the population crowds the lower-left
 		// quarter, so the hermits see zero candidates and must stay
 		// unmatched.
-		for i := range pos {
-			pos[i] = population.Point{X: 0.5 * mut.Float64(), Y: 0.5 * mut.Float64()}
+		for i := 0; i < n; i++ {
+			ps.SetAt(i, population.Point{X: 0.5 * mut.Float64(), Y: 0.5 * mut.Float64()})
 		}
-		side := int(math.Sqrt(float64(len(pos))))
+		side := int(math.Sqrt(float64(n)))
 		for k := 0; k < 9; k++ {
 			r, c := side/2+4+4*(k/3), side/2+4+4*(k%3)
-			pos[k] = population.Point{
+			ps.SetAt(k, population.Point{
 				X: (float64(c) + 0.5) / float64(side),
 				Y: (float64(r) + 0.5) / float64(side),
-			}
+			})
 		}
 	default:
 		t.Fatalf("unknown shape %q", shape)
