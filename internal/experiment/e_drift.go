@@ -64,7 +64,7 @@ func runE7(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	mStar := p.PredictedEquilibrium()
-	// Displacements relative to the finite-N fixed point m* = N − 8√N.
+	// Displacements relative to the finite-N fixed point m* = N − 16√N.
 	fractions := []float64{0.50, 0.75, 1.0, 1.25, 1.5, 2.0}
 	res := &Result{}
 	table := Table{
@@ -188,12 +188,12 @@ func runE8(cfg Config) (*Result, error) {
 }
 
 // E16 — the finite-size equilibrium: the long-run population concentrates
-// near m* = N − 8√N, an explicit finite-N refinement of the paper's
+// near m* = N − 16√N, an explicit finite-N refinement of the paper's
 // asymptotic statement.
 func init() {
 	register(&Experiment{
 		ID:    "E16",
-		Title: "Finite-size equilibrium m* = N − 8√N",
+		Title: "Finite-size equilibrium m* = N − 16√N",
 		Claim: "refinement: the evaluation drift's fixed point at finite N is m* = N − 16√N " +
 			"(→ N asymptotically); the long-run mean population sits near m*, inside the interval",
 		Run: runE16,

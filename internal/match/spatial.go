@@ -14,28 +14,27 @@ import (
 
 // This file is the shared chassis of every spatial Matcher (Torus, Ring,
 // Grid, SmallWorld): a position side-array bound through population.Tracker
-// hooks plus one sharded nearest-available matching pipeline. The concrete
+// hooks plus one nearest-available matching pipeline. The concrete
 // matchers differ only in their geometry (bucket layout + metric) and their
 // placement closures; roughly 100 LoC each buys a new topology.
 //
-// # The sharded matching pipeline
+// # The matching pipeline
 //
 // Nearest-available matching is a greedy sequential algorithm: agents are
 // visited in a random order and each pairs with its nearest still-unmatched
 // candidate, so the outcome of a visit depends on every earlier visit. The
 // pipeline keeps the exact pairings of the historical serial implementation
-// while sharding every O(n) stage but the walk itself:
+// while sharding the O(n) stages whose sharding measurably pays:
 //
 //  1. bucket (sharded): cellIdx[i] = cell of agent i — pure float math;
-//  2. scatter (sharded): a stable counting sort builds the CSR cell index
-//     (cellStart/cellAgents) with a count→scan→scatter idiom: per-shard
-//     histograms over agent ranges, an exclusive scan over (cell, shard),
-//     and a scatter into precomputed disjoint slots. Within a cell, slots are laid out shard-major and
-//     shards cover ascending agent ranges, so the layout — ascending agent
-//     index within each cell — is bit-identical to the historical serial
-//     cursor scatter at every shard count. The scatter leaves cellIdx[i] =
-//     slot of agent i, the map the walk's visit order and the rewrite hook
-//     start from;
+//  2. scatter (serial): a stable counting sort builds the CSR cell index
+//     (cellStart/cellAgents/posByCell), ascending agent index within each
+//     cell, and leaves cellIdx[i] = slot of agent i, the map the walk's
+//     visit order and the rewrite hook start from. It runs only when the
+//     rows are rebuilt (see "Row reuse"). At N = 2¹⁸ on 2 CPUs a sharded
+//     form saved 1–2 ms per build, which averages to about 0.15 ms of a
+//     19–22 ms paced torus round, and kept a shards × cells histogram
+//     resident (DESIGN.md §12);
 //  3. candidates (sharded): for every CSR slot k (an agent's position in
 //     the cell-sorted cellAgents/posByCell layout), scan the neighborhood
 //     cells and keep the candK nearest candidates, sorted by (distance,
@@ -52,9 +51,9 @@ import (
 //     which case an exact fallback rescan of the neighborhood (same
 //     metric, same tie-breaking) recovers the answer. The walk is
 //     inherently sequential and stays serial: DESIGN.md §12 records why
-//     parallelizing it did not pay. A final sharded pass translates mate
-//     back to agent indices in Pairing.Nbr, writing every entry (no
-//     separate Unmatched fill).
+//     parallelizing it did not pay. A final sharded pass (writeNbr)
+//     translates mate back to agent indices in Pairing.Nbr, writing every
+//     entry (no separate Unmatched fill).
 //
 // # Row reuse
 //
@@ -192,6 +191,12 @@ type spatial[G geometry[G]] struct {
 	// stats accumulates the per-phase pipeline counters (PhaseReporter).
 	stats PipelineStats
 
+	// writeNbr is the method value of writeNbrRange, bound once in bind so
+	// that a sample's output pass allocates no closure; nbr is the pairing
+	// it writes, set for the duration of that pass.
+	writeNbr func(part, lo, hi int)
+	nbr      []int32
+
 	// rowsN and rowsVersion key the rows of the last build: n and the
 	// position array's Version (see "Row reuse"). rowsN = 0 before the
 	// first build, which no sample of n ≥ 2 matches.
@@ -204,12 +209,11 @@ type spatial[G geometry[G]] struct {
 	cellStart  []int32            // CSR: bucket c holds slots [cellStart[c], cellStart[c+1])
 	cellAgents []int32            // slot -> agent, ascending agent index within a cell
 	posByCell  []population.Point // slot -> position — sequential reads in the candidate scan
-	cnt        []int32            // scatter histograms, one row of ncells per shard
 	cand       []int32            // candK nearest candidate slots per slot
 	candN      []uint8            // stored candidate count per slot, | candMore
 	mate       []int32            // slot -> partner slot in the walk, -1 while unmatched
 	order      []int32            // visit order of slots: a shuffled copy of cellIdx
-	candShards []candShard        // one candidate-phase scratch per shard (pool.Shards)
+	candShards []candShard        // one candidate-phase scratch per pool.Run part
 }
 
 // candShard is one candidate shard's scratch. It lives in the matcher
@@ -240,6 +244,7 @@ func (s *spatial[G]) bind(pop *population.Population, src *prng.Source, place fu
 	s.probeSrc = src.Split()
 	s.pos = &population.Positions{Place: place, Spawn: spawn}
 	pop.Attach(s.pos)
+	s.writeNbr = s.writeNbrRange
 }
 
 // Positions implements Space: the bound position side-array (nil before
@@ -360,8 +365,7 @@ var errDecodeUnbound = errors.New("match: DecodeState before Bind")
 
 // ensure sizes the pipeline buffers for n agents over ncells buckets,
 // growing with 1.5× slack so a steadily growing population does not
-// reallocate every round. (The scatter histograms size themselves: their
-// footprint depends on the shard count too.)
+// reallocate every round.
 func (s *spatial[G]) ensure(n, ncells int) {
 	if cap(s.cellIdx) < n {
 		c := n + n/2
@@ -417,18 +421,24 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 		mate[k] = -1
 	}
 	s.walk(g)
-	cellAgents, nbr := s.cellAgents, p.Nbr
-	s.pool.Run(n, minSpatialShard, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			j := Unmatched
-			if m := mate[k]; m >= 0 {
-				j = cellAgents[m]
-			}
-			nbr[cellAgents[k]] = j
-		}
-	})
+	s.nbr = p.Nbr
+	s.pool.Run(n, minSpatialShard, s.writeNbr)
+	s.nbr = nil
 	s.stats.SerialWalks++
 	s.stats.WalkNS += uint64(time.Since(t0))
+}
+
+// writeNbrRange is phase 4's output pass over slots [lo, hi): it writes the
+// partner agent of every slot's agent, or Unmatched, into s.nbr.
+func (s *spatial[G]) writeNbrRange(_, lo, hi int) {
+	mate, cellAgents, nbr := s.mate, s.cellAgents, s.nbr
+	for k := lo; k < hi; k++ {
+		j := Unmatched
+		if m := mate[k]; m >= 0 {
+			j = cellAgents[m]
+		}
+		nbr[cellAgents[k]] = j
+	}
 }
 
 // buildRows runs phases 1–3 over the bound positions: it buckets them,
@@ -441,17 +451,17 @@ func (s *spatial[G]) buildRows(g G, n int, call uint64) {
 
 	// Phase 1 (sharded): bucket every agent.
 	t0 := time.Now()
-	s.pool.Run(n, minSpatialShard, func(lo, hi int) {
+	s.pool.Run(n, minSpatialShard, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			s.cellIdx[i] = g.cell(pos[i])
 		}
 	})
 	s.stats.BucketNS += uint64(time.Since(t0))
 
-	// Phase 2 (sharded): stable counting-sort scatter into the CSR index;
+	// Phase 2 (serial): stable counting-sort scatter into the CSR index;
 	// it also leaves cellIdx[i] = slot of agent i.
 	t0 = time.Now()
-	s.scatter(pos, n, ncells)
+	s.scatter(pos)
 	s.stats.ScatterNS += uint64(time.Since(t0))
 
 	// Phase 3 (sharded): per-slot candK-nearest candidate selection,
@@ -460,17 +470,16 @@ func (s *spatial[G]) buildRows(g G, n int, call uint64) {
 	// (posByCell) in contiguous segments and writing candidate rows
 	// sequentially. The scan ORDER over candidates is the per-agent one —
 	// segments are maximal runs of consecutive cell ids in the geometry's
-	// neighborhood order — so tie-breaking is unchanged. The shards are
-	// pool.Run's partition, each with its own reused scratch.
+	// neighborhood order — so tie-breaking is unchanged. Each of
+	// pool.Run's parts has its own reused scratch.
 	t0 = time.Now()
 	rewrite := s.rewrite
 	w := s.pool.Shards(n, minSpatialShard)
 	if len(s.candShards) < w {
 		s.candShards = make([]candShard, w)
 	}
-	s.pool.RunN(w, func(sh int) {
-		lo, hi := sh*n/w, (sh+1)*n/w
-		scr := &s.candShards[sh]
+	s.pool.Run(n, minSpatialShard, func(part, lo, hi int) {
+		scr := &s.candShards[part]
 		dists := 0
 		var segs [maxNbrCells][2]int32
 		// Locate the cell containing CSR slot lo.
@@ -526,110 +535,31 @@ func (s *spatial[G]) buildRows(g G, n int, call uint64) {
 	s.stats.CandNS += uint64(time.Since(t0))
 }
 
-// maxScatterShards caps the scatter fan-out: the count→scan→scatter passes
-// keep one histogram row of ncells counters per shard, so fan-out costs
-// shards×ncells int32s of memory and zeroing bandwidth, and past ~8 shards
-// the passes are memory-bound anyway. maxScatterCnt additionally bounds the
-// total histogram footprint — cells scale like n, so giant populations
-// degrade toward fewer shards instead of allocating multi-hundred-MB count
-// arrays.
-const (
-	maxScatterShards = 8
-	maxScatterCnt    = 1 << 25 // total histogram entries (int32): 128 MiB ceiling
-)
-
-// scatter is phase 2: it builds cellStart/cellAgents/posByCell — the stable
-// counting-sort CSR layout, ascending agent index within each cell — with a
-// sharded count→scan→scatter; pass 4 overwrites cellIdx[i], dead once read,
-// with agent i's slot:
-//
-//	pass 1 (sharded over agent ranges): per-shard histograms cnt[k][c];
-//	pass 2 (sharded over cell ranges): down-column exclusive scan turning
-//	       cnt[k][c] into "agents of cell c in shards before k", cell
-//	       totals into cellStart[c+1], and per-shard totals;
-//	       a tiny serial exclusive scan over the per-shard totals;
-//	pass 3 (sharded over cell ranges): prefix sum finishing cellStart;
-//	pass 4 (sharded over agent ranges): each shard scatters its own agents
-//	       into cellStart[c] + cnt[k][c]++ — precomputed disjoint slots.
-//
-// Within a cell, slots are laid out shard-major and shards cover ascending
-// agent ranges, so the layout is bit-identical to the historical serial
-// cursor scatter at every shard count; with one shard the passes ARE that
-// serial scatter (histogram, prefix, cursor walk), inline on the caller.
-func (s *spatial[G]) scatter(pos []population.Point, n, ncells int) {
-	w := min(s.pool.Shards(n, minSpatialShard), maxScatterShards)
-	if ncells > 0 {
-		w = min(w, maxScatterCnt/ncells)
-	}
-	w = max(w, 1)
-	if cap(s.cnt) < w*ncells {
-		s.cnt = make([]int32, w*ncells)
-	}
-	cnt := s.cnt[:w*ncells]
-	var ab, cb [maxScatterShards + 1]int
-	for k := 0; k <= w; k++ {
-		ab[k] = k * n / w
-		cb[k] = k * ncells / w
-	}
-
-	// Pass 1: per-shard histograms (each shard zeroes its own row).
-	s.pool.RunN(w, func(k int) {
-		row := cnt[k*ncells : (k+1)*ncells]
-		for i := range row {
-			row[i] = 0
-		}
-		for _, c := range s.cellIdx[ab[k]:ab[k+1]] {
-			row[c]++
-		}
-	})
-
-	// Pass 2: per-cell down-column exclusive scan; cell totals land in
-	// cellStart[c+1]; per-shard sums fold out.
+// scatter is phase 2: a serial stable counting sort over the buckets in
+// cellIdx that builds cellStart/cellAgents/posByCell, ascending agent index
+// within each cell, and overwrites cellIdx[i], dead once read, with agent
+// i's slot. It counts cell c's agents into cellStart[c+1], prefix-sums, then
+// scatters with cellStart[c] as cell c's cursor. That leaves cellStart[c] at
+// the end of cell c, the start of cell c+1, so a shift by one restores the
+// offsets.
+func (s *spatial[G]) scatter(pos []population.Point) {
 	start := s.cellStart
-	var shardSum [maxScatterShards]int32
-	s.pool.RunN(w, func(k int) {
-		sum := int32(0)
-		for c := cb[k]; c < cb[k+1]; c++ {
-			t := int32(0)
-			for r := 0; r < w; r++ {
-				at := r*ncells + c
-				v := cnt[at]
-				cnt[at] = t
-				t += v
-			}
-			start[c+1] = t
-			sum += t
-		}
-		shardSum[k] = sum
-	})
-	base := int32(0)
-	for k := 0; k < w; k++ {
-		shardSum[k], base = base, base+shardSum[k]
+	clear(start)
+	for _, c := range s.cellIdx {
+		start[c+1]++
 	}
-
-	// Pass 3: finish the prefix sum over cell totals.
+	for c := 1; c < len(start); c++ {
+		start[c] += start[c-1]
+	}
+	for i, c := range s.cellIdx {
+		at := start[c]
+		start[c]++
+		s.cellAgents[at] = int32(i)
+		s.posByCell[at] = pos[i]
+		s.cellIdx[i] = at
+	}
+	copy(start[1:], start[:len(start)-1])
 	start[0] = 0
-	s.pool.RunN(w, func(k int) {
-		run := shardSum[k]
-		for c := cb[k]; c < cb[k+1]; c++ {
-			run += start[c+1]
-			start[c+1] = run
-		}
-	})
-
-	// Pass 4: scatter into precomputed disjoint slots.
-	cellIdx, cellAgents, posByCell := s.cellIdx, s.cellAgents, s.posByCell
-	s.pool.RunN(w, func(k int) {
-		row := cnt[k*ncells:]
-		for i := ab[k]; i < ab[k+1]; i++ {
-			c := cellIdx[i]
-			at := start[c] + row[c]
-			row[c]++
-			cellAgents[at] = int32(i)
-			posByCell[at] = pos[i]
-			cellIdx[i] = at
-		}
-	})
 }
 
 // walk is phase 4's serial greedy loop over the shuffled slot order: each

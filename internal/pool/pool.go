@@ -4,9 +4,10 @@
 // goroutines every round. At high round rates the per-round spawn +
 // WaitGroup-barrier cost of the old scheme was a measurable serial tail
 // (DESIGN.md §10); the pool replaces it with one channel send per helping
-// worker. Every call — Run, RunN and Share — splits its work into parts
+// worker. Every call — Run and Share — splits its work into numbered parts
 // that the caller and the workers claim off one atomic counter, so a caller
-// never waits for a part that no worker has started.
+// never waits for a part that no worker has started. The callback receives
+// its part's number with its range, so a caller can keep per-part scratch.
 // Share overlaps one serial task on the caller with chunked work the
 // workers claim — the engine runs compose that way while the caller samples
 // the matching.
@@ -18,13 +19,13 @@
 // goroutines — simulation output is bit-identical for every worker count.
 // Workers is purely a throughput knob.
 //
-// A nil *Pool is the serial pool: Shards reports 1 and Run and RunN execute
-// inline, so a component that shards only when handed a pool needs no
-// fallback of its own.
+// A nil *Pool is the serial pool: Shards reports 1 and Run executes inline,
+// so a component that shards only when handed a pool needs no fallback of
+// its own.
 //
 // Lifecycle: workers are spawned lazily on first use and park on a shared
 // task channel between rounds. Close releases them; a closed pool degrades
-// gracefully (every Run/RunN/Share executes inline on the caller), so an
+// gracefully (every Run and Share executes inline on the caller), so an
 // engine whose pool was closed keeps producing identical results, just
 // serially. The engine closes its pool explicitly (Engine.Close) and also
 // attaches a runtime.AddCleanup so pools of engines that become garbage —
@@ -37,27 +38,26 @@ import (
 	"sync/atomic"
 )
 
-// call is the claimable state of one Run, RunN or Share: its parts are
-// numbered 0..parts-1 and claimed off next by the caller and by helping
-// workers alike. A helper task is a pointer to its call, so a Run allocates
-// one call and nothing else.
+// call is the claimable state of one Run or Share: its parts are numbered
+// 0..parts-1 and claimed off next by the caller and by helping workers
+// alike. A helper task is a pointer to its call, so a Run allocates one call
+// and nothing else.
 //
-// Run and RunN allocate a fresh call each time, and done counts their
-// unfinished parts: the caller waits only for parts that a helper claimed,
-// and a helper that runs after its call returned finds next exhausted and
-// touches nothing else. Share reuses the call embedded in the Pool (it
-// allocates nothing), so it waits for every helper it submitted instead:
-// no helper of a Share outlives it, and none can reach the next Share.
+// Run allocates a fresh call each time, and done counts its unfinished
+// parts: the caller waits only for parts that a helper claimed, and a helper
+// that runs after its call returned finds next exhausted and touches nothing
+// else. Share reuses the call embedded in the Pool (it allocates nothing),
+// so it waits for every helper it submitted instead: no helper of a Share
+// outlives it, and none can reach the next Share.
 type call struct {
 	next  atomic.Int64 // index of the next unclaimed part
 	parts int
-	// A part k runs fnK(k) (RunN), fn over the grain-sized chunk k
-	// (Share), or fn over the k-th of parts even shards of [0, n) (Run).
+	// A part k runs fn over the grain-sized chunk k (Share) or over the
+	// k-th of parts even shards of [0, n) (Run).
 	n, grain int
-	fn       func(lo, hi int)
-	fnK      func(k int)
-	// done counts unfinished parts (Run, RunN) or unfinished helpers
-	// (Share, perHelper set).
+	fn       func(part, lo, hi int)
+	// done counts unfinished parts (Run) or unfinished helpers (Share,
+	// perHelper set).
 	done      sync.WaitGroup
 	perHelper bool
 }
@@ -71,14 +71,11 @@ func (c *call) claim() int {
 		if k >= c.parts {
 			return ran
 		}
-		switch {
-		case c.fnK != nil:
-			c.fnK(k)
-		case c.grain > 0:
+		if c.grain > 0 {
 			lo := k * c.grain
-			c.fn(lo, min(lo+c.grain, c.n))
-		default:
-			c.fn(k*c.n/c.parts, (k+1)*c.n/c.parts)
+			c.fn(k, lo, min(lo+c.grain, c.n))
+		} else {
+			c.fn(k, k*c.n/c.parts, (k+1)*c.n/c.parts)
 		}
 		ran++
 	}
@@ -96,10 +93,10 @@ func (c *call) help() {
 }
 
 // Pool is a persistent worker pool of a fixed parallelism. The zero value is
-// not usable; create with New. Run and RunN may be called concurrently with
-// each other, from inside Share's serial task, and from inside a part: the
-// caller claims parts itself, so no call waits on a queued task. At most one
-// Share may be in flight, and nothing may run concurrently with Close.
+// not usable; create with New. Run may be called concurrently with itself,
+// from inside Share's serial task, and from inside a part: the caller claims
+// parts itself, so no call waits on a queued task. At most one Share may be
+// in flight, and nothing may run concurrently with Close.
 type Pool struct {
 	workers int // total participants, including the submitting goroutine
 	jobs    chan *call
@@ -138,9 +135,9 @@ func New(workers int) *Pool {
 func (p *Pool) Workers() int { return p.workers }
 
 // Shards reports how many shards Run would split n items into at the given
-// minimum grain: min(Workers, n/grain), at least 1. Callers that need the
-// shard count up front (per-shard accumulators, prefix sums) use it so their
-// partition matches Run's. A nil or closed pool reports 1.
+// minimum grain: min(Workers, n/grain), at least 1. Callers that keep
+// per-shard scratch size it with Shards and index it by Run's part number.
+// A nil or closed pool reports 1.
 func (p *Pool) Shards(n, grain int) int {
 	if p == nil || p.closed.Load() {
 		return 1
@@ -157,42 +154,23 @@ func (p *Pool) Shards(n, grain int) int {
 	return w
 }
 
-// Run executes fn over up to Workers contiguous shards of [0, n), blocking
-// until all shards complete. grain bounds how finely the range splits (at
-// least grain items per shard); with one effective shard — small n,
-// Workers 1, or a nil or closed pool — fn runs inline with no
+// Run executes fn over w = Shards(n, grain) contiguous shards of [0, n),
+// blocking until all shards complete: part k is [k·n/w, (k+1)·n/w) and runs
+// exactly once, as fn(k, lo, hi). grain bounds how finely the range splits
+// (at least grain items per shard); with one effective shard — small n,
+// Workers 1, or a nil or closed pool — fn(0, 0, n) runs inline with no
 // synchronization. Otherwise the caller claims shards alongside the workers
 // it wakes and waits only for shards a worker has started. fn must be safe
 // to call concurrently on disjoint ranges.
-func (p *Pool) Run(n, grain int, fn func(lo, hi int)) {
+func (p *Pool) Run(n, grain int, fn func(part, lo, hi int)) {
 	w := p.Shards(n, grain)
 	if w <= 1 {
-		fn(0, n)
+		fn(0, 0, n)
 		return
 	}
-	p.runCall(&call{parts: w, n: n, fn: fn})
-}
-
-// RunN fans fn out over shard indices 0..w-1, blocking until all complete.
-// It is Run for callers that partition work themselves (per-shard counters,
-// cell ranges). w may exceed Workers: min(w, Workers)-1 workers help, and
-// every participant claims indices until none is left. On a nil pool, a
-// pool of 1 or a closed pool every index runs inline, in order.
-func (p *Pool) RunN(w int, fn func(k int)) {
-	if w <= 1 || p == nil || p.workers <= 1 || p.closed.Load() {
-		for k := 0; k < w; k++ {
-			fn(k)
-		}
-		return
-	}
-	p.runCall(&call{parts: w, fnK: fn})
-}
-
-// runCall offers c to up to min(parts, Workers)-1 workers, claims parts on
-// the caller, and waits for the parts the workers claimed.
-func (p *Pool) runCall(c *call) {
+	c := &call{parts: w, n: n, fn: fn}
 	c.done.Add(c.parts)
-	for k := min(c.parts, p.workers) - 1; k > 0; k-- {
+	for k := w - 1; k > 0; k-- {
 		if !p.submit(c) {
 			break
 		}
@@ -204,18 +182,19 @@ func (p *Pool) runCall(c *call) {
 }
 
 // Share runs serial on the caller while the workers claim grain-sized chunks
-// of [0, n) and run fn on each; once serial returns, the caller claims
-// chunks too, and Share returns when every chunk is done and every worker it
-// woke has let go of it. serial may call Run and RunN: while the workers are
-// busy with chunks, the caller claims those calls' shards itself, so even a
-// chunk that waits for serial's calls to return cannot deadlock. With one
-// worker, a closed pool, or n ≤ grain, Share runs fn(0, n) and then serial
-// inline, which is the serial order. fn must be safe to call concurrently on
-// disjoint ranges, and serial must not touch what fn touches.
-func (p *Pool) Share(serial func(), n, grain int, fn func(lo, hi int)) {
+// of [0, n) and run fn on each (chunk k as fn(k, k·grain, ...)); once serial
+// returns, the caller claims chunks too, and Share returns when every chunk
+// is done and every worker it woke has let go of it. serial may call Run:
+// while the workers are busy with chunks, the caller claims that call's
+// shards itself, so even a chunk that waits for serial's calls to return
+// cannot deadlock. With one worker, a closed pool, or n ≤ grain, Share runs
+// fn(0, 0, n) and then serial inline, which is the serial order. fn must be
+// safe to call concurrently on disjoint ranges, and serial must not touch
+// what fn touches.
+func (p *Pool) Share(serial func(), n, grain int, fn func(part, lo, hi int)) {
 	grain = max(grain, 1)
 	if p.workers <= 1 || p.closed.Load() || n <= grain {
-		fn(0, n)
+		fn(0, 0, n)
 		serial()
 		return
 	}
@@ -236,7 +215,7 @@ func (p *Pool) Share(serial func(), n, grain int, fn func(lo, hi int)) {
 }
 
 // Close releases every parked goroutine. Idempotent. Must not be called
-// concurrently with Run/RunN/Share; after Close they all execute inline, so
+// concurrently with Run or Share; after Close both execute inline, so
 // a closed pool's owner keeps working (serially) rather than deadlocking.
 func (p *Pool) Close() {
 	if p.closed.Swap(true) {

@@ -3,32 +3,78 @@ package pool
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestRunCoversRange checks every index is visited exactly once, for shard
-// counts straddling the inline and pooled paths.
-func TestRunCoversRange(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
-		p := New(workers)
-		for _, n := range []int{0, 1, 5, 1000, 4096, 10001} {
-			var hits = make([]int32, n)
-			p.Run(n, 64, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
-				}
+// testPools returns named pools straddling the inline and claiming paths
+// (1, 2, 3 and 8 workers), a closed pool and the nil pool. close releases
+// them.
+func testPools() (pools []namedPool, close func()) {
+	for _, w := range []int{1, 2, 3, 8} {
+		pools = append(pools, namedPool{fmt.Sprintf("workers=%d", w), New(w)})
+	}
+	closed := New(4)
+	closed.Close()
+	pools = append(pools, namedPool{"closed", closed}, namedPool{"nil", nil})
+	return pools, func() {
+		for _, np := range pools {
+			if np.pool != nil {
+				np.pool.Close()
 			}
 		}
-		p.Close()
+	}
+}
+
+type namedPool struct {
+	name string
+	pool *Pool
+}
+
+// checkRunParts runs p.Run(n, grain) and checks its partition contract:
+// with w = Shards(n, grain), part k runs exactly once and covers exactly
+// [k·n/w, (k+1)·n/w). Per-part scratch indexed by the part number relies
+// on it.
+func checkRunParts(t *testing.T, name string, p *Pool, n, grain int) {
+	t.Helper()
+	w := p.Shards(n, grain)
+	runs := make([]int32, w)
+	ranges := make([][2]int, w)
+	var bad atomic.Int32
+	p.Run(n, grain, func(part, lo, hi int) {
+		if part < 0 || part >= w {
+			bad.Store(int32(part) + 1)
+			return
+		}
+		atomic.AddInt32(&runs[part], 1)
+		ranges[part] = [2]int{lo, hi}
+	})
+	if b := bad.Load(); b != 0 {
+		t.Fatalf("%s n=%d grain=%d: part %d outside [0, %d)", name, n, grain, b-1, w)
+	}
+	for k := range w {
+		want := [2]int{k * n / w, (k + 1) * n / w}
+		if runs[k] != 1 || ranges[k] != want {
+			t.Fatalf("%s n=%d grain=%d: part %d of %d ran %d times over %v, want once over %v",
+				name, n, grain, k, w, runs[k], ranges[k], want)
+		}
+	}
+}
+
+// TestRunCoversRange checks Run's partition — part k of Shards(n, grain)
+// covers [k·n/w, (k+1)·n/w), once — for shard counts straddling the inline
+// and pooled paths, on nil and closed pools too.
+func TestRunCoversRange(t *testing.T) {
+	pools, closeAll := testPools()
+	defer closeAll()
+	for _, np := range pools {
+		for _, n := range []int{0, 1, 5, 1000, 4096, 10001} {
+			for _, grain := range []int{1, 64, 1024} {
+				checkRunParts(t, np.name, np.pool, n, grain)
+			}
+		}
 	}
 }
 
@@ -47,38 +93,6 @@ func TestRunGrain(t *testing.T) {
 	}
 }
 
-// TestRunNFansOut checks every shard index runs exactly once.
-func TestRunNFansOut(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	var hits [16]int32
-	p.RunN(len(hits), func(k int) { atomic.AddInt32(&hits[k], 1) })
-	for k, h := range hits {
-		if h != 1 {
-			t.Fatalf("shard %d ran %d times", k, h)
-		}
-	}
-}
-
-// TestRunNWiderThanPool pins that fanning out past the pool's parallelism
-// completes instead of deadlocking — a caller that partitions work itself
-// may submit more shards than Workers, and a pool of 1 spawns no drainer
-// goroutines at all, so RunN must fall back to inline execution there and
-// queue the excess elsewhere.
-func TestRunNWiderThanPool(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		p := New(workers)
-		defer p.Close()
-		var hits [64]int32 // far beyond the jobs buffer (8×workers)
-		p.RunN(len(hits), func(k int) { atomic.AddInt32(&hits[k], 1) })
-		for k, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: shard %d ran %d times", workers, k, h)
-			}
-		}
-	}
-}
-
 // TestConcurrentRuns checks two goroutines can share one pool: Run from a
 // second goroutine interleaves with a Share whose serial task shards into
 // the same pool.
@@ -89,8 +103,8 @@ func TestConcurrentRuns(t *testing.T) {
 	a := make([]int32, n)
 	b := make([]int32, n)
 	c := make([]int32, n)
-	inc := func(v []int32) func(lo, hi int) {
-		return func(lo, hi int) {
+	inc := func(v []int32) func(part, lo, hi int) {
+		return func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				v[i]++
 			}
@@ -111,37 +125,30 @@ func TestConcurrentRuns(t *testing.T) {
 }
 
 // TestShareCoversRange checks that Share visits every index of [0, n)
-// exactly once and runs serial exactly once, on pools straddling the inline
-// and claiming paths and on a closed pool. serial shards into the same pool
-// through Run and RunN, as the spatial matcher does: it must complete, not
+// exactly once, that chunk k starts at k·grain, and that serial runs exactly
+// once, on pools straddling the inline and claiming paths and on a closed
+// pool. serial shards into the same pool through Run, at a coarse and at a
+// one-item grain, as the engine's matcher does: it must complete, not
 // deadlock behind the claimed chunks.
 func TestShareCoversRange(t *testing.T) {
-	type pc struct {
-		name string
-		pool *Pool
-	}
-	closed := New(4)
-	closed.Close()
-	var pools []pc
-	for _, w := range []int{1, 2, 3, 8} {
-		pools = append(pools, pc{fmt.Sprintf("workers=%d", w), New(w)})
-	}
-	pools = append(pools, pc{"closed", closed})
+	pools, closeAll := testPools()
+	defer closeAll()
 	for _, c := range pools {
+		if c.pool == nil {
+			continue // Share is a method of a live pool
+		}
 		for _, n := range []int{0, 1, 64, 65, 1000, 4096, 10001} {
 			hits := make([]int32, n)
-			runHits := make([]int32, 3000)
-			var runNHits [16]int32
 			serials := 0
+			var misplaced atomic.Int32
 			c.pool.Share(func() {
 				serials++
-				c.pool.Run(len(runHits), 64, func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&runHits[i], 1)
-					}
-				})
-				c.pool.RunN(len(runNHits), func(k int) { atomic.AddInt32(&runNHits[k], 1) })
-			}, n, 64, func(lo, hi int) {
+				checkRunParts(t, c.name+" serial", c.pool, 3000, 64)
+				checkRunParts(t, c.name+" serial", c.pool, 16, 1)
+			}, n, 64, func(part, lo, hi int) {
+				if lo != part*64 {
+					misplaced.Add(1)
+				}
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&hits[i], 1)
 				}
@@ -149,15 +156,15 @@ func TestShareCoversRange(t *testing.T) {
 			if serials != 1 {
 				t.Fatalf("%s n=%d: serial ran %d times", c.name, n, serials)
 			}
-			for _, v := range [][]int32{hits, runHits, runNHits[:]} {
-				for i, h := range v {
-					if h != 1 {
-						t.Fatalf("%s n=%d: index %d visited %d times", c.name, n, i, h)
-					}
+			if m := misplaced.Load(); m != 0 {
+				t.Fatalf("%s n=%d: %d chunks did not start at part·grain", c.name, n, m)
+			}
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("%s n=%d: index %d visited %d times", c.name, n, i, h)
 				}
 			}
 		}
-		c.pool.Close()
 	}
 }
 
@@ -168,10 +175,10 @@ func TestShareInlineWhenSerial(t *testing.T) {
 	for _, c := range []struct{ workers, n int }{{1, 1 << 12}, {4, 64}} {
 		p := New(c.workers)
 		var trace []string
-		p.Share(func() { trace = append(trace, "serial") }, c.n, 64, func(lo, hi int) {
-			trace = append(trace, fmt.Sprintf("fn[%d,%d)", lo, hi))
+		p.Share(func() { trace = append(trace, "serial") }, c.n, 64, func(part, lo, hi int) {
+			trace = append(trace, fmt.Sprintf("fn%d[%d,%d)", part, lo, hi))
 		})
-		want := []string{fmt.Sprintf("fn[0,%d)", c.n), "serial"}
+		want := []string{fmt.Sprintf("fn0[0,%d)", c.n), "serial"}
 		if fmt.Sprint(trace) != fmt.Sprint(want) {
 			t.Fatalf("workers=%d n=%d: ran %v, want %v", c.workers, c.n, trace, want)
 		}
@@ -180,44 +187,42 @@ func TestShareInlineWhenSerial(t *testing.T) {
 }
 
 // TestClosedPoolRunsInline checks a closed pool degrades to inline
-// execution instead of deadlocking.
+// execution instead of deadlocking: Run and Share each run one part, part
+// 0 over the whole range, on the caller (the calls record without atomics,
+// which -race would flag if a part ran elsewhere).
 func TestClosedPoolRunsInline(t *testing.T) {
 	p := New(4)
 	p.Close()
 	p.Close() // idempotent
-	sum := 0
-	p.Run(100, 1, func(lo, hi int) { sum += hi - lo })
-	if sum != 100 {
-		t.Fatalf("closed-pool Run covered %d of 100", sum)
+	var parts [][3]int
+	record := func(part, lo, hi int) { parts = append(parts, [3]int{part, lo, hi}) }
+	for _, n := range []int{3, 100} {
+		parts = parts[:0]
+		p.Run(n, 1, record)
+		if len(parts) != 1 || parts[0] != [3]int{0, 0, n} {
+			t.Fatalf("closed-pool Run(%d) parts %v, want [[0 0 %d]]", n, parts, n)
+		}
 	}
-	sum, ran := 0, false
-	p.Share(func() { ran = true }, 100, 1, func(lo, hi int) { sum += hi - lo })
-	if !ran || sum != 100 {
-		t.Fatalf("closed-pool Share: serial ran %v, fn covered %d of 100", ran, sum)
-	}
-	hits := 0
-	p.RunN(3, func(k int) { hits++ })
-	if hits != 3 {
-		t.Fatalf("closed-pool RunN ran %d of 3 shards", hits)
+	parts, ran := parts[:0], false
+	p.Share(func() { ran = true }, 100, 1, record)
+	if !ran || len(parts) != 1 || parts[0] != [3]int{0, 0, 100} {
+		t.Fatalf("closed-pool Share: serial ran %v, parts %v, want [[0 0 100]]", ran, parts)
 	}
 }
 
 // TestNilPoolRunsInline checks the nil pool is the serial pool: one shard,
-// Run over the whole range and RunN's indices in order, all on the caller.
+// part 0 over the whole range, on the caller.
 func TestNilPoolRunsInline(t *testing.T) {
 	var p *Pool
 	if w := p.Shards(1<<20, 1); w != 1 {
 		t.Fatalf("nil-pool Shards = %d, want 1", w)
 	}
-	var ranges [][2]int
-	p.Run(100, 1, func(lo, hi int) { ranges = append(ranges, [2]int{lo, hi}) })
-	if len(ranges) != 1 || ranges[0] != [2]int{0, 100} {
-		t.Fatalf("nil-pool Run ranges %v, want [[0 100]]", ranges)
-	}
-	var order []int
-	p.RunN(3, func(k int) { order = append(order, k) })
-	if !slices.Equal(order, []int{0, 1, 2}) {
-		t.Fatalf("nil-pool RunN order %v, want [0 1 2]", order)
+	for _, n := range []int{3, 100} {
+		var parts [][3]int
+		p.Run(n, 1, func(part, lo, hi int) { parts = append(parts, [3]int{part, lo, hi}) })
+		if len(parts) != 1 || parts[0] != [3]int{0, 0, n} {
+			t.Fatalf("nil-pool Run(%d) parts %v, want [[0 0 %d]]", n, parts, n)
+		}
 	}
 }
 
@@ -231,10 +236,10 @@ func TestCloseParksWorkers(t *testing.T) {
 		if name == "run" {
 			var wg sync.WaitGroup
 			wg.Add(1)
-			go func() { defer wg.Done(); p.Run(1<<16, 1024, func(lo, hi int) {}) }()
+			go func() { defer wg.Done(); p.Run(1<<16, 1024, func(_, _, _ int) {}) }()
 			wg.Wait()
 		} else {
-			p.Share(func() {}, 1<<16, 1024, func(lo, hi int) {})
+			p.Share(func() {}, 1<<16, 1024, func(_, _, _ int) {})
 		}
 		if g := runtime.NumGoroutine(); g <= base {
 			t.Fatalf("%s: expected spawned workers, goroutines %d <= baseline %d", name, g, base)
@@ -253,25 +258,28 @@ func TestCloseParksWorkers(t *testing.T) {
 
 // TestShareSerialRunsWhileChunksWait is the shape that deadlocked when
 // Run's shards queued behind Share's chunk claims: every chunk blocks until
-// serial's Run and RunN have returned, so the pool's workers are all stuck
-// in chunks while serial runs. The caller claims those calls' shards
-// itself, so they return and release the chunks.
+// serial's two Runs have returned, so the pool's workers are all stuck in
+// chunks while serial runs. The caller claims those calls' shards itself,
+// so they return and release the chunks.
 func TestShareSerialRunsWhileChunksWait(t *testing.T) {
 	for _, workers := range []int{2, 3, 8} {
 		p := New(workers)
 		withDeadline(t, fmt.Sprintf("workers=%d", workers), func() {
 			released := make(chan struct{})
-			var runHits, runNHits [4096]int32
-			p.Share(func() {
-				p.Run(len(runHits), 64, func(lo, hi int) {
+			var coarseHits, fineHits [4096]int32
+			inc := func(v []int32) func(part, lo, hi int) {
+				return func(_, lo, hi int) {
 					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&runHits[i], 1)
+						atomic.AddInt32(&v[i], 1)
 					}
-				})
-				p.RunN(len(runNHits), func(k int) { atomic.AddInt32(&runNHits[k], 1) })
+				}
+			}
+			p.Share(func() {
+				p.Run(len(coarseHits), 64, inc(coarseHits[:]))
+				p.Run(len(fineHits), 1, inc(fineHits[:]))
 				close(released)
-			}, 64*64, 64, func(lo, hi int) { <-released })
-			for _, v := range [][]int32{runHits[:], runNHits[:]} {
+			}, 64*64, 64, func(_, _, _ int) { <-released })
+			for _, v := range [][]int32{coarseHits[:], fineHits[:]} {
 				for i, h := range v {
 					if h != 1 {
 						t.Errorf("workers=%d: index %d visited %d times", workers, i, h)
@@ -301,72 +309,54 @@ func withDeadline(t *testing.T, name string, fn func()) {
 	}
 }
 
-// TestClaimedShardsRunOnce checks that every shard of Run and RunN runs
-// exactly once however the caller and the workers split the claims, on
-// pools straddling the inline and claiming paths, on a closed pool, and for
-// RunN fanned out wider than the pool.
+// TestClaimedShardsRunOnce checks, over repeated calls, that every part of
+// Run runs exactly once over its fixed range and every index is visited
+// once, however the caller and the workers split the claims, on pools
+// straddling the inline and claiming paths and on nil and closed pools.
 func TestClaimedShardsRunOnce(t *testing.T) {
-	closed := New(4)
-	closed.Close()
-	pools := map[string]*Pool{"closed": closed}
-	for _, w := range []int{1, 2, 3, 8} {
-		pools[fmt.Sprintf("workers=%d", w)] = New(w)
-	}
-	for name, p := range pools {
+	pools, closeAll := testPools()
+	defer closeAll()
+	for _, np := range pools {
 		for iter := 0; iter < 20; iter++ {
-			for _, n := range []int{0, 1, 64, 129, 1000, 10001} {
+			for _, n := range []int{0, 1, 2, 3, 8, 9, 64, 129, 1000, 10001} {
+				checkRunParts(t, np.name, np.pool, n, 1)
 				hits := make([]int32, n)
-				p.Run(n, 64, func(lo, hi int) {
+				np.pool.Run(n, 64, func(_, lo, hi int) {
 					for i := lo; i < hi; i++ {
 						atomic.AddInt32(&hits[i], 1)
 					}
 				})
 				for i, h := range hits {
 					if h != 1 {
-						t.Fatalf("%s: Run n=%d: index %d visited %d times", name, n, i, h)
-					}
-				}
-			}
-			for _, w := range []int{0, 1, 2, 3, 8, 9, 100} {
-				hits := make([]int32, w)
-				p.RunN(w, func(k int) { atomic.AddInt32(&hits[k], 1) })
-				for k, h := range hits {
-					if h != 1 {
-						t.Fatalf("%s: RunN w=%d: shard %d ran %d times", name, w, k, h)
+						t.Fatalf("%s: Run n=%d: index %d visited %d times", np.name, n, i, h)
 					}
 				}
 			}
 		}
-		p.Close()
 	}
 }
 
-// TestStaleHelpersNeverClaim runs many back-to-back Run and RunN calls,
-// first while the pool's worker is stuck in a Share chunk (so their helper
-// tasks pile up or are dropped) and then while it drains those stale
-// helpers. A shard must never run after its call returned, and each shard
+// TestStaleHelpersNeverClaim runs many back-to-back Run calls, coarse and
+// one item per part, first while the pool's worker is stuck in a Share
+// chunk (so their helper tasks pile up or are dropped) and then while it
+// drains those stale helpers. A shard must never run after its call returned, and each shard
 // must run exactly once: a stale helper finds its own call exhausted and
 // never reaches a later call's state. Run under -race, this also checks
 // that the claim handoff is properly synchronized.
 func TestStaleHelpersNeverClaim(t *testing.T) {
 	p := New(2)
 	defer p.Close()
-	check := func(n int, shards bool) {
+	check := func(n, grain int) {
 		var returned atomic.Bool
 		hits := make([]int32, n)
-		mark := func(lo, hi int) {
+		p.Run(n, grain, func(_, lo, hi int) {
 			if returned.Load() {
 				t.Errorf("n=%d: a shard ran after its call returned", n)
 			}
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&hits[i], 1)
 			}
-		}
-		if shards {
-			p.RunN(n, func(k int) { mark(k, k+1) })
-		} else {
-			p.Run(n, 64, mark)
-		}
+		})
 		returned.Store(true)
 		for i, h := range hits {
 			if h != 1 {
@@ -377,8 +367,8 @@ func TestStaleHelpersNeverClaim(t *testing.T) {
 	}
 	burst := func() {
 		for i := 0; i < 300; i++ {
-			check(128+i%256, false)
-			check(2+i%5, true)
+			check(128+i%256, 64)
+			check(2+i%5, 1)
 		}
 	}
 	withDeadline(t, "stale helpers", func() {
@@ -386,10 +376,10 @@ func TestStaleHelpersNeverClaim(t *testing.T) {
 		p.Share(func() {
 			burst()
 			close(released)
-		}, 2*64, 64, func(lo, hi int) { <-released })
+		}, 2*64, 64, func(_, _, _ int) { <-released })
 		burst()
 		// A Share waits for its helper, which queues behind every stale
 		// one: once it returns, all of them have run.
-		p.Share(func() {}, 2*64, 64, func(lo, hi int) {})
+		p.Share(func() {}, 2*64, 64, func(_, _, _ int) {})
 	})
 }

@@ -48,8 +48,10 @@
 // disjoint state — DESIGN.md §10). The adversary's turn stays serial —
 // sequential by its budget semantics — and so do the kill fold and the
 // apply compaction, single passes that sharding did not speed up, and the
-// greedy walk that finishes spatial matching; the spatial pipeline's other
-// phases shard on the engine's pool (match/spatial.go, DESIGN.md §12).
+// spatial pipeline's counting-sort scatter and greedy walk; its bucket,
+// candidate and output phases shard on the engine's pool (match/spatial.go,
+// DESIGN.md §12). Every pool callback the engine passes is bound once at
+// construction, so a round allocates no closures.
 // Engines own their pool: Close releases its goroutines (a closed engine
 // keeps working, serially), and dropped engines are covered by a runtime
 // cleanup.
@@ -223,10 +225,12 @@ type Engine struct {
 	// by the engine: Close releases it, and a runtime cleanup releases it
 	// for engines that are simply dropped (hibernated/reaped sessions).
 	pool *pool.Pool
-	// composeChunk and sampleMatch are the two sides of the overlap, bound
-	// once at construction so a round allocates no closures.
-	composeChunk func(lo, hi int)
+	// composeChunk and sampleMatch are the two sides of the overlap, and
+	// stepChunk the step phase's shard (stepRange or stepRangeExtended),
+	// bound once at construction so a round allocates no closures.
+	composeChunk func(part, lo, hi int)
 	sampleMatch  func()
+	stepChunk    func(part, lo, hi int)
 
 	// proto and xproto are the two program seams; exactly one is non-nil.
 	proto  Stepper
@@ -356,6 +360,10 @@ func buildEngine(cfg Config, pop *population.Population) (*Engine, error) {
 	}
 	runtime.AddCleanup(e, func(p *pool.Pool) { p.Close() }, e.pool)
 	e.composeChunk = e.composeRange
+	e.stepChunk = e.stepRange
+	if e.xproto != nil {
+		e.stepChunk = e.stepRangeExtended
+	}
 	e.sampleMatch = func() {
 		t := time.Now()
 		e.matcher.SampleMatch(e.pop, e.schedSrc, &e.pairing)
@@ -502,7 +510,7 @@ func (e *Engine) RunRound() RoundReport {
 	// 5. Deliver and step — sharded across the worker pool when the
 	// population is large enough to pay for it.
 	ts := time.Now()
-	e.stepPhase(n)
+	e.pool.Run(n, minShardAgents, e.stepChunk)
 	e.stats.StepNS += sinceNS(ts)
 
 	// 6. Apply fates. Neighbor-kills override the victim's own action (the
@@ -571,7 +579,7 @@ const minShardAgents = 1024
 // worker-count-invariant). Compose consumes no randomness, so the chunks
 // may run in any order on any goroutine; the agent array is walked
 // contiguously via the bulk States accessor rather than per-index Ref calls.
-func (e *Engine) composeRange(lo, hi int) {
+func (e *Engine) composeRange(_, lo, hi int) {
 	states := e.pop.States()
 	if e.xproto != nil {
 		for i := lo; i < hi; i++ {
@@ -588,48 +596,46 @@ func (e *Engine) composeRange(lo, hi int) {
 	}
 }
 
-// stepPhase delivers every agent's neighbor message and executes its
-// protocol step, sharded over the worker pool. Each agent's coin flips come
-// from the counter-based stream (protoKey, round, slot) — reseeded per
-// agent from a shard-private source — so the result is bit-identical
-// whether the shards run serially or concurrently. Extended programs
-// additionally route neighbor-kills into the mask (unique writer per
-// victim: its matched neighbor).
-func (e *Engine) stepPhase(n int) {
+// stepRange delivers the neighbor message of every agent in [lo, hi) and
+// executes its protocol step; RunRound shards it over the worker pool. Each
+// agent's coin flips come from the counter-based stream (protoKey, round,
+// slot) — reseeded per agent from a shard-private source — so the result is
+// bit-identical whether the shards run serially or concurrently.
+func (e *Engine) stepRange(_, lo, hi int) {
 	states := e.pop.States()
-	if e.xproto != nil {
-		e.pool.Run(n, minShardAgents, func(lo, hi int) {
-			var src prng.Source
-			for i := lo; i < hi; i++ {
-				src.SeedCounter(e.protoKey, e.round, uint64(i))
-				j := e.pairing.Nbr[i]
-				var msg wire.Message
-				hasNbr := j != match.Unmatched
-				if hasNbr {
-					msg = e.xproto.Decode(e.msgs[j])
-				}
-				act, killNbr := e.xproto.StepAt(i, int(j), &states[i], msg, hasNbr, &src)
-				e.actions[i] = act
-				if killNbr && hasNbr {
-					e.kill[j] = true
-				}
-			}
-		})
-		return
-	}
-	e.pool.Run(n, minShardAgents, func(lo, hi int) {
-		var src prng.Source
-		for i := lo; i < hi; i++ {
-			src.SeedCounter(e.protoKey, e.round, uint64(i))
-			j := e.pairing.Nbr[i]
-			var msg wire.Message
-			hasNbr := j != match.Unmatched
-			if hasNbr {
-				msg = e.proto.Decode(e.msgs[j])
-			}
-			e.actions[i] = e.proto.Step(&states[i], msg, hasNbr, &src)
+	var src prng.Source
+	for i := lo; i < hi; i++ {
+		src.SeedCounter(e.protoKey, e.round, uint64(i))
+		j := e.pairing.Nbr[i]
+		var msg wire.Message
+		hasNbr := j != match.Unmatched
+		if hasNbr {
+			msg = e.proto.Decode(e.msgs[j])
 		}
-	})
+		e.actions[i] = e.proto.Step(&states[i], msg, hasNbr, &src)
+	}
+}
+
+// stepRangeExtended is stepRange for extended programs, which additionally
+// route neighbor-kills into the mask (unique writer per victim: its matched
+// neighbor).
+func (e *Engine) stepRangeExtended(_, lo, hi int) {
+	states := e.pop.States()
+	var src prng.Source
+	for i := lo; i < hi; i++ {
+		src.SeedCounter(e.protoKey, e.round, uint64(i))
+		j := e.pairing.Nbr[i]
+		var msg wire.Message
+		hasNbr := j != match.Unmatched
+		if hasNbr {
+			msg = e.xproto.Decode(e.msgs[j])
+		}
+		act, killNbr := e.xproto.StepAt(i, int(j), &states[i], msg, hasNbr, &src)
+		e.actions[i] = act
+		if killNbr && hasNbr {
+			e.kill[j] = true
+		}
+	}
 }
 
 // RunRounds executes n rounds, returning the last report.
