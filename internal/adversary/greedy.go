@@ -49,16 +49,18 @@ func (cs *ColorSkewer) Name() string {
 func (cs *ColorSkewer) Act(v View, m Mutator, src *prng.Source) {
 	if cs.Up {
 		// Spend half the budget deleting color-1 roots early in the epoch,
-		// the rest inserting color-0 roots.
-		half := m.Remaining() / 2
-		spent := 0
-		cs.deleter.scratch = v.Find(cs.deleter.scratch[:0], -1, TargetColor(1))
-		n := len(cs.deleter.scratch)
-		for i := 0; i < n && spent < half; i++ {
-			j := i + src.Intn(n-i)
-			cs.deleter.scratch[i], cs.deleter.scratch[j] = cs.deleter.scratch[j], cs.deleter.scratch[i]
-			if m.Delete(cs.deleter.scratch[i]) {
-				spent++
+		// the rest inserting color-0 roots. A budget of 1 has no half to
+		// spend, so it skips the scan for victims.
+		if half := m.Remaining() / 2; half > 0 {
+			spent := 0
+			cs.deleter.scratch = v.Find(cs.deleter.scratch[:0], -1, cs.deleter.Match)
+			n := len(cs.deleter.scratch)
+			for i := 0; i < n && spent < half; i++ {
+				j := i + src.Intn(n-i)
+				cs.deleter.scratch[i], cs.deleter.scratch[j] = cs.deleter.scratch[j], cs.deleter.scratch[i]
+				if m.Delete(cs.deleter.scratch[i]) {
+					spent++
+				}
 			}
 		}
 		cs.inserter.Act(v, m, src)

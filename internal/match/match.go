@@ -40,11 +40,17 @@ func (p *Pairing) Reset(n int) {
 }
 
 // resize grows the buffers to n agents and leaves Nbr's contents as they
-// are: for samplers that write every entry themselves.
+// are: for samplers that write every entry themselves. The first sizing is
+// exact; a regrowth leaves n/16 of slack, so a population that passes its
+// peak one insertion at a time does not reallocate them every round.
 func (p *Pairing) resize(n int) {
 	if cap(p.Nbr) < n {
-		p.Nbr = make([]int32, n)
-		p.perm = make([]int32, n)
+		c := n
+		if p.Nbr != nil {
+			c += n / 16
+		}
+		p.Nbr = make([]int32, n, c)
+		p.perm = make([]int32, n, c)
 	}
 	p.Nbr = p.Nbr[:n]
 	p.perm = p.perm[:n]

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"popstab/internal/pool"
@@ -24,17 +25,24 @@ import (
 // visited in a random order and each pairs with its nearest still-unmatched
 // candidate, so the outcome of a visit depends on every earlier visit. The
 // pipeline keeps the exact pairings of the historical serial implementation
-// while sharding the O(n) stages whose sharding measurably pays:
+// and shards the one stage whose sharding measurably pays, the candidate
+// search:
 //
-//  1. bucket (sharded): cellIdx[i] = cell of agent i — pure float math;
+//  1. bucket (serial): cellIdx[i] = cell of agent i — pure float math. It
+//     runs only when the rows are rebuilt (see "Row reuse"). At N = 2¹⁸ on
+//     2 CPUs a sharded form sped it up by a median 1.01× (0.94–1.44×) over
+//     six traced torus-patch runs: inside the compose∥match overlap the
+//     pool's one worker is busy composing, so the caller ran both parts.
+//     Only outside the overlap did it save about 0.5 ms of the 1.4 ms loop
+//     (DESIGN.md §15);
 //  2. scatter (serial): a stable counting sort builds the CSR cell index
 //     (cellStart/cellAgents/posByCell), ascending agent index within each
 //     cell, and leaves cellIdx[i] = slot of agent i, the map the walk's
-//     visit order and the rewrite hook start from. It runs only when the
-//     rows are rebuilt (see "Row reuse"). At N = 2¹⁸ on 2 CPUs a sharded
-//     form saved 1–2 ms per build, which averages to about 0.15 ms of a
-//     19–22 ms paced torus round, and kept a shards × cells histogram
-//     resident (DESIGN.md §12);
+//     visit order and the rewrite hook start from. It also runs only when
+//     the rows are rebuilt. At N = 2¹⁸ on 2 CPUs a sharded form saved
+//     1–2 ms per build, which averages to about 0.15 ms of a 19–22 ms paced
+//     torus round, and kept a shards × cells histogram resident
+//     (DESIGN.md §12);
 //  3. candidates (sharded): for every CSR slot k (an agent's position in
 //     the cell-sorted cellAgents/posByCell layout), scan the neighborhood
 //     cells and keep the candK nearest candidates, sorted by (distance,
@@ -51,9 +59,16 @@ import (
 //     which case an exact fallback rescan of the neighborhood (same
 //     metric, same tie-breaking) recovers the answer. The walk is
 //     inherently sequential and stays serial: DESIGN.md §12 records why
-//     parallelizing it did not pay. A final sharded pass (writeNbr)
-//     translates mate back to agent indices in Pairing.Nbr, writing every
-//     entry (no separate Unmatched fill).
+//     parallelizing it did not pay. A final serial pass translates mate
+//     back to agent indices in Pairing.Nbr, writing every entry (no
+//     separate Unmatched fill). Sharded, that pass took 1.22–1.25 ms
+//     against 1.12–1.15 ms inline at Workers 2, and the walk after it ran
+//     slower (DESIGN.md §15).
+//
+// Every pool callback and buffer a sample uses is bound or sized in the
+// matcher, so a sample that reuses its rows allocates nothing, and one that
+// builds them allocates only pool.Run's call when the candidate phase runs
+// in more than one part.
 //
 // # Row reuse
 //
@@ -112,7 +127,7 @@ const candK = 8
 // 3 cells in 1-D).
 const maxNbrCells = 9
 
-// minSpatialShard bounds how finely the sharded phases split: below ~1k
+// minSpatialShard bounds how finely the candidate phase splits: below ~1k
 // agents per worker the scheduling overhead exceeds the per-agent work.
 // Purely a scheduling heuristic — output is worker-count-invariant.
 const minSpatialShard = 1024
@@ -158,9 +173,12 @@ type geometry[G any] interface {
 // Concrete matchers embed it and call bind from their Bind.
 type spatial[G geometry[G]] struct {
 	geo G
-	// pool, when set (SetPool), runs the sharded phases on the engine's
+	// g is geo prepared for the current sample's n: the bucket grid every
+	// phase reads.
+	g G
+	// pool, when set (SetPool), runs the candidate phase on the engine's
 	// persistent worker pool; nil (standalone use) is the serial pool, and
-	// every phase runs inline. Same output either way.
+	// the phase runs inline. Same output either way.
 	pool *pool.Pool
 
 	pos *population.Positions
@@ -191,11 +209,11 @@ type spatial[G geometry[G]] struct {
 	// stats accumulates the per-phase pipeline counters (PhaseReporter).
 	stats PipelineStats
 
-	// writeNbr is the method value of writeNbrRange, bound once in bind so
-	// that a sample's output pass allocates no closure; nbr is the pairing
-	// it writes, set for the duration of that pass.
-	writeNbr func(part, lo, hi int)
-	nbr      []int32
+	// candRange is the method value of candidates, bound once in bind so
+	// that a row build allocates no closure; buildCall is the sample counter
+	// of the build in progress, the rewrite hook's counter word.
+	candRange func(part, lo, hi int)
+	buildCall uint64
 
 	// rowsN and rowsVersion key the rows of the last build: n and the
 	// position array's Version (see "Row reuse"). rowsN = 0 before the
@@ -214,6 +232,9 @@ type spatial[G geometry[G]] struct {
 	mate       []int32            // slot -> partner slot in the walk, -1 while unmatched
 	order      []int32            // visit order of slots: a shuffled copy of cellIdx
 	candShards []candShard        // one candidate-phase scratch per pool.Run part
+	// nbuf is the walk's rescan neighborhood buffer. As a local it would
+	// escape, for the reason candShard gives, on every sample.
+	nbuf [maxNbrCells]int32
 }
 
 // candShard is one candidate shard's scratch. It lives in the matcher
@@ -244,7 +265,7 @@ func (s *spatial[G]) bind(pop *population.Population, src *prng.Source, place fu
 	s.probeSrc = src.Split()
 	s.pos = &population.Positions{Place: place, Spawn: spawn}
 	pop.Attach(s.pos)
-	s.writeNbr = s.writeNbrRange
+	s.candRange = s.candidates
 }
 
 // Positions implements Space: the bound position side-array (nil before
@@ -401,17 +422,17 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 	if s.prematch != nil {
 		s.prematch(n)
 	}
-	g := s.geo.prepare(n)
+	s.g = s.geo.prepare(n)
 	s.stats.Samples++
 	if v := s.pos.Version(); s.rewrite != nil || n != s.rowsN || v != s.rowsVersion {
-		s.buildRows(g, n, call)
+		s.buildRows(n, call)
 		s.rowsN, s.rowsVersion = n, v
 	}
 
 	// Phase 4: random-order greedy matching in slot space. Shuffling the
 	// agent -> slot map with the variates of an identity-filled shuffle
 	// turns it into the visit order of slots (see the file header), so the
-	// walk is bit-identical to the historical agent-space form; a sharded
+	// walk is bit-identical to the historical agent-space form; a serial
 	// pass then writes every agent's partner into the pairing.
 	t0 := time.Now()
 	copy(s.order, s.cellIdx)
@@ -420,42 +441,29 @@ func (s *spatial[G]) sample(n int, src *prng.Source, p *Pairing, call uint64) {
 	for k := range mate {
 		mate[k] = -1
 	}
-	s.walk(g)
-	s.nbr = p.Nbr
-	s.pool.Run(n, minSpatialShard, s.writeNbr)
-	s.nbr = nil
-	s.stats.SerialWalks++
-	s.stats.WalkNS += uint64(time.Since(t0))
-}
-
-// writeNbrRange is phase 4's output pass over slots [lo, hi): it writes the
-// partner agent of every slot's agent, or Unmatched, into s.nbr.
-func (s *spatial[G]) writeNbrRange(_, lo, hi int) {
-	mate, cellAgents, nbr := s.mate, s.cellAgents, s.nbr
-	for k := lo; k < hi; k++ {
+	s.walk()
+	cellAgents, nbr := s.cellAgents, p.Nbr
+	for k, m := range mate {
 		j := Unmatched
-		if m := mate[k]; m >= 0 {
+		if m >= 0 {
 			j = cellAgents[m]
 		}
 		nbr[cellAgents[k]] = j
 	}
+	s.stats.SerialWalks++
+	s.stats.WalkNS += uint64(time.Since(t0))
 }
 
 // buildRows runs phases 1–3 over the bound positions: it buckets them,
 // scatters them into the CSR layout and fills every slot's candidate row.
-func (s *spatial[G]) buildRows(g G, n int, call uint64) {
+func (s *spatial[G]) buildRows(n int, call uint64) {
 	pos := s.pos.Slice()
-	ncells := g.numCells()
-	s.ensure(n, ncells)
+	s.ensure(n, s.g.numCells())
 	s.stats.RowBuilds++
 
-	// Phase 1 (sharded): bucket every agent.
+	// Phase 1 (serial): bucket every agent.
 	t0 := time.Now()
-	s.pool.Run(n, minSpatialShard, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s.cellIdx[i] = g.cell(pos[i])
-		}
-	})
+	s.bucket(pos)
 	s.stats.BucketNS += uint64(time.Since(t0))
 
 	// Phase 2 (serial): stable counting-sort scatter into the CSR index;
@@ -464,75 +472,80 @@ func (s *spatial[G]) buildRows(g G, n int, call uint64) {
 	s.scatter(pos)
 	s.stats.ScatterNS += uint64(time.Since(t0))
 
-	// Phase 3 (sharded): per-slot candK-nearest candidate selection,
-	// iterated in CSR order so slots of the same cell reuse each other's
-	// neighborhood segments, scanning the cell-sorted position copy
-	// (posByCell) in contiguous segments and writing candidate rows
-	// sequentially. The scan ORDER over candidates is the per-agent one —
-	// segments are maximal runs of consecutive cell ids in the geometry's
-	// neighborhood order — so tie-breaking is unchanged. Each of
-	// pool.Run's parts has its own reused scratch.
+	// Phase 3 (sharded): candidates over pool.Run's parts, each with its
+	// own reused scratch.
 	t0 = time.Now()
-	rewrite := s.rewrite
 	w := s.pool.Shards(n, minSpatialShard)
 	if len(s.candShards) < w {
 		s.candShards = make([]candShard, w)
 	}
-	s.pool.Run(n, minSpatialShard, func(part, lo, hi int) {
-		scr := &s.candShards[part]
-		dists := 0
-		var segs [maxNbrCells][2]int32
-		// Locate the cell containing CSR slot lo.
-		c := int32(0)
-		{
-			hiC, loC := int32(ncells), int32(0)
-			for loC < hiC {
-				mid := (loC + hiC) / 2
-				if s.cellStart[mid+1] > int32(lo) {
-					hiC = mid
-				} else {
-					loC = mid + 1
-				}
-			}
-			c = loC
-		}
-		nseg := -1 // neighborhood segments of cell c not yet computed
-		for k := lo; k < hi; k++ {
-			for int32(k) >= s.cellStart[c+1] {
-				c++
-				nseg = -1
-			}
-			if rewrite != nil {
-				row := s.cand[k*candK : (k+1)*candK]
-				if kn := rewrite(int(s.cellAgents[k]), n, call, row); kn >= 0 {
-					for x, a := range row[:kn] {
-						row[x] = s.cellIdx[a] // agent -> slot since the scatter
-					}
-					s.candN[k] = uint8(kn)
-					continue
-				}
-			}
-			if nseg < 0 {
-				cells := g.neighborhood(c, scr.nbuf[:0])
-				nseg = 0
-				for si := 0; si < len(cells); {
-					sj := si + 1
-					for sj < len(cells) && cells[sj] == cells[sj-1]+1 {
-						sj++
-					}
-					segs[nseg] = [2]int32{s.cellStart[cells[si]], s.cellStart[cells[sj-1]+1]}
-					nseg++
-					si = sj
-				}
-			}
-			dists += s.nearestCandidates(g, &scr.sel, k, segs[:nseg])
-		}
-		scr.dists = uint64(dists)
-	})
+	s.buildCall = call
+	s.pool.Run(n, minSpatialShard, s.candRange)
 	for _, scr := range s.candShards[:w] {
 		s.stats.DistEvals += scr.dists
 	}
 	s.stats.CandNS += uint64(time.Since(t0))
+}
+
+// candidates is phase 3 over CSR slots [lo, hi), pool.Run's part part:
+// per-slot candK-nearest candidate selection, iterated in CSR order so
+// slots of the same cell reuse each other's neighborhood segments, scanning
+// the cell-sorted position copy (posByCell) in contiguous segments and
+// writing candidate rows sequentially. The scan ORDER over candidates is
+// the per-agent one — segments are maximal runs of consecutive cell ids in
+// the geometry's neighborhood order — so tie-breaking is unchanged.
+func (s *spatial[G]) candidates(part, lo, hi int) {
+	scr := &s.candShards[part]
+	n, rewrite := len(s.cellAgents), s.rewrite
+	dists := 0
+	var segs [maxNbrCells][2]int32
+	// The cell containing CSR slot lo: the first that ends after it.
+	c := int32(sort.Search(len(s.cellStart)-1, func(c int) bool {
+		return s.cellStart[c+1] > int32(lo)
+	}))
+	nseg := -1 // neighborhood segments of cell c not yet computed
+	for k := lo; k < hi; k++ {
+		for int32(k) >= s.cellStart[c+1] {
+			c++
+			nseg = -1
+		}
+		if rewrite != nil {
+			row := s.cand[k*candK : (k+1)*candK]
+			if kn := rewrite(int(s.cellAgents[k]), n, s.buildCall, row); kn >= 0 {
+				for x, a := range row[:kn] {
+					row[x] = s.cellIdx[a] // agent -> slot since the scatter
+				}
+				s.candN[k] = uint8(kn)
+				continue
+			}
+		}
+		if nseg < 0 {
+			cells := s.g.neighborhood(c, scr.nbuf[:0])
+			nseg = 0
+			for si := 0; si < len(cells); {
+				sj := si + 1
+				for sj < len(cells) && cells[sj] == cells[sj-1]+1 {
+					sj++
+				}
+				segs[nseg] = [2]int32{s.cellStart[cells[si]], s.cellStart[cells[sj-1]+1]}
+				nseg++
+				si = sj
+			}
+		}
+		dists += s.nearestCandidates(&scr.sel, k, segs[:nseg])
+	}
+	scr.dists = uint64(dists)
+}
+
+// bucket is phase 1: cellIdx[i] = the cell of agent i. It is kept out of
+// buildRows: written inline there, unpaced torus rounds at N = 2¹⁸ spent
+// about 0.3 ms more in this loop and 3 ms more in the candidate phase after
+// it (DESIGN.md §15).
+func (s *spatial[G]) bucket(pos []population.Point) {
+	g, cellIdx := s.g, s.cellIdx
+	for i := range cellIdx {
+		cellIdx[i] = g.cell(pos[i])
+	}
 }
 
 // scatter is phase 2: a serial stable counting sort over the buckets in
@@ -566,8 +579,7 @@ func (s *spatial[G]) scatter(pos []population.Point) {
 // unmatched slot takes the first unmatched stored candidate, or runs the
 // exact fallback rescan when the stored prefix is exhausted but the
 // neighborhood holds more.
-func (s *spatial[G]) walk(g G) {
-	var nbuf [maxNbrCells]int32
+func (s *spatial[G]) walk() {
 	mate, cand, candN := s.mate, s.cand, s.candN
 	for _, k := range s.order {
 		if mate[k] >= 0 {
@@ -582,7 +594,7 @@ func (s *spatial[G]) walk(g G) {
 			}
 		}
 		if best < 0 && cn&candMore != 0 {
-			best = s.rescan(g, k, nbuf[:0])
+			best = s.rescan(k)
 			s.stats.Rescans++
 		}
 		if best >= 0 {
@@ -596,16 +608,16 @@ func (s *spatial[G]) walk(g G) {
 // — the historical serial algorithm in slot space, used only when the
 // precomputed candidate prefix is exhausted. Slots within a cell ascend
 // with agent index, so the strict `<` minimum breaks ties as before.
-func (s *spatial[G]) rescan(g G, k int32, nbuf []int32) int32 {
+func (s *spatial[G]) rescan(k int32) int32 {
 	best := int32(-1)
 	bestD := math.Inf(1)
 	pk := s.posByCell[k]
-	for _, c := range g.neighborhood(g.cell(pk), nbuf) {
+	for _, c := range s.g.neighborhood(s.g.cell(pk), s.nbuf[:0]) {
 		for j := s.cellStart[c]; j < s.cellStart[c+1]; j++ {
 			if j == k || s.mate[j] >= 0 {
 				continue
 			}
-			if d := g.dist2(pk, s.posByCell[j]); d < bestD {
+			if d := s.g.dist2(pk, s.posByCell[j]); d < bestD {
 				bestD = d
 				best = j
 			}
@@ -628,9 +640,9 @@ const candMore = 0x80
 // the selector's batch, which keeps crowded neighborhoods linear. sel is
 // the calling shard's scratch selector. It returns how many distances it
 // evaluated: the neighborhood's points other than selfK.
-func (s *spatial[G]) nearestCandidates(g G, sel *selector, selfK int, segs [][2]int32) int {
+func (s *spatial[G]) nearestCandidates(sel *selector, selfK int, segs [][2]int32) int {
 	sel.kept, sel.n, sel.bound = 0, 0, math.MaxInt64
-	pi := s.posByCell[selfK]
+	g, pi := s.g, s.posByCell[selfK]
 	self := int32(selfK)
 	total := 0
 	for _, sg := range segs {

@@ -3,6 +3,7 @@ package match
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"testing"
@@ -433,6 +434,62 @@ func TestPipelineStatsAccumulate(t *testing.T) {
 	}
 }
 
+// TestSpatialSampleAllocs pins the allocations of one sample. A sample
+// that reuses its rows allocates nothing at any worker count. One that
+// builds them allocates nothing at Workers 1, and at Workers 2 only the
+// call of the candidate phase's multi-part pool.Run. SmallWorld builds on
+// every sample. Each sample is counted on its own, with the collector off
+// and GOMAXPROCS 1 as in the engine's round gate (sim's
+// TestSteadyStateRoundAllocs), where the reasons are given.
+func TestSpatialSampleAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	mallocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	for _, name := range []string{"torus", "grid", "ring", "smallworld"} {
+		for _, w := range []int{1, 2} {
+			t.Run(name+"/workers="+strconv.Itoa(w), func(t *testing.T) {
+				m, pop := buildSpatial(t, name, 4096, 41)
+				defer withPool(m, w)()
+				src := prng.New(5)
+				var p Pairing
+				sample := func() { m.SampleMatch(pop, src, &p) }
+				ps := positionsOf(t, m)
+				// Warm-up: a build sizes the buffers and starts the pool's
+				// worker, which must then run once: its first run made
+				// the runtime allocate (runtime.malg, runtime.allocm) in
+				// whichever sample came next. On one P it runs when this
+				// goroutine yields, and of two yields at most one takes
+				// the global run queue first.
+				sample()
+				runtime.Gosched()
+				runtime.Gosched()
+				build := uint64(w - 1)
+				reuse := uint64(0)
+				if name == "smallworld" {
+					reuse = build
+				}
+				for i := range 4 {
+					if got := mallocs(sample); got != reuse {
+						t.Fatalf("sample %d without a position change allocates %d objects, want %d", i, got, reuse)
+					}
+				}
+				for i := range 4 {
+					ps.SetAt(i, ps.At(i))
+					if got := mallocs(sample); got != build {
+						t.Fatalf("sample %d after SetAt allocates %d objects, want %d", i, got, build)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestPipelineWorkCounters checks the exact work counters against an
 // independent count: on the uniform torus, DistEvals is the sum over agents
 // of their neighborhood's population, self excluded, with cells and
@@ -817,7 +874,7 @@ func TestSelectionKernelMatchesStableSort(t *testing.T) {
 		}
 
 		s := &spatial[torusGeom]{posByCell: pts, cand: make([]int32, candK*m), candN: make([]uint8, m)}
-		if evals := s.nearestCandidates(torusGeom{}, &sel, self, segs); evals != total {
+		if evals := s.nearestCandidates(&sel, self, segs); evals != total {
 			t.Fatalf("trial %d: %d distance evaluations, want %d", trial, evals, total)
 		}
 		cn := s.candN[self]

@@ -22,9 +22,9 @@ import (
 // its 3×3 grid neighborhood, visiting agents in random order: coverage is
 // high (most agents have a close unmatched neighbor) but pairs are strongly
 // local — the property under test in experiments A5, A7, and A8. The
-// matching runs on the sharded spatial pipeline (spatial.go): bucketing and
-// candidate search shard across the engine's worker pool with output
-// bit-identical to the serial algorithm for every worker count.
+// matching runs on the sharded spatial pipeline (spatial.go): the candidate
+// search shards across the engine's worker pool with output bit-identical
+// to the serial algorithm for every worker count.
 type Torus struct {
 	// Sigma is the standard deviation of a daughter's offset from its
 	// parent, in torus units (callers usually derive it from the mean

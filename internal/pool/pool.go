@@ -1,7 +1,7 @@
 // Package pool provides the engine's persistent worker pool: a fixed set of
 // parked goroutines that data-parallel phases (compose/step sharding and
-// the spatial matching pipeline) wake per task instead of spawning fresh
-// goroutines every round. At high round rates the per-round spawn +
+// the spatial matcher's candidate phase) wake per task instead of spawning
+// fresh goroutines every round. At high round rates the per-round spawn +
 // WaitGroup-barrier cost of the old scheme was a measurable serial tail
 // (DESIGN.md §10); the pool replaces it with one channel send per helping
 // worker. Every call — Run and Share — splits its work into numbered parts

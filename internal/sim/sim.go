@@ -48,10 +48,13 @@
 // disjoint state — DESIGN.md §10). The adversary's turn stays serial —
 // sequential by its budget semantics — and so do the kill fold and the
 // apply compaction, single passes that sharding did not speed up, and the
-// spatial pipeline's counting-sort scatter and greedy walk; its bucket,
-// candidate and output phases shard on the engine's pool (match/spatial.go,
-// DESIGN.md §12). Every pool callback the engine passes is bound once at
-// construction, so a round allocates no closures.
+// spatial pipeline's bucket, counting-sort scatter, greedy walk and output
+// pass; only its candidate phase shards on the engine's pool
+// (match/spatial.go, DESIGN.md §12 and §15). Every pool callback the engine
+// passes is bound once at construction and every per-part scratch lives in
+// the engine, so a steady-state round allocates nothing at Workers 1 and
+// only pool.Run's call per multi-part Run otherwise
+// (TestSteadyStateRoundAllocs).
 // Engines own their pool: Close releases its goroutines (a closed engine
 // keeps working, serially), and dropped engines are covered by a runtime
 // cleanup.
@@ -254,6 +257,11 @@ type Engine struct {
 	// Steppers. kill[j] has a unique writer per round (j's matched
 	// neighbor) and is read only by the serial kill fold.
 	kill []bool
+	// stepSrcs holds one counter stream per part of the step phase's
+	// pool.Run, indexed by part number, which each part reseeds for every
+	// agent it steps. As a local of the step range the stream would escape
+	// to the heap, once per part per round.
+	stepSrcs []stepSource
 
 	round uint64
 
@@ -548,10 +556,21 @@ func (e *Engine) RunRound() RoundReport {
 	return rep
 }
 
+// stepSource is one step part's counter stream, padded so that no two
+// parts' streams share a cache line: both rewrite theirs for every agent.
+type stepSource struct {
+	prng.Source
+	_ [64]byte
+}
+
 // ensureScratch sizes the msgs/actions (and, for extended programs, kill)
 // buffers for n agents, growing with 1.5× slack so a steadily growing
-// population does not reallocate on every round.
+// population does not reallocate on every round, and keeps a step stream
+// for every part the step phase splits n agents into.
 func (e *Engine) ensureScratch(n int) {
+	if w := e.pool.Shards(n, minShardAgents); len(e.stepSrcs) < w {
+		e.stepSrcs = make([]stepSource, w)
+	}
 	if cap(e.msgs) < n {
 		c := n + n/2
 		e.msgs = make([]uint8, c)
@@ -599,11 +618,11 @@ func (e *Engine) composeRange(_, lo, hi int) {
 // stepRange delivers the neighbor message of every agent in [lo, hi) and
 // executes its protocol step; RunRound shards it over the worker pool. Each
 // agent's coin flips come from the counter-based stream (protoKey, round,
-// slot) — reseeded per agent from a shard-private source — so the result is
-// bit-identical whether the shards run serially or concurrently.
-func (e *Engine) stepRange(_, lo, hi int) {
+// slot) — reseeded per agent in the part's own source — so the result is
+// bit-identical whether the parts run serially or concurrently.
+func (e *Engine) stepRange(part, lo, hi int) {
 	states := e.pop.States()
-	var src prng.Source
+	src := &e.stepSrcs[part].Source
 	for i := lo; i < hi; i++ {
 		src.SeedCounter(e.protoKey, e.round, uint64(i))
 		j := e.pairing.Nbr[i]
@@ -612,16 +631,16 @@ func (e *Engine) stepRange(_, lo, hi int) {
 		if hasNbr {
 			msg = e.proto.Decode(e.msgs[j])
 		}
-		e.actions[i] = e.proto.Step(&states[i], msg, hasNbr, &src)
+		e.actions[i] = e.proto.Step(&states[i], msg, hasNbr, src)
 	}
 }
 
 // stepRangeExtended is stepRange for extended programs, which additionally
 // route neighbor-kills into the mask (unique writer per victim: its matched
 // neighbor).
-func (e *Engine) stepRangeExtended(_, lo, hi int) {
+func (e *Engine) stepRangeExtended(part, lo, hi int) {
 	states := e.pop.States()
-	var src prng.Source
+	src := &e.stepSrcs[part].Source
 	for i := lo; i < hi; i++ {
 		src.SeedCounter(e.protoKey, e.round, uint64(i))
 		j := e.pairing.Nbr[i]
@@ -630,7 +649,7 @@ func (e *Engine) stepRangeExtended(_, lo, hi int) {
 		if hasNbr {
 			msg = e.xproto.Decode(e.msgs[j])
 		}
-		act, killNbr := e.xproto.StepAt(i, int(j), &states[i], msg, hasNbr, &src)
+		act, killNbr := e.xproto.StepAt(i, int(j), &states[i], msg, hasNbr, src)
 		e.actions[i] = act
 		if killNbr && hasNbr {
 			e.kill[j] = true
