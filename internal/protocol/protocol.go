@@ -15,6 +15,16 @@
 // simulation engine (internal/sim) owns message delivery and population
 // mutation, mirroring the model's separation between agents and scheduler.
 //
+// The engine drives the protocol one pool part at a time through
+// ComposeRange and StepRange (the sim.RangeStepper capability), which act
+// exactly as Compose, Decode and Step would agent by agent. Messages go
+// through two small tables built from the codec by New. Only the
+// leader-selection and evaluation rounds draw coins, so StepRange hands only
+// those rounds to Step and runs the recruitment rounds inline. The
+// per-agent methods stay the reference the range methods are tested against
+// (TestStepRangeMatchesStep, FuzzStepKernel), and they are what wrapped
+// programs call.
+//
 // Two clarifications of the paper's pseudocode are applied (see DESIGN.md §2):
 // the subphase-boundary re-arm of the recruiting flag applies only to active
 // agents, and daughters of a split inherit the parent's post-reset state.
@@ -78,6 +88,45 @@ type Protocol struct {
 	// rounds holds the per-round constants recruitment reads, indexed by
 	// the round within the epoch; sanitize keeps every agent's round < T.
 	rounds []roundConsts
+	// enc maps a message's four logical bits (msgBits) to its wire byte
+	// and dec a wire byte back to the bits, both filled from codec by New,
+	// so composing and decoding cost a table read, not a codec call.
+	enc [16]uint8
+	dec [256]uint8
+}
+
+// The logical bits of a message in enc's index and dec's entries, laid out
+// as wire.FourBit lays out its byte.
+const (
+	bitEval uint8 = 1 << iota
+	bitActive
+	bitColor
+	bitRecruiting
+)
+
+// msgBits packs m into its logical bits; the color keeps its one bit.
+func msgBits(m wire.Message) uint8 {
+	b := (m.Color & 1) << 2
+	if m.InEvalPhase {
+		b |= bitEval
+	}
+	if m.Active {
+		b |= bitActive
+	}
+	if m.Recruiting {
+		b |= bitRecruiting
+	}
+	return b
+}
+
+// bitsMsg is the inverse of msgBits.
+func bitsMsg(b uint8) wire.Message {
+	return wire.Message{
+		InEvalPhase: b&bitEval != 0,
+		Active:      b&bitActive != 0,
+		Color:       (b >> 2) & 1,
+		Recruiting:  b&bitRecruiting != 0,
+	}
 }
 
 // roundConsts are the recruitment constants of one round within the epoch,
@@ -118,6 +167,12 @@ func New(p params.Params, opts ...Option) (*Protocol, error) {
 	}
 	for _, opt := range opts {
 		opt(pr)
+	}
+	for b := range pr.enc {
+		pr.enc[b] = pr.codec.Encode(bitsMsg(uint8(b)))
+	}
+	for b := range pr.dec {
+		pr.dec[b] = msgBits(pr.codec.Decode(uint8(b)))
 	}
 	return pr, nil
 }
@@ -174,24 +229,183 @@ func (pr *Protocol) Codec() wire.Codec { return pr.codec }
 // Compose encodes the message agent s sends this round (Algorithm 2).
 func (pr *Protocol) Compose(s *agent.State) uint8 {
 	pr.sanitize(s)
-	return pr.codec.Encode(s.Message(pr.p.T))
+	return pr.enc[stateBits(s, uint32(pr.p.T-1))]
 }
 
 // Decode decodes a received message byte.
-func (pr *Protocol) Decode(b uint8) wire.Message { return pr.codec.Decode(b) }
+func (pr *Protocol) Decode(b uint8) wire.Message { return bitsMsg(pr.dec[b]) }
+
+// stateBits is msgBits of the message a sanitized agent s sends in a
+// protocol whose evaluation round is last, read straight from its state.
+func stateBits(s *agent.State, last uint32) uint8 {
+	return (bit(s.Round == last) | bit(s.Active)<<1 | s.Color<<2 | bit(s.Recruiting)<<3) & 15
+}
+
+// ComposeRange is Compose for every agent of states, writing agent k's
+// message to msgs[k]; the engine calls it once per part of its compose
+// phase.
+func (pr *Protocol) ComposeRange(states []agent.State, msgs []uint8) {
+	msgs = msgs[:len(states)]
+	enc, last := &pr.enc, uint32(pr.p.T-1)
+	t, half := uint32(pr.p.T), uint8(pr.p.HalfLogN)
+	for k := range states {
+		// On a copy: the fields stay in registers instead of being
+		// reloaded through the pointer after every store.
+		st := states[k]
+		if !canonical(&st, t, half) {
+			pr.repair(&states[k])
+			st = states[k]
+		}
+		msgs[k] = enc[stateBits(&st, last)]
+	}
+}
+
+// StepRange is Step for every agent of states, the part of the population
+// that starts at slot first: agent k is slot first+k, its matched neighbor
+// is slot nbr[k] (negative when unmatched), whose message is msgs[nbr[k]],
+// and its fate goes to actions[k]. Its coins come from src reseeded to the
+// counter stream (key, round, slot), exactly as the engine seeds a Step.
+//
+// Only the leader-selection and evaluation rounds draw coins, so only they
+// (and every round under WithoutRoundCheck) go through Step, in a second
+// pass over the part. The first pass, recruitRange, runs the recruitment
+// rounds inline. The result equals Step's, agent by agent, coin by coin
+// (TestStepRangeMatchesStep).
+func (pr *Protocol) StepRange(states []agent.State, nbr []int32, msgs []uint8, actions []population.Action, src *prng.Source, key, round uint64, first int) {
+	nbr = nbr[:len(states)]
+	actions = actions[:len(states)]
+	all := pr.noRoundCheck
+	if !all && !pr.recruitRange(states, nbr, msgs, actions) {
+		return
+	}
+	for k := range states {
+		if !all && actions[k] != actCoin {
+			continue
+		}
+		j := nbr[k]
+		var m wire.Message
+		if j >= 0 {
+			m = pr.Decode(msgs[j])
+		}
+		src.SeedCounter(key, round, uint64(first+k))
+		actions[k] = pr.Step(&states[k], m, j >= 0, src)
+	}
+}
+
+// actCoin marks in the action array an agent recruitRange left to Step.
+const actCoin population.Action = 0xff
+
+// recruitRange sanitizes every agent of the part and steps those in a
+// recruitment round: Algorithm 7's check and Algorithm 5, as Step runs
+// them. It marks the others actCoin and reports whether there were any.
+// Its counter events reach the shared counters in one atomic add per
+// counter per call. It makes no call but to repair, so that the loop's
+// values stay in registers.
+func (pr *Protocol) recruitRange(states []agent.State, nbr []int32, msgs []uint8, actions []population.Action) (coins bool) {
+	nbr = nbr[:len(states)]
+	actions = actions[:len(states)]
+	dec, rounds := &pr.dec, pr.rounds
+	last := uint32(pr.p.T - 1)
+	t, half := uint32(pr.p.T), uint8(pr.p.HalfLogN)
+	var deaths, recruits, misses uint64
+	for k := range states {
+		s := &states[k]
+		st := *s // a copy, as in ComposeRange
+		if !canonical(&st, t, half) {
+			pr.repair(s)
+			st = *s
+		}
+		r := st.Round
+		if r == 0 || r == last {
+			actions[k] = actCoin
+			coins = true
+			continue
+		}
+		// Without a branch on the matching, which is random: an unmatched
+		// agent (j < 0, so none is all ones) reads msgs[0] and keeps m = 0.
+		j := nbr[k]
+		none := uint8(j >> 31)
+		m := dec[msgs[j&^(j>>31)]] &^ none
+		// Algorithm 7: s is not in its evaluation round, so an evaluating
+		// neighbor disagrees.
+		if m&bitEval != 0 {
+			deaths++
+			actions[k] = population.ActDie
+			continue
+		}
+		// Algorithm 5, as recruitmentStep runs it.
+		rc := rounds[r]
+		active, color, recruiting, toRecruit := st.Active, st.Color, st.Recruiting, st.ToRecruit
+		switch {
+		case recruiting && none == 0 && m&bitActive == 0:
+			recruiting = false
+			if toRecruit > 0 {
+				toRecruit--
+			}
+		case !active && m&bitRecruiting != 0:
+			active, color, recruiting, toRecruit = true, (m>>2)&1, false, rc.depth
+			recruits++
+		}
+		if rc.boundary && active {
+			if recruiting {
+				misses++
+			}
+			recruiting = true
+		}
+		// Field by field: a whole-struct store is assembled on the stack
+		// and reloaded, which stalls store forwarding.
+		s.Round, s.Active, s.Color, s.Recruiting, s.ToRecruit = r+1, active, color, recruiting, toRecruit
+		actions[k] = population.ActKeep
+	}
+	if deaths != 0 {
+		atomic.AddUint64(&pr.stats.ConsistencyDeaths, deaths)
+	}
+	if recruits != 0 {
+		atomic.AddUint64(&pr.stats.Recruits, recruits)
+	}
+	if misses != 0 {
+		atomic.AddUint64(&pr.stats.RecruitMisses, misses)
+	}
+	return coins
+}
 
 // sanitize canonicalizes memory an adversary may have fabricated: the round
 // counter is reduced modulo T (the physical register holds ⌈log T⌉ bits, so
-// reduction is how overflow would behave), and the recruiting/color flags of
-// an inactive agent are cleared. The latter enforces the invariant
-// recruiting ⇒ active that the paper's three-bit encoding presupposes (proof
-// of Theorem 2): without it, an inserted "phantom recruiter" (active = 0,
-// recruiting = 1) would be indistinguishable on the wire from a real one
-// and could color other agents while remaining inactive itself.
+// reduction is how overflow would behave), the color likewise to its one-bit
+// register, and the recruiting/color flags of an inactive agent are cleared.
+// Without the color reduction an active agent holding color 3 would send
+// color 1 on the wire but compare its own 3 in the evaluation round, so the
+// two sides of one meeting would disagree. Clearing an inactive agent's
+// flags enforces the invariant recruiting ⇒ active that the paper's
+// three-bit encoding presupposes (proof of Theorem 2): without it, an
+// inserted "phantom recruiter" (active = 0, recruiting = 1) would be
+// indistinguishable on the wire from a real one and could color other
+// agents while remaining inactive itself.
 func (pr *Protocol) sanitize(s *agent.State) {
+	if !canonical(s, uint32(pr.p.T), uint8(pr.p.HalfLogN)) {
+		pr.repair(s)
+	}
+}
+
+// canonical reports whether sanitize would leave s as it is, as every
+// honest agent's state is, in a protocol of t rounds an epoch and a
+// recruitment quota of at most half. It is cheap enough to inline into the
+// range loops, and tests an inactive agent's flags without a branch on
+// Active, which those loops could not predict.
+func canonical(s *agent.State, t uint32, half uint8) bool {
+	return s.Round < t && uint8(s.ToRecruit) <= half &&
+		s.Color|((bit(s.Recruiting)|s.Color)&^bit(s.Active))<<1 <= 1
+}
+
+// repair is sanitize for a state that needs it. Inlined into the range
+// loops, it would take registers their common path needs.
+//
+//go:noinline
+func (pr *Protocol) repair(s *agent.State) {
 	if int(s.Round) >= pr.p.T {
 		s.Round %= uint32(pr.p.T)
 	}
+	s.Color &= 1
 	if !s.Active {
 		s.Recruiting = false
 		s.Color = agent.ColorNone
@@ -204,6 +418,15 @@ func (pr *Protocol) sanitize(s *agent.State) {
 	if int(s.ToRecruit) > pr.p.HalfLogN {
 		s.ToRecruit = int8(pr.p.HalfLogN)
 	}
+}
+
+// bit is 1 if b holds and 0 otherwise; it compiles without a branch.
+func bit(b bool) uint8 {
+	var i uint8
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // Step executes one round of MainProtocolStep (Algorithm 1) for a single

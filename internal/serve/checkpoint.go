@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -81,7 +82,11 @@ func encodeCheckpoint(cp Checkpoint) ([]byte, error) {
 	return enc.Finish(), nil
 }
 
-// decodeCheckpoint reverses encodeCheckpoint.
+// decodeCheckpoint reverses encodeCheckpoint. It accepts only what
+// encodeCheckpoint writes — no bytes after the section, and the spec in the
+// JSON form json.Marshal gives it — so a file that decodes re-encodes to the
+// same bytes (FuzzCheckpoint). Every length is checked against the file by
+// the wire decoder before anything is allocated.
 func decodeCheckpoint(data []byte) (Checkpoint, error) {
 	d, err := wire.NewDec(data)
 	if err != nil {
@@ -100,8 +105,14 @@ func decodeCheckpoint(data []byte) (Checkpoint, error) {
 	if err := d.Err(); err != nil {
 		return Checkpoint{}, fmt.Errorf("serve: %w", err)
 	}
+	if n := d.Remaining(); n != 0 {
+		return Checkpoint{}, fmt.Errorf("serve: %d bytes after the checkpoint section", n)
+	}
 	if err := json.Unmarshal(specBlob, &cp.Spec); err != nil {
 		return Checkpoint{}, fmt.Errorf("serve: decode checkpoint spec: %w", err)
+	}
+	if canon, err := json.Marshal(cp.Spec); err != nil || !bytes.Equal(canon, specBlob) {
+		return Checkpoint{}, errors.New("serve: checkpoint spec is not in the form encodeCheckpoint writes")
 	}
 	return cp, nil
 }

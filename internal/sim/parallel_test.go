@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"popstab/internal/adversary"
@@ -10,6 +11,7 @@ import (
 	"popstab/internal/pool"
 	"popstab/internal/population"
 	"popstab/internal/protocol"
+	"popstab/internal/wire"
 )
 
 // trajectory captures everything RunRound reports plus a census snapshot,
@@ -83,28 +85,93 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelCounters asserts the protocol's atomic event counters reach
-// identical totals across worker counts (the events are per-agent
-// deterministic; only increment order varies).
+// TestParallelCounters asserts the protocol's event counters reach identical
+// totals across worker counts (the events are per-agent deterministic; only
+// the order of the adds varies, and the range step batches its adds per
+// part). The wrong-round inserter and the eval flooder drive the
+// consistency check and the evaluation phase's deaths and splits.
 func TestParallelCounters(t *testing.T) {
 	p := fastParams(t)
-	run := func(workers int) protocol.Counters {
+	run := func(adv adversary.Adversary, workers int) protocol.Counters {
 		pr := protocol.MustNew(p)
 		e, err := New(Config{Params: p, Protocol: pr, Seed: 55, Workers: workers,
-			K: 2, Adversary: adversary.NewGreedy()})
+			K: 2, Adversary: adv})
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer e.Close()
 		e.RunRounds(2 * p.T)
 		return *pr.Counters()
 	}
-	want := run(1)
-	if want.Leaders == 0 || want.Recruits == 0 {
-		t.Fatalf("degenerate run, counters empty: %+v", want)
+	arms := []struct {
+		name string
+		adv  func() adversary.Adversary
+		// attack marks the inserters, whose runs count every event.
+		attack bool
+	}{
+		{"greedy", func() adversary.Adversary { return adversary.NewGreedy() }, false},
+		{"wrong-round", func() adversary.Adversary { return adversary.NewWrongRoundInserter(p.T / 2) }, true},
+		{"eval-flooder", func() adversary.Adversary { return adversary.NewEvalFlooder() }, true},
 	}
-	for _, w := range []int{2, 8} {
-		if got := run(w); got != want {
-			t.Errorf("workers=%d counters diverged:\n  got  %+v\n  want %+v", w, got, want)
+	for _, arm := range arms {
+		want := run(arm.adv(), 1)
+		if want.Leaders == 0 || want.Recruits == 0 {
+			t.Fatalf("%s: degenerate run, counters empty: %+v", arm.name, want)
+		}
+		if arm.attack && (want.ConsistencyDeaths == 0 || want.EvalSplits == 0 || want.EvalDeaths == 0 || want.RecruitMisses == 0) {
+			t.Fatalf("%s: an event went uncounted: %+v", arm.name, want)
+		}
+		for _, w := range []int{2, 8} {
+			if got := run(arm.adv(), w); got != want {
+				t.Errorf("%s: workers=%d counters diverged:\n  got  %+v\n  want %+v", arm.name, w, got, want)
+			}
+		}
+	}
+}
+
+// perAgent hides a program's RangeStepper capability, so the engine drives
+// it agent by agent.
+type perAgent struct{ Stepper }
+
+// TestRangeStepperMatchesPerAgent runs the paper protocol through its range
+// methods and, wrapped in perAgent, through the per-agent path, under
+// adversaries that exercise the round check and both codecs, and requires
+// the same population, agent for agent, after every round and the same
+// counters at the end.
+func TestRangeStepperMatchesPerAgent(t *testing.T) {
+	p := fastParams(t)
+	arms := []struct {
+		name string
+		adv  func() adversary.Adversary
+		opts []protocol.Option
+	}{
+		{"greedy", func() adversary.Adversary { return adversary.NewGreedy() }, nil},
+		{"wrong-round", func() adversary.Adversary { return adversary.NewWrongRoundInserter(p.T / 2) }, nil},
+		{"eval-flooder-4bit", func() adversary.Adversary { return adversary.NewEvalFlooder() },
+			[]protocol.Option{protocol.WithCodec(wire.FourBit{})}},
+		{"wrong-round-no-check", func() adversary.Adversary { return adversary.NewWrongRoundInserter(p.T / 2) },
+			[]protocol.Option{protocol.WithoutRoundCheck()}},
+	}
+	for _, arm := range arms {
+		for _, w := range []int{1, 2} {
+			ranged, plain := protocol.MustNew(p, arm.opts...), protocol.MustNew(p, arm.opts...)
+			a := MustNew(Config{Params: p, Protocol: ranged, Seed: 77, K: 2, Adversary: arm.adv(), Workers: w})
+			b := MustNew(Config{Params: p, Protocol: perAgent{plain}, Seed: 77, K: 2, Adversary: arm.adv(), Workers: w})
+			if a.ranged == nil || b.ranged != nil {
+				t.Fatalf("%s: engine path not chosen by program type", arm.name)
+			}
+			for r := 0; r < 2*p.T; r++ {
+				a.RunRound()
+				b.RunRound()
+				if !slices.Equal(a.pop.States(), b.pop.States()) {
+					t.Fatalf("%s workers=%d: populations diverged in round %d", arm.name, w, r)
+				}
+			}
+			if *ranged.Counters() != *plain.Counters() {
+				t.Errorf("%s workers=%d: counters %+v, per-agent %+v", arm.name, w, *ranged.Counters(), *plain.Counters())
+			}
+			a.Close()
+			b.Close()
 		}
 	}
 }

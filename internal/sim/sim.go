@@ -31,7 +31,10 @@
 //     adversary's View reads those positions (Pos, PatchPoint);
 //   - the agent program is a Stepper, or an ExtendedStepper for programs
 //     that carry per-slot side state and use the neighbor-removal power
-//     (internal/rogue's honest/rogue overlay).
+//     (internal/rogue's honest/rogue overlay). A Stepper that is also a
+//     RangeStepper (the paper's protocol) composes and steps a whole pool
+//     part per call; the engine picks that path once, by the program's
+//     type, and drives every other program agent by agent.
 //
 // The engine is deterministic given its seed: matcher, adversary, and binder
 // draw from independent split-off streams, and every protocol coin flip
@@ -89,7 +92,9 @@ import (
 // Step phases. Implementations may freely mutate the *agent.State they are
 // handed but must keep any shared mutable state of their own (e.g. event
 // counters) race-free; the src passed to Step is a private per-agent stream
-// owned by the calling goroutine.
+// owned by the calling goroutine. A Stepper may also implement
+// RangeStepper; the engine then calls its range methods instead, and the
+// per-agent methods remain what wrappers of the program call.
 type Stepper interface {
 	// EpochLen reports the protocol's epoch length in rounds (1 for
 	// epoch-free protocols).
@@ -100,6 +105,25 @@ type Stepper interface {
 	Decode(b uint8) wire.Message
 	// Step executes one round for one agent and reports its fate.
 	Step(s *agent.State, nbr wire.Message, hasNbr bool, src *prng.Source) population.Action
+}
+
+// RangeStepper is an optional Stepper capability: Compose and Step over a
+// whole part of the population in one call, which the engine then makes
+// once per part of its compose and step phases instead of three interface
+// calls per agent. internal/protocol's Protocol implements it; wrappers and
+// baselines do not, and the engine drives them agent by agent.
+//
+// ComposeRange must write exactly what Compose would, msgs[k] for states[k].
+// StepRange must act exactly as Decode and Step would for each agent of a
+// part that starts at slot first: agent k is slot first+k, matched with slot
+// nbr[k] (match.Unmatched when unmatched) whose message is msgs[nbr[k]], and
+// its fate goes to actions[k]. Its coins come from src reseeded to the
+// counter stream (key, round, first+k), so the stream is keyed per slot, not
+// per part. Each slot is written by exactly one part per phase, and parts
+// run concurrently under the Stepper concurrency contract.
+type RangeStepper interface {
+	ComposeRange(states []agent.State, msgs []uint8)
+	StepRange(states []agent.State, nbr []int32, msgs []uint8, actions []population.Action, src *prng.Source, key, round uint64, first int)
 }
 
 // ExtendedStepper is the indexed generalization of Stepper for programs that
@@ -236,8 +260,10 @@ type Engine struct {
 	stepChunk    func(part, lo, hi int)
 
 	// proto and xproto are the two program seams; exactly one is non-nil.
+	// ranged is proto as a RangeStepper, nil when it is not one.
 	proto  Stepper
 	xproto ExtendedStepper
+	ranged RangeStepper
 	// starter is the optional per-round hook of the program.
 	starter RoundStarter
 	// epochLen caches the program's EpochLen(), read on every round by the
@@ -371,6 +397,9 @@ func buildEngine(cfg Config, pop *population.Population) (*Engine, error) {
 	e.stepChunk = e.stepRange
 	if e.xproto != nil {
 		e.stepChunk = e.stepRangeExtended
+	} else if e.ranged, _ = e.proto.(RangeStepper); e.ranged != nil {
+		e.composeChunk = e.composeRanged
+		e.stepChunk = e.stepRanged
 	}
 	e.sampleMatch = func() {
 		t := time.Now()
@@ -613,6 +642,21 @@ func (e *Engine) composeRange(_, lo, hi int) {
 	if e.composeLeft.Add(int64(lo-hi)) == 0 {
 		e.composeEnd = time.Now()
 	}
+}
+
+// composeRanged is composeRange for a RangeStepper: one call per part.
+func (e *Engine) composeRanged(_, lo, hi int) {
+	e.ranged.ComposeRange(e.pop.States()[lo:hi], e.msgs[lo:hi])
+	if e.composeLeft.Add(int64(lo-hi)) == 0 {
+		e.composeEnd = time.Now()
+	}
+}
+
+// stepRanged is stepRange for a RangeStepper: one call per part, which
+// seeds the part's source per slot as stepRange does.
+func (e *Engine) stepRanged(part, lo, hi int) {
+	e.ranged.StepRange(e.pop.States()[lo:hi], e.pairing.Nbr[lo:hi], e.msgs,
+		e.actions[lo:hi], &e.stepSrcs[part].Source, e.protoKey, e.round, lo)
 }
 
 // stepRange delivers the neighbor message of every agent in [lo, hi) and
