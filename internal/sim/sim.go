@@ -639,14 +639,18 @@ func (e *Engine) composeRange(_, lo, hi int) {
 			e.msgs[i] = e.proto.Compose(&states[i])
 		}
 	}
-	if e.composeLeft.Add(int64(lo-hi)) == 0 {
-		e.composeEnd = time.Now()
-	}
+	e.composed(lo, hi)
 }
 
 // composeRanged is composeRange for a RangeStepper: one call per part.
 func (e *Engine) composeRanged(_, lo, hi int) {
 	e.ranged.ComposeRange(e.pop.States()[lo:hi], e.msgs[lo:hi])
+	e.composed(lo, hi)
+}
+
+// composed counts agents [lo, hi) as composed; the chunk that composes the
+// round's last agent stamps composeEnd.
+func (e *Engine) composed(lo, hi int) {
 	if e.composeLeft.Add(int64(lo-hi)) == 0 {
 		e.composeEnd = time.Now()
 	}
