@@ -246,7 +246,7 @@ func benchChurnRounds(b *testing.B, n, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := sim.New(sim.Config{Params: p, Protocol: churnStepper{}, Seed: 1, Workers: workers})
+	eng, err := sim.New(sim.Config{Params: p, Protocol: sim.Lift(churnStepper{}), Seed: 1, Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -144,7 +144,7 @@ func TestAttempt1Decision(t *testing.T) {
 func TestAttempt1StableWithoutAdversary(t *testing.T) {
 	p := fastParams(t)
 	a := MustNewAttempt1(p)
-	e := sim.MustNew(sim.Config{Params: p, Protocol: a, Seed: 4})
+	e := sim.MustNew(sim.Config{Params: p, Protocol: sim.Lift(a), Seed: 4})
 	for epoch := 0; epoch < 30; epoch++ {
 		for i := 0; i < a.EpochLen(); i++ {
 			e.RunRound()
@@ -160,7 +160,7 @@ func TestAttempt1StableWithoutAdversary(t *testing.T) {
 func TestAttempt1SuppressorCollapses(t *testing.T) {
 	p := fastParams(t)
 	a := MustNewAttempt1(p)
-	e := sim.MustNew(sim.Config{Params: p, Protocol: a, Seed: 5, K: 1,
+	e := sim.MustNew(sim.Config{Params: p, Protocol: sim.Lift(a), Seed: 5, K: 1,
 		Adversary: NewAttempt1Suppressor(a)})
 	epochs := 0
 	for e.Size() > p.N/2 && epochs < 40 {
@@ -180,7 +180,7 @@ func TestAttempt1IgniterExplodes(t *testing.T) {
 	p := fastParams(t)
 	a := MustNewAttempt1(p)
 	// Budget N^{1/4} per round is ample: carriers are ≈ m/N ≈ 1 expected.
-	e := sim.MustNew(sim.Config{Params: p, Protocol: a, Seed: 6, K: p.MaxTolerableK(),
+	e := sim.MustNew(sim.Config{Params: p, Protocol: sim.Lift(a), Seed: 6, K: p.MaxTolerableK(),
 		Adversary: NewAttempt1Igniter(a)})
 	epochs := 0
 	for e.Size() < 2*p.N && epochs < 20 {
@@ -263,7 +263,7 @@ func TestAttempt2RandomWalks(t *testing.T) {
 	a := MustNewAttempt2(p)
 	maxDev := 0
 	for seed := uint64(0); seed < 3; seed++ {
-		e := sim.MustNew(sim.Config{Params: p, Protocol: a, Seed: 10 + seed})
+		e := sim.MustNew(sim.Config{Params: p, Protocol: sim.Lift(a), Seed: 10 + seed})
 		for r := 0; r < 20*p.T; r++ {
 			e.RunRound()
 			dev := e.Size() - p.N
@@ -303,7 +303,7 @@ func TestEmptyNeverActs(t *testing.T) {
 
 func TestEmptyPopulationOnlyChangesViaAdversary(t *testing.T) {
 	p := fastParams(t)
-	e := sim.MustNew(sim.Config{Params: p, Protocol: Empty{}, Seed: 12, K: 3,
+	e := sim.MustNew(sim.Config{Params: p, Protocol: sim.Lift(Empty{}), Seed: 12, K: 3,
 		Adversary: adversary.NewRandomDeleter()})
 	start := e.Size()
 	rounds := 50
@@ -430,7 +430,7 @@ func TestDriftingClockZeroIsTransparent(t *testing.T) {
 			}
 			proto = d
 		}
-		e := sim.MustNew(sim.Config{Params: p, Protocol: proto, Seed: 20})
+		e := sim.MustNew(sim.Config{Params: p, Protocol: sim.Lift(proto), Seed: 20})
 		e.RunRounds(100)
 		return e.Size()
 	}

@@ -64,10 +64,10 @@ func runE9(cfg Config) (*Result, error) {
 	}
 	record("none", 0, none)
 	// The attacks read Attempt 1's internals, which no Spec names.
-	record("suppressor (insert heard=1)", 1, sim.MustNew(sim.Config{Params: p, Protocol: baseline.MustNewAttempt1(p),
+	record("suppressor (insert heard=1)", 1, sim.MustNew(sim.Config{Params: p, Protocol: sim.Lift(baseline.MustNewAttempt1(p)),
 		Workers: 1,
 		Seed:    cfg.Seed, K: 1, Adversary: baseline.NewAttempt1Suppressor(a1)}))
-	record("igniter (delete carriers)", p.MaxTolerableK(), sim.MustNew(sim.Config{Params: p, Protocol: baseline.MustNewAttempt1(p),
+	record("igniter (delete carriers)", p.MaxTolerableK(), sim.MustNew(sim.Config{Params: p, Protocol: sim.Lift(baseline.MustNewAttempt1(p)),
 		Workers: 1,
 		Seed:    cfg.Seed, K: p.MaxTolerableK(), Adversary: baseline.NewAttempt1Igniter(a1)}))
 	res.Tables = append(res.Tables, table)

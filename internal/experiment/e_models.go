@@ -163,7 +163,7 @@ func runA6(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng, err := sim.New(sim.Config{Params: p, Protocol: stepper, Seed: cfg.Seed, Workers: 1})
+		eng, err := sim.New(sim.Config{Params: p, Protocol: sim.Lift(stepper), Seed: cfg.Seed, Workers: 1})
 		if err != nil {
 			return nil, err
 		}

@@ -38,7 +38,7 @@ func kernelCase(t *testing.T, ref, kern *Protocol, s agent.State, nbrMsg uint8, 
 	acts := []population.Action{population.ActSplit}
 	untouched := prng.AtCounter(1, 2, 3)
 	kernSrc := untouched
-	kern.StepRange(got, nbr, msgs, acts, &kernSrc, key, round, slot)
+	kern.StepRange(slot, got, nbr, msgs, acts, &kernSrc, key, round)
 
 	if got[0] != want || acts[0] != wantAct {
 		t.Fatalf("state %v nbr %#x/%v: StepRange gave %v %v, Step %v %v", s, nbrMsg, hasNbr, got[0], acts[0], want, wantAct)
@@ -135,7 +135,7 @@ func TestComposeRangeMatchesCompose(t *testing.T) {
 			wantMsgs[i] = pr.Compose(&want[i])
 		}
 		msgs := make([]uint8, len(states))
-		pr.ComposeRange(states, msgs)
+		pr.ComposeRange(0, states, msgs)
 		for i := range states {
 			if states[i] != want[i] || msgs[i] != wantMsgs[i] {
 				t.Fatalf("%s: agent %d: ComposeRange gave %v %#x, Compose %v %#x",
@@ -263,11 +263,11 @@ func FuzzStepKernel(f *testing.F) {
 
 		msgs := make([]uint8, n)
 		h := int(split) % (n + 1)
-		kern.ComposeRange(states[:h], msgs[:h])
-		kern.ComposeRange(states[h:], msgs[h:])
+		kern.ComposeRange(first, states[:h], msgs[:h])
+		kern.ComposeRange(first+h, states[h:], msgs[h:])
 		acts := make([]population.Action, n)
-		kern.StepRange(states[:h], nbr[:h], msgs, acts[:h], &src, key, round, first)
-		kern.StepRange(states[h:], nbr[h:], msgs, acts[h:], &src, key, round, first+h)
+		kern.StepRange(first, states[:h], nbr[:h], msgs, acts[:h], &src, key, round)
+		kern.StepRange(first+h, states[h:], nbr[h:], msgs, acts[h:], &src, key, round)
 		for i := range states {
 			if msgs[i] != wantMsgs[i] {
 				t.Fatalf("agent %d: message %#x, Compose's %#x", i, msgs[i], wantMsgs[i])
@@ -320,21 +320,21 @@ func BenchmarkComposeRange(b *testing.B) {
 	pr, states, _, msgs, _ := kernelBenchPopulation(b, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pr.ComposeRange(states, msgs)
+		pr.ComposeRange(0, states, msgs)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(states)), "ns/agent")
 }
 
 func BenchmarkStepRange(b *testing.B) {
 	pr, states, nbr, msgs, actions := kernelBenchPopulation(b, 5)
-	pr.ComposeRange(states, msgs)
+	pr.ComposeRange(0, states, msgs)
 	var src prng.Source
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k := range states {
 			states[k].Round = 5
 		}
-		pr.StepRange(states, nbr, msgs, actions, &src, 1, uint64(i), 0)
+		pr.StepRange(0, states, nbr, msgs, actions, &src, 1, uint64(i))
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(states)), "ns/agent")
 }

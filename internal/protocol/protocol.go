@@ -16,7 +16,7 @@
 // mutation, mirroring the model's separation between agents and scheduler.
 //
 // The engine drives the protocol one pool part at a time through
-// ComposeRange and StepRange (the sim.RangeStepper capability), which act
+// ComposeRange and StepRange (it is a sim.Program), which act
 // exactly as Compose, Decode and Step would agent by agent. Messages go
 // through two small tables built from the codec by New. Only the
 // leader-selection and evaluation rounds draw coins, so StepRange hands only
@@ -243,8 +243,8 @@ func stateBits(s *agent.State, last uint32) uint8 {
 
 // ComposeRange is Compose for every agent of states, writing agent k's
 // message to msgs[k]; the engine calls it once per part of its compose
-// phase.
-func (pr *Protocol) ComposeRange(states []agent.State, msgs []uint8) {
+// phase. Compose does not depend on the slot, so first is unused.
+func (pr *Protocol) ComposeRange(_ int, states []agent.State, msgs []uint8) {
 	msgs = msgs[:len(states)]
 	enc, last := &pr.enc, uint32(pr.p.T-1)
 	t, half := uint32(pr.p.T), uint8(pr.p.HalfLogN)
@@ -270,13 +270,13 @@ func (pr *Protocol) ComposeRange(states []agent.State, msgs []uint8) {
 // (and every round under WithoutRoundCheck) go through Step, in a second
 // pass over the part. The first pass, recruitRange, runs the recruitment
 // rounds inline. The result equals Step's, agent by agent, coin by coin
-// (TestStepRangeMatchesStep).
-func (pr *Protocol) StepRange(states []agent.State, nbr []int32, msgs []uint8, actions []population.Action, src *prng.Source, key, round uint64, first int) {
+// (TestStepRangeMatchesStep). No agent removes another, so it reports 0.
+func (pr *Protocol) StepRange(first int, states []agent.State, nbr []int32, msgs []uint8, actions []population.Action, src *prng.Source, key, round uint64) int {
 	nbr = nbr[:len(states)]
 	actions = actions[:len(states)]
 	all := pr.noRoundCheck
 	if !all && !pr.recruitRange(states, nbr, msgs, actions) {
-		return
+		return 0
 	}
 	for k := range states {
 		if !all && actions[k] != actCoin {
@@ -290,6 +290,7 @@ func (pr *Protocol) StepRange(states []agent.State, nbr []int32, msgs []uint8, a
 		src.SeedCounter(key, round, uint64(first+k))
 		actions[k] = pr.Step(&states[k], m, j >= 0, src)
 	}
+	return 0
 }
 
 // actCoin marks in the action array an agent recruitRange left to Step.

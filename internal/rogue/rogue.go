@@ -20,20 +20,24 @@
 //   - honest agents run the unmodified population stability protocol, but
 //     when matched with an agent of a different program they detect it with
 //     probability DetectProb and remove it (treating the interaction as ⊥
-//     for their own protocol step);
+//     for their own protocol step). The removal is written by the victim:
+//     a rogue draws its honest neighbor's detection coin from that
+//     neighbor's counter stream and writes its own death, so every slot
+//     writes only its own fate;
 //   - when detection fails, the honest agent processes the rogue's garbage
 //     message like any other (a zero message: inactive, not recruiting, not
 //     in the evaluation phase).
 //
 // Since the multi-layer unification (DESIGN.md §5) the package is no longer
-// a forked engine: Overlay wraps any sim.Stepper as a sim.ExtendedStepper —
+// a forked engine: Overlay wraps any per-agent sim.Stepper as a sim.Program —
 // the program tags and replication cooldowns live in a side-array kept
-// aligned through population.Tracker, detection kills travel through the
-// engine's neighbor-removal channel, and infiltration rides the StartRound
-// hook. Engine is a thin constructor over the unified sim.Engine, so the
-// extension inherits Workers sharding, counter-based per-agent randomness,
-// RoundReport/EpochReport, adversary support, and arbitrary communication
-// models (rogues on a spatial torus: sim.Config.Matcher) for free.
+// aligned through population.Tracker, detection kills are the victims' own
+// deaths, counted in the step's removal count, and infiltration rides the
+// StartRound hook. Engine is a thin constructor over the unified
+// sim.Engine, so the extension inherits Workers sharding, counter-based
+// per-agent randomness, RoundReport/EpochReport, adversary support, and
+// arbitrary communication models (rogues on a spatial torus:
+// sim.Config.Matcher) for free.
 //
 // The containment condition is a branching-process balance: a rogue doubles
 // every R rounds and survives each round with probability 1 − γ·h·DetectProb
@@ -96,7 +100,7 @@ type Stats struct {
 
 // Overlay wraps an inner per-agent program with the malicious-program
 // semantics, turning the forked engine of the pre-unification design into a
-// plain sim.ExtendedStepper. It also implements population.Tracker (the
+// plain sim.Program. It also implements population.Tracker (the
 // program side-array follows splits, kills, adversarial alterations, and
 // forced resizes) and sim.RoundStarter (continuous infiltration at epoch
 // boundaries). Attach it to the engine's population before the first round;
@@ -125,9 +129,9 @@ type Overlay struct {
 }
 
 var (
-	_ sim.ExtendedStepper = (*Overlay)(nil)
-	_ sim.RoundStarter    = (*Overlay)(nil)
-	_ population.Tracker  = (*Overlay)(nil)
+	_ sim.Program        = (*Overlay)(nil)
+	_ sim.RoundStarter   = (*Overlay)(nil)
+	_ population.Tracker = (*Overlay)(nil)
 )
 
 // Stats returns the accumulated extension counters.
@@ -161,60 +165,80 @@ func (o *Overlay) InsertRogue(pop *population.Population) {
 // validate restored snapshots against the agent count.
 func (o *Overlay) Len() int { return len(o.meta) }
 
-// EpochLen implements sim.ExtendedStepper with the inner program's epoch.
+// EpochLen implements sim.Program with the inner program's epoch.
 func (o *Overlay) EpochLen() int { return o.epochLen }
 
-// Decode implements sim.ExtendedStepper.
-func (o *Overlay) Decode(b uint8) wire.Message { return o.inner.Decode(b) }
-
-// ComposeAt implements sim.ExtendedStepper: honest agents compose the inner
+// ComposeRange implements sim.Program: honest agents compose the inner
 // protocol's message; rogues send garbage (a zero byte decodes to an
 // inactive, non-recruiting, non-evaluating agent).
-func (o *Overlay) ComposeAt(i int, s *agent.State) uint8 {
-	if o.meta[i].prog != Honest {
-		return 0
+func (o *Overlay) ComposeRange(first int, states []agent.State, msgs []uint8) {
+	meta := o.meta[first : first+len(states)]
+	for k := range states {
+		msgs[k] = 0
+		if meta[k].prog == Honest {
+			msgs[k] = o.inner.Compose(&states[k])
+		}
 	}
-	return o.inner.Compose(s)
 }
 
-// StepAt implements sim.ExtendedStepper.
+// StepRange implements sim.Program.
 //
 // Rogues run the malicious program — ignore everyone, replicate as often as
-// the rate bound allows — and consume no randomness. Honest agents first
-// run the detection guard: on contact with a foreign program they draw the
-// detection coin from their per-agent stream and, on success, remove the
-// neighbor through the kill channel, treating the interaction as ⊥ for
-// their own protocol step. Program tags are immutable within a round, so
-// reading the neighbor's tag races with nothing; the neighbor's cooldown is
-// written only by its owning shard and never read here.
-func (o *Overlay) StepAt(i, j int, s *agent.State, nbr wire.Message, hasNbr bool, src *prng.Source) (population.Action, bool) {
-	a := &o.meta[i]
-	if a.prog == Rogue {
-		if a.cooldown > 0 {
-			a.cooldown--
+// the rate bound allows — and consume no randomness of their own. Honest
+// agents first run the detection guard: on contact with a foreign program
+// they draw the detection coin, the first draw of their per-agent stream,
+// and on success treat the interaction as ⊥ for their own protocol step.
+// The detected rogue removes itself: it reseeds src to its honest
+// neighbor's stream, draws the same coin, and writes ActDie over its own
+// action (its split, if its cooldown expired this round, is lost but still
+// counted). Program tags are immutable within a round, so reading the
+// neighbor's tag races with nothing, and every slot writes only its own
+// meta and action.
+func (o *Overlay) StepRange(first int, states []agent.State, nbr []int32, msgs []uint8, actions []population.Action, src *prng.Source, key, round uint64) (removed int) {
+	var splits, failed uint64
+	for k := range states {
+		i, j := first+k, nbr[k]
+		foreign := j != match.Unmatched && o.meta[j].prog != o.meta[i].prog
+		if a := &o.meta[i]; a.prog == Rogue {
+			if a.cooldown > 0 {
+				a.cooldown--
+			}
+			actions[k] = population.ActKeep
+			if a.cooldown == 0 {
+				a.cooldown = o.replicateEvery
+				splits++
+				actions[k] = population.ActSplit
+			}
+			if foreign {
+				src.SeedCounter(key, round, uint64(j))
+				if src.Prob(o.detectProb) {
+					actions[k] = population.ActDie
+					removed++
+				}
+			}
+			continue
 		}
-		if a.cooldown == 0 {
-			a.cooldown = o.replicateEvery
-			atomic.AddUint64(&o.stats.RogueSplits, 1)
-			return population.ActSplit, false
+		src.SeedCounter(key, round, uint64(i))
+		hasNbr := j != match.Unmatched
+		if foreign {
+			if src.Prob(o.detectProb) {
+				// The interaction is consumed by the removal: the honest
+				// agent's own step sees no neighbor.
+				hasNbr = false
+			} else {
+				failed++
+			}
 		}
-		return population.ActKeep, false
+		var msg wire.Message
+		if hasNbr {
+			msg = o.inner.Decode(msgs[j])
+		}
+		actions[k] = o.inner.Step(&states[k], msg, hasNbr, src)
 	}
-
-	kill := false
-	if hasNbr && o.meta[j].prog != a.prog {
-		if src.Prob(o.detectProb) {
-			kill = true
-			atomic.AddUint64(&o.stats.RogueKills, 1)
-			// The interaction is consumed by the removal: the honest
-			// agent's own step sees no neighbor.
-			hasNbr = false
-			nbr = wire.Message{}
-		} else {
-			atomic.AddUint64(&o.stats.FailedDetections, 1)
-		}
-	}
-	return o.inner.Step(s, nbr, hasNbr, src), kill
+	atomic.AddUint64(&o.stats.RogueKills, uint64(removed))
+	atomic.AddUint64(&o.stats.RogueSplits, splits)
+	atomic.AddUint64(&o.stats.FailedDetections, failed)
+	return removed
 }
 
 // StartRound implements sim.RoundStarter: continuous infiltration inserts
@@ -252,8 +276,8 @@ func (o *Overlay) DeletedSwap(i, last int) {
 
 // Applied implements population.Tracker: it replays Apply's compaction
 // over the program side-array; daughters inherit their parent's post-step
-// tag and cooldown (a splitting rogue's cooldown was re-armed in StepAt, so
-// both copies wait a full period).
+// tag and cooldown (a splitting rogue's cooldown was re-armed in StepRange,
+// so both copies wait a full period).
 func (o *Overlay) Applied(actions []population.Action) {
 	o.meta, _ = population.Compact(o.meta, actions, func(parent meta) meta { return parent })
 }
@@ -402,23 +426,22 @@ type Engine struct {
 }
 
 // New builds the extended engine: sc.InitialSize honest agents (default
-// sc.Params.N) running sc.Protocol — the paper protocol when nil; the
-// popstab facade passes baselines through here too — plus rc.InitialRogues
-// rogues. sc.Extended must be unset: the overlay takes that slot.
+// sc.Params.N) running sc.Protocol's per-agent form — the paper protocol
+// when nil; the popstab facade passes lifted baselines through here too —
+// plus rc.InitialRogues rogues. The overlay takes sc.Protocol's place.
 func New(sc sim.Config, rc Config) (*Engine, error) {
 	if err := rc.Validate(); err != nil {
 		return nil, err
 	}
-	if sc.Extended != nil {
-		return nil, errors.New("rogue: sim.Config.Extended is the overlay's slot")
-	}
-	inner := sc.Protocol
-	if inner == nil {
+	var inner sim.Stepper
+	if sc.Protocol == nil {
 		pr, err := protocol.New(sc.Params)
 		if err != nil {
 			return nil, fmt.Errorf("rogue: %w", err)
 		}
 		inner = pr
+	} else if inner = sim.StepperOf(sc.Protocol); inner == nil {
+		return nil, errors.New("rogue: sim.Config.Protocol has no per-agent form")
 	}
 	overlay := &Overlay{
 		inner:          inner,
@@ -439,7 +462,7 @@ func New(sc sim.Config, rc Config) (*Engine, error) {
 	for i := 0; i < rc.InitialRogues; i++ {
 		overlay.InsertRogue(pop)
 	}
-	sc.Protocol, sc.Extended = nil, overlay
+	sc.Protocol = overlay
 	eng, err := sim.NewFromPopulation(sc, pop)
 	if err != nil {
 		return nil, fmt.Errorf("rogue: %w", err)

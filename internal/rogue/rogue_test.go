@@ -1,6 +1,7 @@
 package rogue
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -232,7 +233,7 @@ func TestGlobalRoundAdvances(t *testing.T) {
 // (population size, honest/rogue counts, stats) is bit-identical across
 // Workers ∈ {1, 2, NumCPU}, mirroring internal/sim's golden determinism
 // guarantee — now inherited rather than re-implemented, since the rogue
-// path is a Stepper wrapper over the unified engine.
+// path is a Program over the unified engine.
 func TestParallelDeterminism(t *testing.T) {
 	run := func(workers int) ([]int, Stats) {
 		e, err := New(sim.Config{Params: fastParams(t), Seed: 77, Workers: workers},
@@ -265,7 +266,7 @@ func TestParallelDeterminism(t *testing.T) {
 
 // TestGoldenTrajectory pins the exact trajectory of a fixed rogue
 // configuration, the extension twin of internal/sim's golden test: any
-// unintended semantic change to the overlay, the kill channel, the
+// unintended semantic change to the overlay, the victim-side kill, the
 // infiltration hook, or the engine's stream derivation changes this number.
 // If a change is INTENDED, rerun with -v and update the constant.
 func TestGoldenTrajectory(t *testing.T) {
@@ -289,27 +290,61 @@ func TestGoldenTrajectory(t *testing.T) {
 }
 
 // TestKillsReportedPerRound asserts detection kills surface in the unified
-// engine's RoundReport and agree with the overlay's atomic counters.
+// engine's RoundReport, the sum of the step parts' removal counts, and agree
+// round by round with the overlay's atomic counters at every worker count.
 func TestKillsReportedPerRound(t *testing.T) {
-	p := fastParams(t)
-	e, err := New(sim.Config{Params: p, Seed: 11, Workers: 1},
-		Config{ReplicateEvery: 16, DetectProb: 1, InitialRogues: 64})
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			p := fastParams(t)
+			e, err := New(sim.Config{Params: p, Seed: 11, Workers: workers},
+				Config{ReplicateEvery: 16, DetectProb: 1, InitialRogues: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			totalKills := 0
+			for i := 0; i < 40; i++ {
+				before := e.Stats().RogueKills
+				rep := e.RunRound()
+				if rep.Kills > rep.Deaths {
+					t.Fatalf("round %d: kills %d exceed deaths %d", i, rep.Kills, rep.Deaths)
+				}
+				if delta := e.Stats().RogueKills - before; uint64(rep.Kills) != delta {
+					t.Fatalf("round %d: report kills %d, RogueKills grew by %d", i, rep.Kills, delta)
+				}
+				totalKills += rep.Kills
+			}
+			if totalKills == 0 {
+				t.Error("no kills recorded against 64 rogues at perfect detection")
+			}
+		})
+	}
+}
+
+// TestDetectedRogueDiesBeforeSplitting pins the removal semantics: a rogue
+// whose cooldown expires in the round it is detected writes its own death
+// instead of its split, the removal counts in both Kills and Deaths, and
+// RogueSplits still counts the replication the rogue attempted.
+func TestDetectedRogueDiesBeforeSplitting(t *testing.T) {
+	e, err := New(sim.Config{
+		Params:      fastParams(t),
+		Matcher:     match.FromScheduler(match.Full{}),
+		InitialSize: 1,
+		Seed:        1,
+		Workers:     1,
+	}, Config{ReplicateEvery: 1, DetectProb: 1, InitialRogues: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	totalKills := 0
-	for i := 0; i < 40; i++ {
-		rep := e.RunRound()
-		if rep.Kills > rep.Deaths {
-			t.Fatalf("round %d: kills %d exceed deaths %d", i, rep.Kills, rep.Deaths)
-		}
-		totalKills += rep.Kills
+	rep := e.RunRound()
+	if rep.Kills != 1 || rep.Deaths != 1 || rep.Births != 0 || rep.SizeAfter != 1 {
+		t.Fatalf("kills=%d deaths=%d births=%d size=%d, want 1/1/0/1: %+v",
+			rep.Kills, rep.Deaths, rep.Births, rep.SizeAfter, rep)
 	}
-	if got := e.Stats().RogueKills; got != uint64(totalKills) {
-		t.Errorf("stats kills %d != summed report kills %d", got, totalKills)
+	if honest, rogues := e.Counts(); honest != 1 || rogues != 0 {
+		t.Fatalf("composition %d/%d, want 1/0", honest, rogues)
 	}
-	if totalKills == 0 {
-		t.Error("no kills recorded against 64 rogues at perfect detection")
+	if st := e.Stats(); st.RogueKills != 1 || st.RogueSplits != 1 || st.FailedDetections != 0 {
+		t.Fatalf("stats %+v, want 1 kill, 1 split, 0 failed detections", st)
 	}
 }
 

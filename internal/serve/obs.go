@@ -34,7 +34,7 @@ type obsPlane struct {
 }
 
 // phaseBuckets resolve the round-phase histograms: phases run from
-// sub-microsecond (a small population's kill fold) to tens of milliseconds
+// sub-microsecond (a small population's apply) to tens of milliseconds
 // (a 2²⁰ spatial match), well below DefBuckets' latency range.
 var phaseBuckets = []float64{
 	1e-6, 5e-6, 25e-6, 1e-4, 5e-4, 2.5e-3, 1e-2, 5e-2, 0.25, 1,

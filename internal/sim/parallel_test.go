@@ -129,12 +129,12 @@ func TestParallelCounters(t *testing.T) {
 	}
 }
 
-// perAgent hides a program's RangeStepper capability, so the engine drives
-// it agent by agent.
+// perAgent hides a program's range methods, so Lift adapts it and the
+// engine drives it agent by agent.
 type perAgent struct{ Stepper }
 
 // TestRangeStepperMatchesPerAgent runs the paper protocol through its range
-// methods and, wrapped in perAgent, through the per-agent path, under
+// methods and, wrapped in perAgent, through Lift's adapter, under
 // adversaries that exercise the round check and both codecs, and requires
 // the same population, agent for agent, after every round and the same
 // counters at the end.
@@ -156,9 +156,9 @@ func TestRangeStepperMatchesPerAgent(t *testing.T) {
 		for _, w := range []int{1, 2} {
 			ranged, plain := protocol.MustNew(p, arm.opts...), protocol.MustNew(p, arm.opts...)
 			a := MustNew(Config{Params: p, Protocol: ranged, Seed: 77, K: 2, Adversary: arm.adv(), Workers: w})
-			b := MustNew(Config{Params: p, Protocol: perAgent{plain}, Seed: 77, K: 2, Adversary: arm.adv(), Workers: w})
-			if a.ranged == nil || b.ranged != nil {
-				t.Fatalf("%s: engine path not chosen by program type", arm.name)
+			b := MustNew(Config{Params: p, Protocol: Lift(perAgent{plain}), Seed: 77, K: 2, Adversary: arm.adv(), Workers: w})
+			if _, lifted := b.prog.(agentwise); a.prog != Program(ranged) || !lifted {
+				t.Fatalf("%s: Lift did not keep the protocol's range methods and adapt the rest", arm.name)
 			}
 			for r := 0; r < 2*p.T; r++ {
 				a.RunRound()

@@ -34,8 +34,9 @@ type RoundStats struct {
 	MatchNS uint64 `json:"match_ns"`
 	// StepNS is the deliver-and-step phase.
 	StepNS uint64 `json:"step_ns"`
-	// KillFoldNS is the extended programs' neighbor-kill fold (zero for
-	// plain Steppers).
+	// KillFoldNS is always 0: a removed agent writes its own death in the
+	// step, so there is no kill fold to time. The field stays only because
+	// perfbench reads it.
 	KillFoldNS uint64 `json:"kill_fold_ns"`
 	// ApplyNS is the population's sharded apply/compaction pass.
 	ApplyNS uint64 `json:"apply_ns"`

@@ -53,7 +53,7 @@ func TestRoundStatsAccumulate(t *testing.T) {
 		t.Fatalf("phase counters not populated: %+v", s)
 	}
 	if s.KillFoldNS != 0 {
-		t.Errorf("plain Stepper must not pay the kill fold: %+v", s)
+		t.Errorf("KillFoldNS must stay 0, there is no kill fold: %+v", s)
 	}
 	if s.Births != uint64(births) || s.Deaths != uint64(deaths) || s.NetGrowth != int64(net) {
 		t.Errorf("population deltas diverge from reports: %+v vs births=%d deaths=%d net=%d",

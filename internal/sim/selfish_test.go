@@ -16,7 +16,7 @@ func TestSelfishReplicatorEscapes(t *testing.T) {
 	p := fastParams(t)
 	e := MustNew(Config{
 		Params:   p,
-		Protocol: NewSelfishReplicator(protocol.MustNew(p)),
+		Protocol: Lift(NewSelfishReplicator(protocol.MustNew(p))),
 		Seed:     21,
 		Workers:  1,
 	})
@@ -49,7 +49,7 @@ func TestSelfishReplicatorGoldenDeterminism(t *testing.T) {
 	run := func(w int) trajectory {
 		return runTrajectory(t, Config{
 			Params:   p,
-			Protocol: NewSelfishReplicator(protocol.MustNew(p)),
+			Protocol: Lift(NewSelfishReplicator(protocol.MustNew(p))),
 			Seed:     22,
 			Workers:  w,
 		}, 16)

@@ -27,8 +27,8 @@ import (
 	"popstab/internal/wire"
 )
 
-// StateCodec is implemented by programs (Steppers or ExtendedSteppers) that
-// carry mutable per-run state: side-arrays, accumulated counters, private
+// StateCodec is implemented by programs (Programs or the Steppers Lift
+// adapts) that carry mutable per-run state: side-arrays, accumulated counters, private
 // streams. The engine's snapshot captures it; programs that are pure
 // functions of the agent states (the baselines) simply don't implement it.
 // Wrapper programs delegate to their inner program so the encoding layout
@@ -70,12 +70,7 @@ const (
 // chain included) for the snapshot identity check: restoring a paper-
 // protocol snapshot into an attempt1 engine, or a selfish-wrapped one into
 // a plain one, must fail loudly, even though both sides would decode.
-func (e *Engine) programSignature() string {
-	if e.xproto != nil {
-		return signatureOf(e.xproto)
-	}
-	return signatureOf(e.proto)
-}
+func (e *Engine) programSignature() string { return signatureOf(unlifted(e.prog)) }
 
 // signatureOf renders a program's type, descending through the wrappers
 // this package knows about.
@@ -88,13 +83,13 @@ func signatureOf(p any) string {
 
 // programCodec reports the active program's StateCodec, if it has one.
 func (e *Engine) programCodec() StateCodec {
-	if e.xproto != nil {
-		c, _ := e.xproto.(StateCodec)
-		return c
-	}
-	c, _ := e.proto.(StateCodec)
+	c, _ := unlifted(e.prog).(StateCodec)
 	return c
 }
+
+// extended is the identity's program-shape flag: a program with no
+// per-agent form (internal/rogue's Overlay).
+func (e *Engine) extended() bool { return StepperOf(e.prog) == nil }
 
 // Snapshot serializes the engine's full mutable state. It must be called
 // between rounds (the engine is single-goroutine; any caller able to invoke
@@ -130,7 +125,7 @@ func (e *Engine) Snapshot() []byte {
 	// strategy names plus the parameters names omit (patch centers,
 	// attack windows), recursively through the wrappers.
 	enc.String(adversary.FingerprintOf(e.adv))
-	enc.Bool(e.xproto != nil)
+	enc.Bool(e.extended())
 	enc.Bool(matcherState != nil)
 	enc.Bool(progState != nil)
 	enc.Bool(advState != nil)
@@ -216,7 +211,7 @@ func (e *Engine) Restore(data []byte) error {
 		return fmt.Errorf("sim: snapshot program %q, engine runs %q", progSig, e.programSignature())
 	case advName != adversary.FingerprintOf(e.adv):
 		return fmt.Errorf("sim: snapshot adversary %q, engine has %q", advName, adversary.FingerprintOf(e.adv))
-	case extended != (e.xproto != nil):
+	case extended != e.extended():
 		return fmt.Errorf("sim: snapshot program shape (extended=%v) does not match engine", extended)
 	case hasMatcher != (matcherState != nil):
 		return fmt.Errorf("sim: snapshot matcher-state presence does not match engine")

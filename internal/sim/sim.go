@@ -14,10 +14,10 @@
 //     population-state-aware matching such as nearest-neighbor on the torus;
 //  4. every agent composes its outgoing message from its pre-round state;
 //  5. messages are delivered simultaneously; unmatched agents receive ⊥;
-//  6. every agent executes one protocol step, yielding keep/die/split (and,
-//     for extended programs, optionally removing its matched neighbor);
-//  7. deaths, neighbor-kills and births are applied in one pass; daughters
-//     act next round.
+//  6. every agent executes one protocol step, yielding keep/die/split (an
+//     agent removed by its matched neighbor — the rogue overlay's detection —
+//     writes its own death);
+//  7. deaths and births are applied in one pass; daughters act next round.
 //
 // The engine is generic over two seams, which is what lets the §1.2
 // extensions share one round loop instead of forking it (they used to be
@@ -29,12 +29,10 @@
 //     population.Positions side-array at Bind time so daughter placement and
 //     adversarial insertion stay aligned with the agent states, and the
 //     adversary's View reads those positions (Pos, PatchPoint);
-//   - the agent program is a Stepper, or an ExtendedStepper for programs
-//     that carry per-slot side state and use the neighbor-removal power
-//     (internal/rogue's honest/rogue overlay). A Stepper that is also a
-//     RangeStepper (the paper's protocol) composes and steps a whole pool
-//     part per call; the engine picks that path once, by the program's
-//     type, and drives every other program agent by agent.
+//   - the agent program is a Program, which composes and steps a whole pool
+//     part per call. The paper's protocol and internal/rogue's honest/rogue
+//     overlay implement it directly; per-agent Steppers (the baselines and
+//     the wrappers) reach it through Lift's adapter.
 //
 // The engine is deterministic given its seed: matcher, adversary, and binder
 // draw from independent split-off streams, and every protocol coin flip
@@ -49,10 +47,10 @@
 // pool's workers claim compose chunks while the engine goroutine samples
 // the matching, then it claims chunks too (pool.Share; the two touch
 // disjoint state — DESIGN.md §10). The adversary's turn stays serial —
-// sequential by its budget semantics — and so do the kill fold and the
-// apply compaction, single passes that sharding did not speed up, and the
-// spatial pipeline's bucket, counting-sort scatter, greedy walk and output
-// pass; only its candidate phase shards on the engine's pool
+// sequential by its budget semantics — and so does the apply compaction, a
+// single pass that sharding did not speed up, and the spatial pipeline's
+// bucket, counting-sort scatter, greedy walk and output pass; only its
+// candidate phase shards on the engine's pool
 // (match/spatial.go, DESIGN.md §12 and §15). Every pool callback the engine
 // passes is bound once at construction and every per-part scratch lives in
 // the engine, so a steady-state round allocates nothing at Workers 1 and
@@ -82,19 +80,41 @@ import (
 	"popstab/internal/wire"
 )
 
-// Stepper is the per-agent protocol the engine drives. internal/protocol
-// implements it for the paper's protocol; internal/baseline implements it
-// for the comparison protocols.
+// Program is the agent program the engine drives: it composes and steps a
+// whole part of the population per call, which the engine makes once per
+// part of its compose and step phases. internal/protocol's Protocol and
+// internal/rogue's Overlay implement it; per-agent Steppers reach the engine
+// through Lift.
 //
-// Concurrency contract: when the engine runs with Workers > 1, Compose and
-// Step are invoked concurrently from multiple goroutines, each agent from
-// exactly one goroutine per round, with a barrier between the Compose and
-// Step phases. Implementations may freely mutate the *agent.State they are
-// handed but must keep any shared mutable state of their own (e.g. event
-// counters) race-free; the src passed to Step is a private per-agent stream
-// owned by the calling goroutine. A Stepper may also implement
-// RangeStepper; the engine then calls its range methods instead, and the
-// per-agent methods remain what wrappers of the program call.
+// ComposeRange writes msgs[k], the message of states[k], for the part that
+// starts at slot first. StepRange steps the same part: agent k is slot
+// first+k, matched with slot nbr[k] (match.Unmatched when unmatched) whose
+// message is msgs[nbr[k]], and its fate goes to actions[k]. Its coins come
+// from src reseeded to the counter stream (key, round, slot), so the stream
+// is keyed per slot, not per part. StepRange reports how many of its agents
+// were removed by their matched neighbor this round; their actions are
+// ActDie.
+//
+// Concurrency contract: when the engine runs with Workers > 1, parts run
+// concurrently on the pool's goroutines, with a barrier between the compose
+// and step phases. Every slot belongs to exactly one part per phase, and a
+// part writes only its own agents' states, messages and actions; anything
+// else a program shares between parts (event counters, side-arrays indexed
+// by slot) must be race-free. src is the part's private stream.
+type Program interface {
+	// EpochLen reports the protocol's epoch length in rounds (1 for
+	// epoch-free protocols).
+	EpochLen() int
+	ComposeRange(first int, states []agent.State, msgs []uint8)
+	StepRange(first int, states []agent.State, nbr []int32, msgs []uint8, actions []population.Action, src *prng.Source, key, round uint64) (removed int)
+}
+
+// Stepper is a per-agent program: internal/baseline's comparison protocols,
+// the SelfishReplicator and DriftingClock wrappers, and the per-agent
+// reference form of internal/protocol's Protocol, which wrappers call.
+// Lift adapts one to a Program. Compose and Step run under the Program
+// concurrency contract, each agent on one goroutine per round; the src
+// passed to Step is owned by the calling goroutine.
 type Stepper interface {
 	// EpochLen reports the protocol's epoch length in rounds (1 for
 	// epoch-free protocols).
@@ -107,49 +127,56 @@ type Stepper interface {
 	Step(s *agent.State, nbr wire.Message, hasNbr bool, src *prng.Source) population.Action
 }
 
-// RangeStepper is an optional Stepper capability: Compose and Step over a
-// whole part of the population in one call, which the engine then makes
-// once per part of its compose and step phases instead of three interface
-// calls per agent. internal/protocol's Protocol implements it; wrappers and
-// baselines do not, and the engine drives them agent by agent.
-//
-// ComposeRange must write exactly what Compose would, msgs[k] for states[k].
-// StepRange must act exactly as Decode and Step would for each agent of a
-// part that starts at slot first: agent k is slot first+k, matched with slot
-// nbr[k] (match.Unmatched when unmatched) whose message is msgs[nbr[k]], and
-// its fate goes to actions[k]. Its coins come from src reseeded to the
-// counter stream (key, round, first+k), so the stream is keyed per slot, not
-// per part. Each slot is written by exactly one part per phase, and parts
-// run concurrently under the Stepper concurrency contract.
-type RangeStepper interface {
-	ComposeRange(states []agent.State, msgs []uint8)
-	StepRange(states []agent.State, nbr []int32, msgs []uint8, actions []population.Action, src *prng.Source, key, round uint64, first int)
+// Lift returns s as a Program: s itself when it already is one (the paper
+// protocol), otherwise an adapter that composes and steps its part agent by
+// agent. The adapter is invisible to the snapshot identity, the StateCodec
+// lookup and the RoundStarter lookup, which all see s.
+func Lift(s Stepper) Program {
+	if p, ok := s.(Program); ok {
+		return p
+	}
+	return agentwise{s}
 }
 
-// ExtendedStepper is the indexed generalization of Stepper for programs that
-// carry per-slot extension state outside agent.State (a side-array kept
-// aligned via population.Tracker) and that may use the paper's §1.2
-// agent-removal power. internal/rogue's honest/rogue overlay is the
-// canonical implementation.
-//
-// The Stepper concurrency contract applies unchanged: ComposeAt and StepAt
-// run concurrently across shards, each slot from exactly one goroutine per
-// round. StepAt may additionally read the *matched neighbor's* extension
-// state (slot j); implementations must confine cross-slot writes to the
-// returned killNbr channel, which has a unique writer per victim (the
-// victim's matched neighbor) and is only read by the serial apply phase.
-type ExtendedStepper interface {
-	// EpochLen reports the protocol's epoch length in rounds.
-	EpochLen() int
-	// Decode decodes a received message byte.
-	Decode(b uint8) wire.Message
-	// ComposeAt encodes the message agent slot i sends this round.
-	ComposeAt(i int, s *agent.State) uint8
-	// StepAt executes one round for slot i, matched with slot j (j < 0 and
-	// hasNbr false when unmatched). Returning killNbr true removes the
-	// matched neighbor at the end of the round, overriding the victim's own
-	// action (the victim is gone before it can divide).
-	StepAt(i, j int, s *agent.State, nbr wire.Message, hasNbr bool, src *prng.Source) (act population.Action, killNbr bool)
+// StepperOf returns p's per-agent form: the Stepper Lift adapted, or p
+// itself when it is one. It is nil for a program with no per-agent form,
+// such as internal/rogue's Overlay, whose step reads its neighbor's tag.
+func StepperOf(p Program) Stepper {
+	s, _ := unlifted(p).(Stepper)
+	return s
+}
+
+// unlifted returns the Stepper behind Lift's adapter, or p itself.
+func unlifted(p Program) any {
+	if a, ok := p.(agentwise); ok {
+		return a.s
+	}
+	return p
+}
+
+// agentwise is Lift's adapter: a Program that makes the per-agent calls.
+type agentwise struct{ s Stepper }
+
+func (a agentwise) EpochLen() int { return a.s.EpochLen() }
+
+func (a agentwise) ComposeRange(_ int, states []agent.State, msgs []uint8) {
+	for k := range states {
+		msgs[k] = a.s.Compose(&states[k])
+	}
+}
+
+func (a agentwise) StepRange(first int, states []agent.State, nbr []int32, msgs []uint8, actions []population.Action, src *prng.Source, key, round uint64) int {
+	for k := range states {
+		src.SeedCounter(key, round, uint64(first+k))
+		j := nbr[k]
+		var msg wire.Message
+		hasNbr := j != match.Unmatched
+		if hasNbr {
+			msg = a.s.Decode(msgs[j])
+		}
+		actions[k] = a.s.Step(&states[k], msg, hasNbr, src)
+	}
+	return 0
 }
 
 // RoundStarter is an optional program capability: StartRound runs at the top
@@ -163,13 +190,9 @@ type RoundStarter interface {
 type Config struct {
 	// Params is the model parameterization (N, γ, α, epoch shape).
 	Params params.Params
-	// Protocol is the per-agent program. Exactly one of Protocol and
-	// Extended must be set.
-	Protocol Stepper
-	// Extended is the indexed per-agent program with side state and the
-	// neighbor-removal channel (see ExtendedStepper). Exactly one of
-	// Protocol and Extended must be set.
-	Extended ExtendedStepper
+	// Protocol is the agent program (required); a per-agent Stepper is
+	// passed as Lift(s).
+	Protocol Program
 	// Matcher is the communication model: a population-state-aware
 	// matcher (e.g. match.Torus), or a plain scheduler adapted by
 	// match.FromScheduler. Defaults to match.Uniform{Gamma: Params.Gamma}.
@@ -206,8 +229,8 @@ type RoundReport struct {
 	// Births and Deaths count protocol splits and deaths (consistency
 	// deaths and neighbor-kills included).
 	Births, Deaths int
-	// Kills counts agents removed through the extended program's
-	// neighbor-removal channel this round (also included in Deaths).
+	// Kills counts agents removed by their matched neighbor this round,
+	// the sum of the program's StepRange counts (also included in Deaths).
 	Kills int
 	// AdvInserted and AdvDeleted count the adversary's alterations.
 	AdvInserted, AdvDeleted int
@@ -253,17 +276,13 @@ type Engine struct {
 	// for engines that are simply dropped (hibernated/reaped sessions).
 	pool *pool.Pool
 	// composeChunk and sampleMatch are the two sides of the overlap, and
-	// stepChunk the step phase's shard (stepRange or stepRangeExtended),
-	// bound once at construction so a round allocates no closures.
+	// stepChunk the step phase's shard, bound once at construction so a
+	// round allocates no closures.
 	composeChunk func(part, lo, hi int)
 	sampleMatch  func()
 	stepChunk    func(part, lo, hi int)
 
-	// proto and xproto are the two program seams; exactly one is non-nil.
-	// ranged is proto as a RangeStepper, nil when it is not one.
-	proto  Stepper
-	xproto ExtendedStepper
-	ranged RangeStepper
+	prog Program
 	// starter is the optional per-round hook of the program.
 	starter RoundStarter
 	// epochLen caches the program's EpochLen(), read on every round by the
@@ -279,14 +298,10 @@ type Engine struct {
 	pairing match.Pairing
 	msgs    []uint8
 	actions []population.Action
-	// kill is the extended programs' neighbor-removal mask; nil for plain
-	// Steppers. kill[j] has a unique writer per round (j's matched
-	// neighbor) and is read only by the serial kill fold.
-	kill []bool
 	// stepSrcs holds one counter stream per part of the step phase's
 	// pool.Run, indexed by part number, which each part reseeds for every
-	// agent it steps. As a local of the step range the stream would escape
-	// to the heap, once per part per round.
+	// agent it steps, and the part's removal count. As a local of the step
+	// range the stream would escape to the heap, once per part per round.
 	stepSrcs []stepSource
 
 	round uint64
@@ -326,8 +341,8 @@ func New(cfg Config) (*Engine, error) {
 // protocol key, scheduler, adversary, binder — so adding components never
 // perturbs earlier streams.
 func buildEngine(cfg Config, pop *population.Population) (*Engine, error) {
-	if (cfg.Protocol == nil) == (cfg.Extended == nil) {
-		return nil, errors.New("sim: exactly one of Config.Protocol and Config.Extended is required")
+	if cfg.Protocol == nil {
+		return nil, errors.New("sim: Config.Protocol is required")
 	}
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
@@ -369,16 +384,10 @@ func buildEngine(cfg Config, pop *population.Population) (*Engine, error) {
 		pop:     pop,
 		matcher: matcher,
 		adv:     cfg.Adversary,
-		proto:   cfg.Protocol,
-		xproto:  cfg.Extended,
+		prog:    cfg.Protocol,
 	}
-	if e.xproto != nil {
-		e.epochLen = e.xproto.EpochLen()
-		e.starter, _ = e.xproto.(RoundStarter)
-	} else {
-		e.epochLen = e.proto.EpochLen()
-		e.starter, _ = e.proto.(RoundStarter)
-	}
+	e.epochLen = e.prog.EpochLen()
+	e.starter, _ = unlifted(e.prog).(RoundStarter)
 	if e.epochLen < 1 {
 		return nil, fmt.Errorf("sim: program epoch length %d < 1", e.epochLen)
 	}
@@ -395,12 +404,6 @@ func buildEngine(cfg Config, pop *population.Population) (*Engine, error) {
 	runtime.AddCleanup(e, func(p *pool.Pool) { p.Close() }, e.pool)
 	e.composeChunk = e.composeRange
 	e.stepChunk = e.stepRange
-	if e.xproto != nil {
-		e.stepChunk = e.stepRangeExtended
-	} else if e.ranged, _ = e.proto.(RangeStepper); e.ranged != nil {
-		e.composeChunk = e.composeRanged
-		e.stepChunk = e.stepRanged
-	}
 	e.sampleMatch = func() {
 		t := time.Now()
 		e.matcher.SampleMatch(e.pop, e.schedSrc, &e.pairing)
@@ -545,25 +548,17 @@ func (e *Engine) RunRound() RoundReport {
 	e.stats.ComposeNS += uint64(e.composeEnd.Sub(tc).Nanoseconds())
 
 	// 5. Deliver and step — sharded across the worker pool when the
-	// population is large enough to pay for it.
+	// population is large enough to pay for it. Each part reports the
+	// agents a neighbor removed, which already wrote their own deaths.
 	ts := time.Now()
 	e.pool.Run(n, minShardAgents, e.stepChunk)
+	for k := range e.pool.Shards(n, minShardAgents) {
+		rep.Kills += e.stepSrcs[k].removed
+	}
 	e.stats.StepNS += sinceNS(ts)
 
-	// 6. Apply fates. Neighbor-kills override the victim's own action (the
-	// victim is removed before it can divide): the kill mask folds into the
-	// action array, then one serial compaction drops the dead and appends
-	// the daughters.
-	if e.xproto != nil {
-		tk := time.Now()
-		for j, killed := range e.kill {
-			if killed {
-				e.actions[j] = population.ActDie
-				rep.Kills++
-			}
-		}
-		e.stats.KillFoldNS += sinceNS(tk)
-	}
+	// 6. Apply fates: one serial compaction drops the dead and appends the
+	// daughters.
 	ta := time.Now()
 	rep.Births, rep.Deaths = e.pop.Apply(e.actions)
 	e.stats.ApplyNS += sinceNS(ta)
@@ -585,17 +580,19 @@ func (e *Engine) RunRound() RoundReport {
 	return rep
 }
 
-// stepSource is one step part's counter stream, padded so that no two
-// parts' streams share a cache line: both rewrite theirs for every agent.
+// stepSource is one step part's counter stream and removal count, padded so
+// that no two parts' streams share a cache line: both rewrite theirs for
+// every agent.
 type stepSource struct {
 	prng.Source
-	_ [64]byte
+	removed int
+	_       [64]byte
 }
 
-// ensureScratch sizes the msgs/actions (and, for extended programs, kill)
-// buffers for n agents, growing with 1.5× slack so a steadily growing
-// population does not reallocate on every round, and keeps a step stream
-// for every part the step phase splits n agents into.
+// ensureScratch sizes the msgs/actions buffers for n agents, growing with
+// 1.5× slack so a steadily growing population does not reallocate on every
+// round, and keeps a step stream for every part the step phase splits n
+// agents into.
 func (e *Engine) ensureScratch(n int) {
 	if w := e.pool.Shards(n, minShardAgents); len(e.stepSrcs) < w {
 		e.stepSrcs = make([]stepSource, w)
@@ -604,15 +601,9 @@ func (e *Engine) ensureScratch(n int) {
 		c := n + n/2
 		e.msgs = make([]uint8, c)
 		e.actions = make([]population.Action, c)
-		if e.xproto != nil {
-			e.kill = make([]bool, c)
-		}
 	}
 	e.msgs = e.msgs[:n]
 	e.actions = e.actions[:n]
-	if e.xproto != nil {
-		e.kill = e.kill[:n]
-	}
 }
 
 // minShardAgents bounds how finely the per-agent phases shard: below ~1k
@@ -622,87 +613,24 @@ func (e *Engine) ensureScratch(n int) {
 const minShardAgents = 1024
 
 // composeRange composes the outgoing messages of agents [lo, hi) from
-// pre-round state (and, for extended programs, clears their kill-mask
-// entries — each slot has exactly one owner, so the clear is race-free and
-// worker-count-invariant). Compose consumes no randomness, so the chunks
-// may run in any order on any goroutine; the agent array is walked
-// contiguously via the bulk States accessor rather than per-index Ref calls.
+// pre-round state, one program call per chunk. Compose consumes no
+// randomness, so the chunks may run in any order on any goroutine.
 func (e *Engine) composeRange(_, lo, hi int) {
-	states := e.pop.States()
-	if e.xproto != nil {
-		for i := lo; i < hi; i++ {
-			e.kill[i] = false
-			e.msgs[i] = e.xproto.ComposeAt(i, &states[i])
-		}
-	} else {
-		for i := lo; i < hi; i++ {
-			e.msgs[i] = e.proto.Compose(&states[i])
-		}
-	}
-	e.composed(lo, hi)
-}
-
-// composeRanged is composeRange for a RangeStepper: one call per part.
-func (e *Engine) composeRanged(_, lo, hi int) {
-	e.ranged.ComposeRange(e.pop.States()[lo:hi], e.msgs[lo:hi])
-	e.composed(lo, hi)
-}
-
-// composed counts agents [lo, hi) as composed; the chunk that composes the
-// round's last agent stamps composeEnd.
-func (e *Engine) composed(lo, hi int) {
+	e.prog.ComposeRange(lo, e.pop.States()[lo:hi], e.msgs[lo:hi])
 	if e.composeLeft.Add(int64(lo-hi)) == 0 {
-		e.composeEnd = time.Now()
+		e.composeEnd = time.Now() // this chunk composed the round's last agent
 	}
 }
 
-// stepRanged is stepRange for a RangeStepper: one call per part, which
-// seeds the part's source per slot as stepRange does.
-func (e *Engine) stepRanged(part, lo, hi int) {
-	e.ranged.StepRange(e.pop.States()[lo:hi], e.pairing.Nbr[lo:hi], e.msgs,
-		e.actions[lo:hi], &e.stepSrcs[part].Source, e.protoKey, e.round, lo)
-}
-
-// stepRange delivers the neighbor message of every agent in [lo, hi) and
-// executes its protocol step; RunRound shards it over the worker pool. Each
-// agent's coin flips come from the counter-based stream (protoKey, round,
-// slot) — reseeded per agent in the part's own source — so the result is
-// bit-identical whether the parts run serially or concurrently.
+// stepRange delivers the neighbor messages of agents [lo, hi) and steps
+// them, one program call per part; RunRound shards it over the worker pool.
+// Each agent's coin flips come from the counter-based stream (protoKey,
+// round, slot), reseeded per agent in the part's own source, so the result
+// is bit-identical whether the parts run serially or concurrently.
 func (e *Engine) stepRange(part, lo, hi int) {
-	states := e.pop.States()
-	src := &e.stepSrcs[part].Source
-	for i := lo; i < hi; i++ {
-		src.SeedCounter(e.protoKey, e.round, uint64(i))
-		j := e.pairing.Nbr[i]
-		var msg wire.Message
-		hasNbr := j != match.Unmatched
-		if hasNbr {
-			msg = e.proto.Decode(e.msgs[j])
-		}
-		e.actions[i] = e.proto.Step(&states[i], msg, hasNbr, src)
-	}
-}
-
-// stepRangeExtended is stepRange for extended programs, which additionally
-// route neighbor-kills into the mask (unique writer per victim: its matched
-// neighbor).
-func (e *Engine) stepRangeExtended(part, lo, hi int) {
-	states := e.pop.States()
-	src := &e.stepSrcs[part].Source
-	for i := lo; i < hi; i++ {
-		src.SeedCounter(e.protoKey, e.round, uint64(i))
-		j := e.pairing.Nbr[i]
-		var msg wire.Message
-		hasNbr := j != match.Unmatched
-		if hasNbr {
-			msg = e.xproto.Decode(e.msgs[j])
-		}
-		act, killNbr := e.xproto.StepAt(i, int(j), &states[i], msg, hasNbr, src)
-		e.actions[i] = act
-		if killNbr && hasNbr {
-			e.kill[j] = true
-		}
-	}
+	src := &e.stepSrcs[part]
+	src.removed = e.prog.StepRange(lo, e.pop.States()[lo:hi], e.pairing.Nbr[lo:hi], e.msgs,
+		e.actions[lo:hi], &src.Source, e.protoKey, e.round)
 }
 
 // RunRounds executes n rounds, returning the last report.

@@ -471,3 +471,34 @@ func BenchmarkEpochN4096(b *testing.B) {
 		e.RunEpoch()
 	}
 }
+
+// TestConfigSeamValidation pins that the program seam is required.
+func TestConfigSeamValidation(t *testing.T) {
+	if _, err := New(Config{Params: fastParams(t)}); err == nil {
+		t.Error("accepted a config without a Protocol")
+	}
+}
+
+// TestMatcherBindsToAdoptedPopulation verifies NewFromPopulation binds the
+// matcher to the caller's population, not a discarded fresh one: the torus
+// side-array must track the adopted population's size.
+func TestMatcherBindsToAdoptedPopulation(t *testing.T) {
+	p := fastParams(t)
+	pr := protocol.MustNew(p)
+	pop := population.New(123)
+	tor, err := match.NewTorus(1.0 / 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewFromPopulation(Config{Params: p, Protocol: pr, Matcher: tor, Seed: 1, Workers: 1}, pop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tor.Positions().Len() != 123 {
+		t.Fatalf("torus bound to %d positions, want 123", tor.Positions().Len())
+	}
+	e.RunRound()
+	if tor.Positions().Len() != e.Size() {
+		t.Fatalf("positions %d != size %d after a round", tor.Positions().Len(), e.Size())
+	}
+}

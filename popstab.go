@@ -17,7 +17,7 @@
 //     clock drift), composable with each other and with any adversary
 //     through Spec.Topology and Spec.Rogue;
 //   - one deterministic parallel round engine behind pluggable
-//     communication (Matcher) and program (Stepper) seams: per-agent
+//     communication (Matcher) and program (Program) seams: per-agent
 //     counter-based randomness makes simulation output bit-identical
 //     across any Spec.Workers count, so multi-core runs are pure
 //     speedup — for every topology and program;

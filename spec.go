@@ -370,7 +370,7 @@ func (pl *plan) build() (*Sim, error) {
 	s.epochLen = stepper.EpochLen()
 
 	sc := pl.sim
-	sc.Protocol = stepper
+	sc.Protocol = sim.Lift(stepper)
 	if sc.Adversary != nil && pl.spec.PerEpochBudget > 0 {
 		sc.Adversary = adversary.NewPaced(adversary.PerEpoch(s.epochLen, pl.spec.PerEpochBudget, sc.K), sc.Adversary)
 	}
